@@ -140,7 +140,7 @@ def allocate_bins(m: int, p: float, user_count: int) -> AllocationPlan:
 
 
 def _draw_passwords(plan: AllocationPlan, n: int, password_seed: int) -> list[int]:
-    gen = rng.generator(password_seed, 0x9A55)
+    gen = rng.generator(password_seed, rng.LANE_PASSWORDS)
     return [int(x) for x in gen.integers(0, 1 << n, size=plan.user_count)]
 
 

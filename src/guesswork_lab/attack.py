@@ -398,7 +398,10 @@ class GuessAccumulator:
         Values must be integral (float inputs are rounded); sums are kept
         as Python ints so merging stays exact at any magnitude.
         """
-        g = np.rint(np.asarray(guesses)).astype(np.int64)
+        g = np.asarray(guesses)
+        if g.dtype.kind == "f":
+            g = np.rint(g)
+        g = g.astype(np.int64)
         self.count += int(g.size)
         self.failures += int((g == 0).sum())
         ints = g.tolist()

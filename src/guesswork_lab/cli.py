@@ -19,8 +19,8 @@ from typing import Optional
 
 import click
 
-from . import __version__, experiments, rates
-from .hashmodel import SCHEMA, ResourceCapError
+from . import __version__, rates
+from .config import MODES, SCHEMA, ExperimentConfig, default_input_width
 from .infotheory import binary_entropy, kl_divergence
 from .rates import ScenarioParams
 
@@ -94,7 +94,7 @@ def _echo_config(config: dict) -> None:
 
 def _scenario(m: int, n: Optional[int], p: float, s: float, theta: Optional[float]) -> ScenarioParams:
     if n is None:
-        n = experiments.default_input_width(m, p, s)
+        n = default_input_width(m, p, s)
     try:
         return ScenarioParams(s=s, p=p, m=m, n=n, theta=theta)
     except ValueError as err:
@@ -266,20 +266,23 @@ def cmd_table1(output):
         )
 
 
+def _experiment_config(**fields) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as err:
+        raise click.UsageError(str(err))
+
+
 def _build_config(mode, m, n, p, s, theta, trials, seed_text, engine, budget, rho):
     seed = _parse_seed(seed_text)
     scenario = _scenario(m, n, p, s, theta)
-    try:
-        cfg = experiments.ExperimentConfig(
-            scenario=scenario, trials=trials, seed=seed, mode=mode,
-            engine=engine, budget=budget, rho=rho,
-        )
-    except ValueError as err:
-        raise click.UsageError(str(err))
-    return cfg
+    return _experiment_config(
+        scenario=scenario, trials=trials, seed=seed, mode=mode,
+        engine=engine, budget=budget, rho=rho,
+    )
 
 
-def _config_dict(cfg: experiments.ExperimentConfig, command: str, **extra) -> dict:
+def _config_dict(cfg: ExperimentConfig, command: str, **extra) -> dict:
     doc = {
         "command": command,
         "mode": cfg.mode,
@@ -299,7 +302,7 @@ def _config_dict(cfg: experiments.ExperimentConfig, command: str, **extra) -> di
 
 
 @main.command("simulate")
-@click.option("--mode", type=click.Choice(experiments.MODES), required=True,
+@click.option("--mode", type=click.Choice(MODES), required=True,
               help="Attack scenario to simulate.")
 @click.option("--m", "m", type=int, required=True, help="Bin width in bits.")
 @click.option("--n", "n", type=int, default=None, help="Input width in bits (auto if omitted).")
@@ -327,6 +330,9 @@ def _config_dict(cfg: experiments.ExperimentConfig, command: str, **extra) -> di
 def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log,
                  assert_text, seed, workers, output):
     """Monte Carlo estimate of the mean guesswork for one scenario."""
+    from . import experiments
+    from .hashmodel import ResourceCapError
+
     if budget is not None:
         if budget == "fast":
             from .attack import fast_budget
@@ -342,7 +348,7 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
     try:
         if trial_log is not None:
             with open(trial_log, "w", encoding="ascii") as fh:
-                est = experiments.run_experiment(cfg, trial_log=fh)
+                est = experiments.run_experiment(cfg, workers=workers, trial_log=fh)
         else:
             est = experiments.run_experiment(cfg, workers=workers)
     except ResourceCapError as err:
@@ -386,7 +392,7 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
 
 
 @main.command("sweep")
-@click.option("--mode", type=click.Choice(experiments.MODES), required=True)
+@click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--m", "m_list", required=True,
               help="Comma-separated bin widths, e.g. 8,10,12.")
 @click.option("--p", "p", type=float, required=True)
@@ -405,11 +411,14 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
 def cmd_sweep(mode, m_list, p, s, theta, trials, engine, rho, assert_text,
               seed, workers, output):
     """Fit the guesswork growth rate from a sweep over bin widths."""
+    from . import experiments
+    from .hashmodel import ResourceCapError
+
     steps = _parse_int_list(m_list, "--m")
     if len(steps) < 3:
         raise click.UsageError("--m needs at least 3 sweep points")
     base = _scenario(steps[0], None, p, s, theta)
-    cfg = experiments.ExperimentConfig(
+    cfg = _experiment_config(
         scenario=base, trials=trials, seed=_parse_seed(seed), mode=mode,
         m_sweep=tuple(steps), engine=engine, rho=rho,
     )
@@ -474,8 +483,10 @@ def cmd_sweep(mode, m_list, p, s, theta, trials, engine, rho, assert_text,
 @output_option
 def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, output):
     """Empirical P(G <= 2^{m l}) for the least likely bin against the bound."""
+    from . import experiments
+
     scenario = _scenario(m, n, p, s, None)
-    cfg = experiments.ExperimentConfig(
+    cfg = _experiment_config(
         scenario=scenario, trials=trials, seed=_parse_seed(seed),
         mode="allocated-online",
     )
@@ -523,6 +534,8 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
 @output_option
 def cmd_keysize(alpha_list, output):
     """Biased-versus-uniform key sizing at equal average guesswork."""
+    from . import experiments
+
     alphas = _parse_float_list(alpha_list, "--alpha")
     try:
         rows = experiments.keysize_panel(alphas)

@@ -7,16 +7,18 @@ Two simulation engines share every scenario:
 * "sampled" draws each trial's scan outcome from its exact distribution:
   the first natural hit is geometric in the per-guess success
   probability, mapped around the planted/conditioned password positions,
-  which are handled individually.  The two engines agree in distribution
-  and are cross-checked in the test suite.
+  which are handled individually.  It runs one numpy kernel per block of
+  trials; trials with a password collision take a per-trial path.  The
+  two engines agree in distribution and are cross-checked in the test
+  suite.
 
 All per-trial randomness derives from (seed, trial index), so estimates
-are bit-identical for any worker split.
+are bit-identical for any block or worker split.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -25,6 +27,13 @@ import numpy as np
 from . import allocation as alloc
 from . import attack, rng
 from .attack import EstimateWithCI, GuessAccumulator
+from .config import (  # noqa: F401  (re-exported)
+    MAX_INPUT_WIDTH,
+    MIN_TRIALS,
+    MODES,
+    ExperimentConfig,
+    default_input_width,
+)
 from .hashmodel import KeyedHashModel, exact_bernoulli_distribution
 from .infotheory import (
     binary_entropy,
@@ -39,56 +48,28 @@ from .rates import (
     key_size_ratio,
 )
 
-MODES = (
-    "allocated-online",
-    "allocated-offline",
-    "unallocated-online",
-    "unallocated-offline",
-    "broken-hash",
-    "biased-password",
-    "no-allocation-keyed",
-)
-
-_LANE_PASSWORDS = 0x9A55
 _LANE_KEY = 0x4E1
 _LANE_GEOM = 0x6E0
 _LANE_PICK = 0x05E7
+_LANE_BINS = 0xB175
+_LANE_WEIGHT = 0x3E16
+_LANE_RANK = 0x3A4C
 
-#: Minimum trials for the normal-approximation interval to mean anything.
-MIN_TRIALS = 100
+#: Most (trial, user) pairs a kernel draws at once.  It bounds a block's
+#: memory: at 2^16 a 10^5-trial single-user run peaked 6 MB higher than
+#: the per-trial engine did, at 2^14 it stays below it.
+BLOCK_ELEMENTS = 1 << 14
 
+#: "No forced hit", and the slot of a repeated special position: above
+#: every guess position.
+_NO_HIT = np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything that determines an experiment's result, seed included."""
+#: An ordinal past every guess position (1.5 * 2^62), with int64 headroom.
+_BEYOND = 3 << 61
 
-    scenario: ScenarioParams
-    trials: int
-    seed: int
-    mode: str
-    m_sweep: Optional[tuple[int, ...]] = None
-    engine: str = "sampled"
-    rho: float = 1.0
-    budget: Optional[int] = None
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.trials < MIN_TRIALS:
-            raise ValueError(f"trials must be >= {MIN_TRIALS} for CI validity")
-        if self.engine not in ("sampled", "scan"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.m_sweep is not None:
-            steps = tuple(self.m_sweep)
-            if len(steps) < 3:
-                raise ValueError("m_sweep needs at least 3 points for a fit")
-            if any(b <= a for a, b in zip(steps, steps[1:])):
-                raise ValueError("m_sweep must be strictly increasing")
-            object.__setattr__(self, "m_sweep", steps)
-        if self.mode == "biased-password" and self.scenario.theta is None:
-            raise ValueError("biased-password mode requires scenario.theta")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+_ALLOCATED_MODES = ("allocated-online", "allocated-offline")
+_OFFLINE_MODES = ("allocated-offline", "unallocated-offline")
+_SINGLE_USER_MODES = ("no-allocation-keyed", "biased-password")
 
 
 @dataclass(frozen=True)
@@ -108,13 +89,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def default_input_width(m: int, p: float, s: float, margin: float = 1.25) -> int:
-    """Input width comfortably above the guesswork exponent: at least
-    margin * m * (log2(1/p) + H(s)), capped at the 62-bit index limit."""
-    need = margin * m * (math.log2(1.0 / p) + binary_entropy(s))
-    return max(m + 2, min(62, math.ceil(need)))
-
-
 def _log2_pk(m: int, p: float, weight: int) -> float:
     return weight * math.log2(p) + (m - weight) * math.log2(1.0 - p)
 
@@ -123,16 +97,17 @@ def _pk(m: int, p: float, weight: int) -> float:
     return 2.0 ** _log2_pk(m, p, weight)
 
 
-def _map_past_specials(ordinal: float, specials: np.ndarray) -> float:
+def _map_past_specials(ordinal: int, specials: np.ndarray) -> int:
     """Raw 0-based position of the ordinal-th non-special index.
 
-    specials must be sorted ascending.  Fixed-point of
-    pos = ordinal - 1 + #{specials <= pos}; the iteration is monotone and
-    terminates within len(specials) + 1 steps (typically one).
+    specials must be sorted ascending and distinct.  Fixed point of
+    pos = ordinal - 1 + #{specials <= pos}, kept in integers so positions
+    beyond 2^53 stay exact; the iteration is monotone and terminates
+    within len(specials) + 1 steps (typically one).
     """
-    pos = ordinal - 1.0
+    pos = ordinal - 1
     while True:
-        shifted = ordinal - 1.0 + float(np.searchsorted(specials, pos, side="right"))
+        shifted = ordinal - 1 + int(np.searchsorted(specials, pos, side="right"))
         if shifted == pos:
             return pos
         pos = shifted
@@ -152,26 +127,73 @@ def _scan_outcome_sampled(
     positions are forced hits or misses (planted or conditioned values).
     """
     horizon = (1 << n) if budget is None else min(budget, 1 << n)
-    hits = np.unique(np.asarray(special_hits, dtype=np.int64)) if len(special_hits) else np.empty(0, dtype=np.int64)
-    misses = np.unique(np.asarray(special_misses, dtype=np.int64)) if len(special_misses) else np.empty(0, dtype=np.int64)
+    hits = np.unique(np.asarray(special_hits, dtype=np.int64))
+    misses = np.unique(np.asarray(special_misses, dtype=np.int64))
     all_specials = np.union1d(hits, misses)
     candidates = []
     if p_hit > 0.0:
         ordinal = float(rng.geometric_from_uniform(np.array([u]), p_hit)[0])
         if ordinal <= (1 << n) - all_specials.size:
-            candidates.append(_map_past_specials(ordinal, all_specials))
+            candidates.append(_map_past_specials(int(ordinal), all_specials))
     if hits.size:
-        candidates.append(float(hits[0]))
+        candidates.append(int(hits[0]))
     if not candidates:
         return 0, False
     pos = min(candidates)
     if pos >= horizon:
         return 0, False
-    return int(pos) + 1, True
+    return pos + 1, True
 
 
-def _keyed_pk_of_bin(scenario: ScenarioParams, bits: int) -> float:
-    return _pk(scenario.m, scenario.p, bits.bit_count())
+def _first_hits(
+    u: np.ndarray,
+    p_hit: np.ndarray,
+    specials: np.ndarray,
+    first_hit: np.ndarray,
+    n: int,
+    budget: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_scan_outcome_sampled for many rows at once: (guesses, success).
+
+    Row r scans with per-guess success p_hit[r] outside its special
+    positions specials[r] (int64, sorted ascending, repeats allowed), whose
+    smallest forced hit is first_hit[r] (_NO_HIT when none).  Only the set
+    of specials and the first hit matter, so when every special is a hit
+    a caller passes just the smallest one and the outcome is
+    min(geometric - 1, first hit).
+    """
+    horizon = (1 << n) if budget is None else min(budget, 1 << n)
+    repeat = np.zeros(specials.shape, dtype=bool)
+    repeat[:, 1:] = specials[:, 1:] == specials[:, :-1]
+    specials = np.where(repeat, _NO_HIT, specials)
+    # An ordinal past the 2^n - #specials free indices maps past 2^n, so
+    # clamping it (and p_hit = 0) to _BEYOND leaves the outcome unchanged.
+    never = p_hit <= 0.0
+    ordinal = rng.geometric_from_uniform(u, np.where(never, 1.0, p_hit))
+    ordinal = np.where(never, _BEYOND, np.minimum(ordinal, _BEYOND)).astype(np.int64)
+    pos = ordinal - 1
+    while True:
+        shifted = ordinal - 1 + (specials <= pos[:, None]).sum(axis=1)
+        if np.array_equal(shifted, pos):
+            break
+        pos = shifted
+    pos = np.minimum(pos, first_hit)
+    success = pos < horizon
+    return np.where(success, pos + 1, 0), success
+
+
+def _pk_table(sc: ScenarioParams) -> np.ndarray:
+    """Probability of one bin of each popcount 0..m."""
+    return np.array([_pk(sc.m, sc.p, w) for w in range(sc.m + 1)])
+
+
+def _p_any(pk: np.ndarray, bins) -> float:
+    """Per-guess probability of hitting any of the distinct bins, summed in
+    ascending bin order (the order the batched kernels use)."""
+    total = 0.0
+    for b in sorted(set(bins)):
+        total += pk[b.bit_count()]
+    return total
 
 
 def _plan_for(cfg: ExperimentConfig) -> alloc.AllocationPlan:
@@ -179,107 +201,209 @@ def _plan_for(cfg: ExperimentConfig) -> alloc.AllocationPlan:
     return alloc.allocate_bins(sc.m, sc.p, sc.user_count())
 
 
-def _draw_user_bins(gen: np.random.Generator, m: int, p: float, count: int) -> np.ndarray:
-    bits = gen.random((count, m)) < p
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    return bits @ weights
+def _user_count(cfg: ExperimentConfig) -> int:
+    """Users, each with a password, in every trial of the mode."""
+    return 1 if cfg.mode in _SINGLE_USER_MODES else cfg.scenario.user_count()
 
 
 # ---------------------------------------------------------------------------
-# sampled-engine trials
+# sampled-engine kernels
 # ---------------------------------------------------------------------------
+#
+# A kernel draws a whole block of trials at once.  Every draw is a pure
+# function of (seed, counter, lane): the counter is the trial index, or
+# trial * users + user for per-user draws.  A block therefore gives the
+# same per-trial results however the trials are split into blocks or
+# across workers.
 
 
-def _trial_allocated(cfg: ExperimentConfig, plan: alloc.AllocationPlan, trial: int,
-                     online: bool) -> tuple[int, bool, dict]:
+@dataclass(frozen=True)
+class _Block:
+    """Per-trial results of one block of trials, in trial order."""
+
+    trials: np.ndarray  # trial indices (uint64)
+    guesses: np.ndarray  # int64, 0 on failure
+    success: np.ndarray
+    user: np.ndarray  # 1-based attacked user
+    bins: np.ndarray  # attacked bin (online) or count of target bins (offline)
+    arm: Optional[np.ndarray] = None  # winning arm label (biased-password)
+
+
+def _trial_users(trials: np.ndarray, count: int) -> np.ndarray:
+    """Counter of each (trial, user) pair: trial * count + user."""
+    return trials[:, None] * np.uint64(count) + np.arange(count, dtype=np.uint64)
+
+
+def _draw_passwords(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
+    """Each user's uniform n-bit password: the top n bits of a word."""
+    shift = np.uint64(64 - cfg.scenario.n)
+    words = rng.words(cfg.seed, _trial_users(trials, count), rng.LANE_PASSWORDS)
+    return (words >> shift).astype(np.int64)
+
+
+def _draw_user_bins(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
+    """Each user's keyed-hash bin: m i.i.d. Bernoulli(p) bits."""
     sc = cfg.scenario
-    gen = rng.generator(cfg.seed, trial, _LANE_PASSWORDS)
-    passwords = [int(x) for x in gen.integers(0, 1 << sc.n, size=plan.user_count)]
+    seed = rng.derive_seed(cfg.seed, _LANE_BINS)
+    return rng.biased_bits(seed, sc.p, sc.m, _trial_users(trials, count)).astype(np.int64)
+
+
+def _draw_pick(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
+    """0-based index of the attacked user."""
+    return (rng.uniforms(cfg.seed, trials, _LANE_PICK) * count).astype(np.int64)
+
+
+def _collision_rows(ordered: np.ndarray) -> np.ndarray:
+    """Rows of row-sorted passwords in which two users drew the same one."""
+    return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+
+
+def _allocated_row(sc, plan, passwords, user_ix, u, online, budget) -> tuple[int, bool, int]:
+    """One allocated trial from its drawn passwords, first writer wins."""
     outcome = alloc.resolve_collisions(plan.users, passwords)
-    planted = dict(outcome.planted)
     finals = [b for _, _, b in outcome.assignments]
-    pick = rng.generator(cfg.seed, trial, _LANE_PICK)
-    user_ix = int(pick.integers(0, plan.user_count))
-    u = float(rng.uniforms(cfg.seed, np.array([trial]), _LANE_GEOM)[0])
     if online:
         target = finals[user_ix]
-        hits = [pw for pw, b in planted.items() if b.bits == target.bits]
-        misses = [pw for pw, b in planted.items() if b.bits != target.bits]
-        p_hit = _keyed_pk_of_bin(sc, target.bits)
-        extras = {"user": plan.users[user_ix][0], "bin": target.as_binary()}
+        hits = [pw for pw, b in outcome.planted if b.bits == target.bits]
+        misses = [pw for pw, b in outcome.planted if b.bits != target.bits]
+        p_hit, value = _pk(sc.m, sc.p, target.popcount), target.bits
     else:
-        target_bits = {b.bits for b in finals}
-        hits = [pw for pw, _ in outcome.planted]
-        misses = []
-        p_hit = sum(_pk(sc.m, sc.p, b.bit_count()) for b in target_bits)
-        extras = {"user": plan.users[user_ix][0], "bin": f"any-of-{len(target_bits)}"}
-    guesses, success = _scan_outcome_sampled(u, sc.n, p_hit, hits, misses, cfg.budget)
-    return guesses, success, extras
+        hits, misses = [pw for pw, _ in outcome.planted], []
+        targets = [b.bits for b in finals]
+        p_hit, value = _p_any(_pk_table(sc), targets), len(set(targets))
+    guesses, success = _scan_outcome_sampled(u, sc.n, p_hit, hits, misses, budget)
+    return guesses, success, value
 
 
-def _trial_unallocated(cfg: ExperimentConfig, user_count: int, trial: int,
-                       online: bool) -> tuple[int, bool, dict]:
-    sc = cfg.scenario
-    gen = rng.generator(cfg.seed, trial, _LANE_PASSWORDS)
-    passwords = [int(x) for x in gen.integers(0, 1 << sc.n, size=user_count)]
-    raw_bins = _draw_user_bins(gen, sc.m, sc.p, user_count)
+def _unallocated_row(sc, passwords, raw_bins, user_ix, u, online, budget) -> tuple[int, bool, int]:
+    """One unallocated trial from its drawn passwords and bins."""
     # A hash is a function: duplicate passwords share the first draw's bin.
     bin_of: dict[int, int] = {}
-    bins: list[int] = []
-    for pw, b in zip(passwords, raw_bins):
-        value = bin_of.setdefault(pw, int(b))
-        bins.append(value)
-    pick = rng.generator(cfg.seed, trial, _LANE_PICK)
-    user_ix = int(pick.integers(0, user_count))
-    u = float(rng.uniforms(cfg.seed, np.array([trial]), _LANE_GEOM)[0])
+    bins = [bin_of.setdefault(pw, b) for pw, b in zip(passwords, raw_bins)]
     if online:
         target = bins[user_ix]
         hits = [pw for pw, b in bin_of.items() if b == target]
         misses = [pw for pw, b in bin_of.items() if b != target]
-        p_hit = _pk(sc.m, sc.p, target.bit_count())
-        extras = {"user": user_ix + 1, "bin": format(target, f"0{sc.m}b")}
+        p_hit, value = _pk(sc.m, sc.p, target.bit_count()), target
     else:
-        target_bits = set(bins)
-        hits = list(bin_of.keys())
-        misses = []
-        p_hit = sum(_pk(sc.m, sc.p, b.bit_count()) for b in target_bits)
-        extras = {"user": user_ix + 1, "bin": f"any-of-{len(target_bits)}"}
-    guesses, success = _scan_outcome_sampled(u, sc.n, p_hit, hits, misses, cfg.budget)
-    return guesses, success, extras
+        hits, misses = list(bin_of), []
+        p_hit, value = _p_any(_pk_table(sc), bins), len(set(bins))
+    guesses, success = _scan_outcome_sampled(u, sc.n, p_hit, hits, misses, budget)
+    return guesses, success, value
 
 
-def _trial_biased_password(cfg: ExperimentConfig, trial: int) -> tuple[int, bool, dict]:
+def _allocated_kernel(cfg: ExperimentConfig, online: bool):
+    sc = cfg.scenario
+    plan = _plan_for(cfg)
+    users = plan.user_count
+    bits = np.array([b.bits for b in plan.bins()], dtype=np.int64)
+    pk = _pk_table(sc)
+    p_user = pk[np.bitwise_count(bits)]
+    p_all = _p_any(pk, bits.tolist())
+
+    def run(trials: np.ndarray) -> _Block:
+        pw = _draw_passwords(cfg, trials, users)
+        pick = _draw_pick(cfg, trials, users)
+        u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
+        ordered = np.sort(pw, axis=1)
+        if online:
+            own = pw[np.arange(trials.size), pick]
+            guesses, success = _first_hits(u, p_user[pick], ordered, own, sc.n, cfg.budget)
+            bins = bits[pick]
+        else:
+            first = ordered[:, 0]
+            p_hit = np.full(trials.size, p_all)
+            guesses, success = _first_hits(u, p_hit, ordered[:, :1], first, sc.n, cfg.budget)
+            bins = np.full(trials.size, users)
+        for r in _collision_rows(ordered):
+            guesses[r], success[r], bins[r] = _allocated_row(
+                sc, plan, pw[r].tolist(), int(pick[r]), float(u[r]), online, cfg.budget
+            )
+        return _Block(trials, guesses, success, pick + 1, bins)
+
+    return run
+
+
+def _unallocated_kernel(cfg: ExperimentConfig, online: bool):
+    sc = cfg.scenario
+    users = _user_count(cfg)
+    pk = _pk_table(sc)
+
+    def run(trials: np.ndarray) -> _Block:
+        pw = _draw_passwords(cfg, trials, users)
+        raw = _draw_user_bins(cfg, trials, users)
+        pick = _draw_pick(cfg, trials, users)
+        u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
+        ordered = np.sort(pw, axis=1)
+        if online:
+            bins = raw[np.arange(trials.size), pick]
+            first = np.where(raw == bins[:, None], pw, _NO_HIT).min(axis=1)
+            p_hit = pk[np.bitwise_count(bins)]
+            guesses, success = _first_hits(u, p_hit, ordered, first, sc.n, cfg.budget)
+        else:
+            ranked = np.sort(raw, axis=1)
+            new = np.ones(ranked.shape, dtype=bool)
+            new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+            terms = np.where(new, pk[np.bitwise_count(ranked)], 0.0)
+            p_hit = np.cumsum(terms, axis=1)[:, -1]  # sequential, as _p_any
+            first = ordered[:, 0]
+            guesses, success = _first_hits(u, p_hit, ordered[:, :1], first, sc.n, cfg.budget)
+            bins = new.sum(axis=1)
+        for r in _collision_rows(ordered):
+            guesses[r], success[r], bins[r] = _unallocated_row(
+                sc, pw[r].tolist(), raw[r].tolist(), int(pick[r]), float(u[r]), online, cfg.budget
+            )
+        return _Block(trials, guesses, success, pick + 1, bins)
+
+    return run
+
+
+def _draw_ranks(cfg: ExperimentConfig, trials: np.ndarray) -> np.ndarray:
+    """0-based guess position of each trial's true biased password.
+
+    The guess order lists passwords by ascending weight, uniformly ordered
+    within a weight layer: the weight is an inverse-CDF Binomial(n, theta)
+    draw and the position within its layer a uniform integer.
+    """
+    n, theta = cfg.scenario.n, cfg.scenario.theta
+    layers = [math.comb(n, k) for k in range(n + 1)]
+    below = np.array(list(itertools.accumulate(layers[:-1], initial=0)), dtype=np.int64)
+    cdf = np.cumsum([layers[k] * theta ** k * (1.0 - theta) ** (n - k) for k in range(n + 1)])
+    u = rng.uniforms(cfg.seed, trials, _LANE_WEIGHT)
+    weight = np.minimum(np.searchsorted(cdf, u, side="right"), n)
+    size = np.array(layers, dtype=np.uint64)[weight]
+    return below[weight] + rng.integers_below(cfg.seed, trials, _LANE_RANK, size)
+
+
+def _biased_password_kernel(cfg: ExperimentConfig):
     """Race between the true biased password and any other preimage of the
     least likely bin, in probability-descending guess order."""
     sc = cfg.scenario
-    theta = sc.theta
-    gen = rng.generator(cfg.seed, trial, _LANE_PASSWORDS)
-    weight = int(gen.binomial(sc.n, theta))
-    layer = math.comb(sc.n, weight)
-    below = sum(math.comb(sc.n, k) for k in range(weight))
-    rank = below + int(gen.integers(0, layer))  # 0-based guess position
-    u = float(rng.uniforms(cfg.seed, np.array([trial]), _LANE_GEOM)[0])
     p_hit = _pk(sc.m, sc.p, sc.m)  # all-ones target bin
-    guesses, success = _scan_outcome_sampled(u, sc.n, p_hit, [rank], [], cfg.budget)
-    arm = attack.ARM_PASSWORD if success and guesses == rank + 1 else attack.ARM_HASH
-    extras = {"user": 1, "bin": "1" * sc.m, "arm": arm if success else ""}
-    return guesses, success, extras
+
+    def run(trials: np.ndarray) -> _Block:
+        rank = _draw_ranks(cfg, trials)
+        u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
+        guesses, success = _first_hits(
+            u, np.full(trials.size, p_hit), rank[:, None], rank, sc.n, cfg.budget
+        )
+        won = np.where(guesses == rank + 1, attack.ARM_PASSWORD, attack.ARM_HASH)
+        return _Block(
+            trials, guesses, success, np.ones(trials.size, dtype=np.int64),
+            np.full(trials.size, (1 << sc.m) - 1), np.where(success, won, ""),
+        )
+
+    return run
 
 
-def _sampled_trial(cfg: ExperimentConfig, plan, trial: int) -> tuple[int, bool, dict]:
-    if cfg.mode == "allocated-online":
-        return _trial_allocated(cfg, plan, trial, online=True)
-    if cfg.mode == "allocated-offline":
-        return _trial_allocated(cfg, plan, trial, online=False)
-    if cfg.mode == "unallocated-online":
-        return _trial_unallocated(cfg, cfg.scenario.user_count(), trial, online=True)
-    if cfg.mode == "unallocated-offline":
-        return _trial_unallocated(cfg, cfg.scenario.user_count(), trial, online=False)
-    if cfg.mode == "no-allocation-keyed":
-        return _trial_unallocated(cfg, 1, trial, online=True)
-    if cfg.mode == "biased-password":
-        return _trial_biased_password(cfg, trial)
-    raise ValueError(f"mode {cfg.mode} has no sampled trial")
+_SAMPLED_KERNELS = {
+    "allocated-online": lambda cfg: _allocated_kernel(cfg, online=True),
+    "allocated-offline": lambda cfg: _allocated_kernel(cfg, online=False),
+    "unallocated-online": lambda cfg: _unallocated_kernel(cfg, online=True),
+    "unallocated-offline": lambda cfg: _unallocated_kernel(cfg, online=False),
+    "no-allocation-keyed": lambda cfg: _unallocated_kernel(cfg, online=True),
+    "biased-password": _biased_password_kernel,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -287,41 +411,39 @@ def _sampled_trial(cfg: ExperimentConfig, plan, trial: int) -> tuple[int, bool, 
 # ---------------------------------------------------------------------------
 
 
-def _scan_trial(cfg: ExperimentConfig, plan, trial: int) -> tuple[int, bool, dict]:
+def _scan_trial(cfg: ExperimentConfig, plan, trial: int) -> tuple[int, bool, int, int, str]:
+    """(guesses, success, user, bin, arm) of one literal scan; bin is the
+    attacked bin, or the number of target bins for an offline attack."""
     sc = cfg.scenario
     key_seed = rng.derive_seed(cfg.seed, trial, _LANE_KEY)
-    pw_seed = rng.derive_seed(cfg.seed, trial, _LANE_PASSWORDS)
+    pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
     model = KeyedHashModel(sc.m, sc.n, sc.p, key_seed)
     pick = rng.generator(cfg.seed, trial, _LANE_PICK)
     budget = cfg.budget
 
-    if cfg.mode in ("allocated-online", "allocated-offline"):
+    if cfg.mode in _ALLOCATED_MODES:
         outcome = alloc.backdoor_install(model, plan, pw_seed)
         finals = outcome.final_bins()
         uid = plan.users[int(pick.integers(0, plan.user_count))][0]
         if cfg.mode == "allocated-online":
             target = finals[uid]
             res = attack.online_attack(model, target, attack.ascending(), budget)
-            extras = {"user": uid, "bin": target.as_binary()}
-        else:
-            bins = {b.bits for b in finals.values()}
-            res = attack.offline_attack_any(model, bins, attack.ascending(), budget)
-            extras = {"user": uid, "bin": f"any-of-{len(bins)}"}
-        return res.guesses, res.success, extras
+            return res.guesses, res.success, uid, target.bits, ""
+        bins = {b.bits for b in finals.values()}
+        res = attack.offline_attack_any(model, bins, attack.ascending(), budget)
+        return res.guesses, res.success, uid, len(bins), ""
 
     if cfg.mode in ("unallocated-online", "unallocated-offline", "no-allocation-keyed"):
-        count = 1 if cfg.mode == "no-allocation-keyed" else sc.user_count()
-        gen = rng.generator(pw_seed, 0x9A55)
+        count = _user_count(cfg)
+        gen = rng.generator(pw_seed, rng.LANE_PASSWORDS)
         passwords = [int(x) for x in gen.integers(0, 1 << sc.n, size=count)]
         bins = [int(v) for v in model.eval_many(np.array(passwords, dtype=np.uint64))]
         user_ix = int(pick.integers(0, count))
         if cfg.mode == "unallocated-offline":
             res = attack.offline_attack_any(model, set(bins), attack.ascending(), budget)
-            extras = {"user": user_ix + 1, "bin": f"any-of-{len(set(bins))}"}
-        else:
-            res = attack.online_attack(model, bins[user_ix], attack.ascending(), budget)
-            extras = {"user": user_ix + 1, "bin": format(bins[user_ix], f"0{sc.m}b")}
-        return res.guesses, res.success, extras
+            return res.guesses, res.success, user_ix + 1, len(set(bins)), ""
+        res = attack.online_attack(model, bins[user_ix], attack.ascending(), budget)
+        return res.guesses, res.success, user_ix + 1, bins[user_ix], ""
 
     if cfg.mode == "biased-password":
         true_pw = attack.draw_biased_password(pw_seed, sc.n, sc.theta)
@@ -330,27 +452,65 @@ def _scan_trial(cfg: ExperimentConfig, plan, trial: int) -> tuple[int, bool, dic
         res = attack.biased_password_race(
             model, target, sc.theta, true_pw, budget
         )
-        extras = {"user": 1, "bin": "1" * sc.m, "arm": res.arm or ""}
-        return res.guesses, res.success, extras
+        return res.guesses, res.success, 1, target, res.arm or ""
 
     raise ValueError(f"mode {cfg.mode} has no scan trial")
+
+
+def _scan_kernel(cfg: ExperimentConfig):
+    plan = _plan_for(cfg) if cfg.mode in _ALLOCATED_MODES else None
+
+    def run(trials: np.ndarray) -> _Block:
+        rows = [_scan_trial(cfg, plan, trial) for trial in trials.tolist()]
+        guesses, success, user, bins, arm = (np.array(col) for col in zip(*rows))
+        return _Block(trials, guesses, success, user, bins, arm)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
 # ---------------------------------------------------------------------------
 
+_LOG_HEADER = "trial_seed,user,bin,strategy,guesses,success,arm\n"
 
-def _run_range(cfg: ExperimentConfig, start: int, stop: int) -> GuessAccumulator:
-    plan = None
-    if cfg.mode in ("allocated-online", "allocated-offline"):
-        plan = _plan_for(cfg)
-    trial_fn = _sampled_trial if cfg.engine == "sampled" else _scan_trial
+
+def _log_lines(cfg: ExperimentConfig, block: _Block) -> list[str]:
+    """One trial-log CSV line per trial of the block, in trial order."""
+    strategy = "probability-descending" if cfg.mode == "biased-password" else "ascending-index"
+    width = cfg.scenario.m
+    offline = cfg.mode in _OFFLINE_MODES
+    arms = block.arm.tolist() if block.arm is not None else [""] * block.trials.size
+    return [
+        f"{rng.derive_seed(cfg.seed, t)},{user},"
+        f"{f'any-of-{b}' if offline else format(b, f'0{width}b')},"
+        f"{strategy},{g},{int(ok)},{arm}\n"
+        for t, user, b, g, ok, arm in zip(
+            block.trials.tolist(), block.user.tolist(), block.bins.tolist(),
+            block.guesses.tolist(), block.success.tolist(), arms,
+        )
+    ]
+
+
+def _run_range(
+    cfg: ExperimentConfig, start: int, stop: int, log: bool = False
+) -> tuple[GuessAccumulator, str]:
+    """Trials [start, stop) in blocks of at most BLOCK_ELEMENTS trial-users.
+
+    Returns the accumulated guesses and, when log is set, the range's
+    trial-log lines in trial order.
+    """
+    make = _SAMPLED_KERNELS[cfg.mode] if cfg.engine == "sampled" else _scan_kernel
+    run = make(cfg)
+    step = max(1, BLOCK_ELEMENTS // _user_count(cfg))
     acc = GuessAccumulator()
-    for trial in range(start, stop):
-        guesses, success, _ = trial_fn(cfg, plan, trial)
-        acc.add(guesses, success)
-    return acc
+    lines: list[str] = []
+    for first in range(start, stop, step):
+        block = run(np.arange(first, min(first + step, stop), dtype=np.uint64))
+        acc.add_array(block.guesses)  # 0 marks a failed trial
+        if log:
+            lines.extend(_log_lines(cfg, block))
+    return acc, "".join(lines)
 
 
 def _broken_hash_estimate(cfg: ExperimentConfig) -> EstimateWithCI:
@@ -369,43 +529,34 @@ def run_experiment(
 
     The result is a pure function of cfg; workers only change wall time.
     When trial_log is given (a writable text stream), one CSV line per
-    trial is emitted: trial_seed,user,bin,strategy,guesses,success,arm.
+    trial is emitted, in trial order for any worker count:
+    trial_seed,user,bin,strategy,guesses,success,arm.
     """
     if cfg.mode == "broken-hash":
         return _broken_hash_estimate(cfg)
-    if trial_log is not None:
-        return _run_logged(cfg, trial_log)
+    log = trial_log is not None
     if workers <= 1:
-        return _run_range(cfg, 0, cfg.trials).estimate()
-    bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
-    acc = GuessAccumulator()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_range, cfg, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
-        for fut in futures:
-            acc = acc.merge(fut.result())
-    return acc.estimate()
+        parts = [_run_range(cfg, 0, cfg.trials, log)]
+    else:
+        # Imported here: the process-pool machinery is a tenth of the
+        # package's import time and only multi-worker runs need it.
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _run_logged(cfg: ExperimentConfig, trial_log) -> EstimateWithCI:
-    plan = None
-    if cfg.mode in ("allocated-online", "allocated-offline"):
-        plan = _plan_for(cfg)
-    trial_fn = _sampled_trial if cfg.engine == "sampled" else _scan_trial
-    strategy = "probability-descending" if cfg.mode == "biased-password" else "ascending-index"
+        bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_run_range, cfg, int(a), int(b), log)
+                for a, b in zip(bounds[:-1], bounds[1:])
+                if a < b
+            ]
+            parts = [fut.result() for fut in futures]
     acc = GuessAccumulator()
-    trial_log.write("trial_seed,user,bin,strategy,guesses,success,arm\n")
-    for trial in range(cfg.trials):
-        guesses, success, extras = trial_fn(cfg, plan, trial)
-        acc.add(guesses, success)
-        trial_log.write(
-            f"{rng.derive_seed(cfg.seed, trial)},{extras.get('user', '')},"
-            f"{extras.get('bin', '')},{strategy},{guesses},{int(success)},"
-            f"{extras.get('arm', '')}\n"
-        )
+    for part, _ in parts:
+        acc = acc.merge(part)
+    if log:
+        trial_log.write(_LOG_HEADER)
+        for _, lines in parts:
+            trial_log.write(lines)
     return acc.estimate()
 
 
@@ -557,11 +708,7 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
     p_hits = np.exp(
         weights * math.log(sc.p) + (sc.m - weights) * math.log1p(-sc.p)
     )
-    nat = np.floor(np.log1p(-u_geom) / np.log1p(-p_hits)) + 1.0
-    shift = (own_pw.astype(np.float64) <= nat - 1.0).astype(np.float64)
-    nat_pos = nat - 1.0 + shift
-    pos = np.minimum(nat_pos, own_pw.astype(np.float64))
-    g_online = np.where(pos < float(1 << sc.n), pos + 1.0, 0.0)
+    g_online, _ = _first_hits(u_geom, p_hits, own_pw[:, None], own_pw, sc.n)
 
     sel = weights == modal_weight
     online_est: Optional[EstimateWithCI] = None
@@ -570,19 +717,21 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
         acc.add_array(g_online[sel])
         online_est = acc.estimate()
 
-    # offline: forced modal-type profile, users distinct bins in the shell
+    # offline: forced modal-type profile, users distinct bins in the shell.
+    # Every password is a hit, so only the smallest of the forced_users
+    # uniform passwords matters: drawn directly by inverting
+    # P(min >= x) = (1 - x/2^n)^forced_users.
     shell = math.comb(sc.m, nearest)
     forced_users = min(users, shell)
     p_any = forced_users * _pk(sc.m, sc.p, nearest)
-    gen_off = rng.generator(cfg.seed, 0x0FF1)
+    v = rng.uniforms(cfg.seed, trials, 0x0FF1)
+    first = np.floor(float(1 << sc.n) * -np.expm1(np.log1p(-v) / forced_users)).astype(np.int64)
     u_off = rng.uniforms(cfg.seed, trials, 0x0FF2)
+    g_offline, _ = _first_hits(
+        u_off, np.full(cfg.trials, p_any), first[:, None], first, sc.n, cfg.budget
+    )
     acc_off = GuessAccumulator()
-    for trial in range(cfg.trials):
-        pws = np.sort(gen_off.integers(0, 1 << sc.n, size=forced_users))
-        guesses, success = _scan_outcome_sampled(
-            float(u_off[trial]), sc.n, p_any, pws, (), cfg.budget
-        )
-        acc_off.add(guesses, success)
+    acc_off.add_array(g_offline)
 
     online_theory = sc.m * cross_entropy_identity(nearest / sc.m, sc.p)
     offline_theory = online_theory - math.log2(forced_users)

@@ -16,9 +16,8 @@ from typing import Iterator, Union
 import numpy as np
 
 from . import rng
+from .config import SCHEMA
 from .infotheory import check_bias
-
-SCHEMA = "guesswork-lab/1"
 
 #: Explicit tables beyond these widths are refused (16 MiB of packed bits).
 TABLE_N_CAP = 24

@@ -30,6 +30,13 @@ _S11 = np.uint64(11)
 _ONE = np.uint64(1)
 
 TWO_NEG53 = 2.0 ** -53
+_LOW32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+#: Lane of every password stream: the scan engine's per-trial password
+#: generators, the backdoor installer's draws and the sampled engine's
+#: counter-keyed passwords.
+LANE_PASSWORDS = 0x9A55
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -75,10 +82,30 @@ def threshold_for(p: float) -> np.uint64:
     return np.uint64(min(math.ceil(p * 2.0 ** 53), 1 << 53) << 11)
 
 
+def words(seed: int, idx: np.ndarray, lane: int = 0) -> np.ndarray:
+    """Uniform 64-bit words, one per index, replayable per index."""
+    return mix64(idx.astype(np.uint64) * _U_GOLDEN + np.uint64(derive_seed(seed, lane)))
+
+
 def uniforms(seed: int, idx: np.ndarray, lane: int = 0) -> np.ndarray:
     """53-bit uniforms in [0, 1), one per index, replayable per index."""
-    base = mix64(idx.astype(np.uint64) * _U_GOLDEN + np.uint64(derive_seed(seed, lane)))
-    return (base >> _S11).astype(np.float64) * TWO_NEG53
+    return (words(seed, idx, lane) >> _S11).astype(np.float64) * TWO_NEG53
+
+
+def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> np.ndarray:
+    """Integers in [0, bound) per index: the high word of word * bound.
+
+    Multiply-shift (Lemire) without rejection: P(value <= x) is off by at
+    most 2^-64 from the uniform CDF.  The 128-bit product is assembled
+    from 32-bit limbs, each partial sum fitting in 64 bits.
+    """
+    a = words(seed, idx, lane)
+    b = np.asarray(bound, dtype=np.uint64)
+    a0, a1 = a & _LOW32, a >> _S32
+    b0, b1 = b & _LOW32, b >> _S32
+    mid = a1 * b0 + ((a0 * b0) >> _S32)
+    mid2 = a0 * b1 + (mid & _LOW32)
+    return (a1 * b1 + (mid >> _S32) + (mid2 >> _S32)).astype(np.int64)
 
 
 def biased_bits(seed: int, p: float, m: int, idx: np.ndarray) -> np.ndarray:
@@ -99,14 +126,17 @@ def biased_bits(seed: int, p: float, m: int, idx: np.ndarray) -> np.ndarray:
     return vals
 
 
-def geometric_from_uniform(u: np.ndarray, p: float) -> np.ndarray:
+def geometric_from_uniform(u: np.ndarray, p) -> np.ndarray:
     """Inverse-CDF geometric sample (support 1, 2, ...) as float64.
 
-    Kept in floats because the result can exceed int64 range for tiny p;
-    callers compare against their truncation horizon before casting.
+    p is one success probability or one per entry of u.  Kept in floats
+    because the result can exceed int64 range for tiny p; callers compare
+    against their truncation horizon before casting.  numpy's log1p gives
+    the same value for a scalar and for an array entry, so per-trial and
+    batched callers draw identical samples.
     """
-    if not 0.0 < p <= 1.0:
+    p = np.asarray(p, dtype=np.float64)
+    if np.any((p <= 0.0) | (p > 1.0)):
         raise ValueError(f"success probability out of range: {p}")
-    if p == 1.0:
-        return np.ones_like(u)
-    return np.floor(np.log1p(-u) / math.log1p(-p)) + 1.0
+    with np.errstate(divide="ignore"):  # p == 1: log1p(-1) = -inf gives 1
+        return np.floor(np.log1p(-u) / np.log1p(-p)) + 1.0

@@ -1,5 +1,8 @@
 """Command line tests: output schemas, exit codes, replayability."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -215,8 +218,56 @@ class TestKeysize:
         assert "2^(3*m)" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3"],
+        ["sweep", "--mode", "allocated-online", "--p", "0.3", "--m", "8,10,12"],
+        ["concentration", "--m", "10", "--p", "0.3"],
+    ],
+    ids=["simulate", "sweep", "concentration"],
+)
+def test_too_few_trials_exit_2(runner, args):
+    result = runner.invoke(cli.main, args + ["--trials", "50"])
+    assert result.exit_code == 2
+    assert "trials must be >= 100" in result.output
+
+
+def test_trial_log_independent_of_workers(runner, tmp_path):
+    logs = []
+    for workers in ("1", "2"):
+        log = tmp_path / f"trials{workers}.csv"
+        result = runner.invoke(
+            cli.main,
+            ["simulate", "--mode", "unallocated-online", "--m", "6", "--p", "0.3",
+             "--n", "14", "--trials", "300", "--workers", workers, "--trial-log", str(log)],
+        )
+        assert result.exit_code == 0, result.output
+        logs.append(log.read_bytes())
+    assert logs[0] == logs[1]
+    assert len(logs[0].splitlines()) == 301
+
+
 def test_assert_grammar():
     assert cli._parse_assert("rate≈1±0.15") == ("rate", 1.0, 0.15)
     assert cli._parse_assert("slope~=0.9+-0.06") == ("slope", 0.9, 0.06)
     with pytest.raises(Exception):
         cli._parse_assert("banana")
+
+
+def test_light_commands_do_not_load_numpy():
+    # --version, rates and table1 need only the closed forms; a fresh
+    # process must not pay for importing numpy and the engines.
+    code = (
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "from guesswork_lab import cli\n"
+        "runner = CliRunner()\n"
+        "for args in (['--version'], ['rates', '--p', '0.3', '--s', '0.9'], ['table1']):\n"
+        "    assert runner.invoke(cli.main, args).exit_code == 0, args\n"
+        "print(sorted(m for m in ('numpy', 'guesswork_lab.experiments') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,11 +2,23 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guesswork_lab import experiments as ex
+from guesswork_lab import rng
 from guesswork_lab.infotheory import binary_entropy
 from guesswork_lab.rates import ScenarioParams
+
+SAMPLED_MODES = [
+    ("allocated-online", None),
+    ("allocated-offline", None),
+    ("unallocated-online", None),
+    ("unallocated-offline", None),
+    ("no-allocation-keyed", None),
+    ("biased-password", 0.15),
+]
 
 
 def make_cfg(mode, m=6, n=14, p=0.3, s=0.9, theta=None, trials=600, seed=5, **kw):
@@ -33,6 +45,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg("biased-password")
 
+    def test_input_width_cap(self):
+        make_cfg("allocated-online", m=20, n=62)
+        with pytest.raises(ValueError):
+            make_cfg("allocated-online", m=20, n=63)
+
 
 class TestDeterminism:
     def test_same_config_bit_identical(self):
@@ -42,10 +59,125 @@ class TestDeterminism:
         assert a == b
 
     def test_worker_count_invariant(self):
-        cfg = make_cfg("unallocated-offline", trials=300)
-        serial = ex.run_experiment(cfg, workers=1)
-        parallel = ex.run_experiment(cfg, workers=3)
-        assert serial == parallel
+        for mode, theta in SAMPLED_MODES:
+            cfg = make_cfg(mode, theta=theta, trials=300)
+            serial_log, parallel_log = io.StringIO(), io.StringIO()
+            serial = ex.run_experiment(cfg, workers=1, trial_log=serial_log)
+            parallel = ex.run_experiment(cfg, workers=3, trial_log=parallel_log)
+            assert serial == parallel == ex.run_experiment(cfg), mode
+            assert serial_log.getvalue() == parallel_log.getvalue(), mode
+
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
+    def test_block_split_invariant(self, mode, theta, monkeypatch):
+        # s = 0.6 gives 28 users at m = 6, so n = 9 makes collision rows common
+        cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=400)
+        whole, whole_log = ex._run_range(cfg, 0, cfg.trials, log=True)
+        monkeypatch.setattr(ex, "BLOCK_ELEMENTS", 7 * ex._user_count(cfg))
+        k = 150  # not a multiple of the 7-trial block
+        head, head_log = ex._run_range(cfg, 0, k, log=True)
+        tail, tail_log = ex._run_range(cfg, k, cfg.trials, log=True)
+        assert head.merge(tail).estimate() == whole.estimate()
+        assert head_log + tail_log == whole_log
+
+
+def _brute_force_position(n, specials, ordinal):
+    free = [i for i in range(1 << n) if i not in specials]
+    return free[ordinal - 1]
+
+
+class TestSampledOutcome:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_map_past_specials_matches_enumeration(self, data):
+        n = data.draw(st.integers(1, 12))
+        specials = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=min(40, (1 << n) - 1)))
+        ordinal = data.draw(st.integers(1, (1 << n) - len(specials)))
+        ordered = np.array(sorted(specials), dtype=np.int64)
+        assert ex._map_past_specials(ordinal, ordered) == _brute_force_position(n, specials, ordinal)
+
+    def test_map_past_specials_beyond_2_53(self):
+        top = 1 << 60
+        specials = np.arange(top - 4, top, dtype=np.int64)
+        assert ex._map_past_specials(top, specials) == top + 3
+
+    def test_batched_rows_match_scalar(self):
+        gen = np.random.default_rng(2024)
+        n = 10
+        for size in (0, 1, 2, 5):
+            for budget in (None, 1 << n, 40, 3):
+                rows = 300
+                # values from a narrow range so that repeats (collisions) occur
+                specials = np.sort(gen.integers(0, 24, size=(rows, size)), axis=1)
+                is_hit = gen.random((rows, size)) < 0.3
+                all_hits = gen.random(rows) < 0.25
+                is_hit[all_hits] = True
+                p_hit = gen.choice([0.0, 1e-3, 0.02, 0.3, 1.0], size=rows)
+                u = gen.random(rows)
+                first = np.where(is_hit, specials, ex._NO_HIT).min(axis=1, initial=ex._NO_HIT)
+                guesses, success = ex._first_hits(u, p_hit, specials, first, n, budget)
+                # every special a hit: passing only the smallest is exact
+                short_g, short_s = ex._first_hits(u, p_hit, first[:, None], first, n, budget)
+                for r in range(rows):
+                    hits = specials[r][is_hit[r]].tolist()
+                    misses = specials[r][~is_hit[r]].tolist()
+                    expect = ex._scan_outcome_sampled(u[r], n, p_hit[r], hits, misses, budget)
+                    assert (int(guesses[r]), bool(success[r])) == expect
+                    if all_hits[r] and size:
+                        assert (int(short_g[r]), bool(short_s[r])) == expect
+
+    def test_positions_beyond_2_53_exact(self):
+        n, p, u = 62, 2.0 ** -60, 1.0 - math.exp(-1.0)
+        ordinal = int(rng.geometric_from_uniform(np.array([u]), p)[0])  # about 2^60
+        assert ordinal > 1 << 59
+        specials = ordinal - np.array([[5, 4, 3, 2]], dtype=np.int64)  # all below ordinal - 1
+        guesses, success = ex._first_hits(
+            np.array([u]), np.array([p]), specials, np.array([ex._NO_HIT]), n
+        )
+        assert success[0] and int(guesses[0]) == ordinal + 4
+        assert ex._scan_outcome_sampled(u, n, p, [], specials[0].tolist()) == (ordinal + 4, True)
+
+
+class TestKernelsMatchScalarPath:
+    """Each block kernel against the per-trial scalar path (resolve_collisions
+    or the first-draw bin map, then _scan_outcome_sampled) on the same draws.
+    At s = 0.6, m = 6, n = 9 there are 28 users, so most trials collide."""
+
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
+    @pytest.mark.parametrize("budget", [None, 60])
+    def test_kernel_rows(self, mode, theta, budget):
+        cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=300, budget=budget)
+        sc = cfg.scenario
+        trials = np.arange(40, 340, dtype=np.uint64)
+        block = ex._SAMPLED_KERNELS[mode](cfg)(trials)
+        users = ex._user_count(cfg)
+        pw = ex._draw_passwords(cfg, trials, users)
+        pick = ex._draw_pick(cfg, trials, users)
+        u = rng.uniforms(cfg.seed, trials, ex._LANE_GEOM)
+        online = mode not in ex._OFFLINE_MODES
+        if mode.startswith("allocated"):
+            plan = ex._plan_for(cfg)
+            expect = [
+                ex._allocated_row(sc, plan, pw[r].tolist(), int(pick[r]), u[r], online, budget)
+                for r in range(trials.size)
+            ]
+        elif mode == "biased-password":
+            rank = ex._draw_ranks(cfg, trials)
+            p_hit = ex._pk(sc.m, sc.p, sc.m)
+            expect = [
+                (*ex._scan_outcome_sampled(u[r], sc.n, p_hit, [int(rank[r])], [], budget), (1 << sc.m) - 1)
+                for r in range(trials.size)
+            ]
+        else:
+            raw = ex._draw_user_bins(cfg, trials, users)
+            expect = [
+                ex._unallocated_row(sc, pw[r].tolist(), raw[r].tolist(), int(pick[r]), u[r], online, budget)
+                for r in range(trials.size)
+            ]
+        got = list(zip(block.guesses.tolist(), block.success.tolist(), block.bins.tolist()))
+        assert got == expect
+        if users > 1:
+            ordered = np.sort(pw, axis=1)
+            assert ex._collision_rows(ordered).size > trials.size // 4
 
 
 class TestEngineAgreement:

@@ -221,3 +221,17 @@ def test_biased_bits_integer_threshold_matches_uniform_rule():
         below = (thr - 1) * 2.0 ** -53
         at = thr * 2.0 ** -53
         assert below < p <= at or p == at
+
+
+def test_integers_below_is_high_word_of_product():
+    idx = np.arange(2000, dtype=np.uint64)
+    gen = np.random.default_rng(3)
+    bound = np.concatenate([
+        [1, 2, 3, (1 << 62) + 12345, (1 << 63) - 1],
+        gen.integers(1, 1 << 62, size=1995, dtype=np.int64),
+    ]).astype(np.uint64)
+    got = rng.integers_below(99, idx, 5, bound)
+    words = rng.words(99, idx, 5)
+    expect = [(int(w) * int(b)) >> 64 for w, b in zip(words, bound)]
+    assert got.tolist() == expect
+    assert (got >= 0).all() and (got < bound.astype(object)).all()
