@@ -6,6 +6,7 @@ attacks report zero guesses: failures contribute zero to every mean.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .allocation import AllocationPlan
-from .hashmodel import BinLabel, HashFunction, KeyedHashModel
+from .hashmodel import BinLabel, HashFunction, KeyedHashModel, same_weight_ascending
 from .infotheory import check_probability
 
 #: Indices per vectorized scan step; grows geometrically up to the cap.
@@ -24,9 +25,15 @@ _CHUNK_CAP = 1 << 16
 #: Permutations over at most this many candidates are materialized whole.
 _PERM_MATERIALIZE_CAP = 1 << 14
 
-#: Bool seen-mask cap for the lazy permutation prefix; beyond this a set
+#: Seen-buffer cap for the lazy permutation prefix; beyond this a set
 #: is used (slower, but such scans are already enormous).
 _PERM_MASK_CAP = 1 << 26
+
+#: Seen-buffer mark of a served candidate; below every chunk position.
+_SEEN = np.iinfo(np.int32).min
+
+#: Indices of each probability-descending order kept in memory (1 MiB).
+_ORDER_PREFIX = 1 << 17
 
 ARM_HASH = "hash"
 ARM_PASSWORD = "password"
@@ -105,10 +112,9 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
             chunk = min(chunk * 4, _CHUNK_CAP)
         return
     # Lazy prefix of a uniform permutation: i.i.d. uniform draws filtered
-    # to first occurrences are exactly such a prefix.  Duplicates are
-    # dropped with a seen mask plus an order-preserving intra-chunk dedup.
+    # to first occurrences are exactly such a prefix.
     use_mask = n_candidates <= _PERM_MASK_CAP
-    seen_mask = np.zeros(n_candidates, dtype=bool) if use_mask else None
+    seen = np.zeros(n_candidates, dtype=np.int32) if use_mask else None
     seen_set: set[int] = set()
     served = 0
     chunk = _CHUNK0
@@ -116,7 +122,7 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
         if use_mask and served > 0.9 * n_candidates:
             # Near exhaustion rejection stalls; finish with a shuffle of
             # the leftovers, which is the same conditional distribution.
-            rest = np.flatnonzero(~seen_mask).astype(np.uint64)
+            rest = np.flatnonzero(seen != _SEEN).astype(np.uint64)
             rest = rest[gen.permutation(rest.size)][: budget - served]
             if rest.size:
                 yield rest
@@ -124,10 +130,7 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
         overdraw = int(chunk / max(1e-9, 1.0 - served / n_candidates) * 1.1) + 8
         raw = gen.integers(0, n_candidates, size=min(overdraw, 4 * chunk + 8))
         if use_mask:
-            raw = raw[~seen_mask[raw]]
-            _, first_idx = np.unique(raw, return_index=True)
-            raw = raw[np.sort(first_idx)]
-            seen_mask[raw] = True
+            raw = _fresh_draws(seen, raw)
         else:
             fresh = []
             for v in raw.tolist():
@@ -142,44 +145,71 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
         chunk = min(chunk * 4, _CHUNK_CAP)
 
 
+def _fresh_draws(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The first occurrence of each draw not served before, in draw order.
+
+    seen holds _SEEN for served candidates and 0 otherwise.  Each draw's
+    chunk position (shifted below 0) goes in with np.minimum.at, so a
+    candidate keeps its earliest position whatever order numpy writes
+    in; the fresh draws are those that find their own position there,
+    and are then marked served.
+    """
+    pos = np.arange(-raw.size, 0, dtype=np.int32)
+    np.minimum.at(seen, raw, pos)
+    fresh = raw.take(np.flatnonzero(seen[raw] == pos))
+    seen[fresh] = _SEEN
+    return fresh
+
+
+def _weight_layer_walk(n: int, light_first: bool, after: Optional[int] = None) -> Iterator[int]:
+    """Every n-bit index by weight layer, the lightest layer first when
+    light_first, ascending inside a layer; resumes past `after` if given."""
+    weights = list(range(n + 1) if light_first else range(n, -1, -1))
+    if after is not None:
+        weights = weights[weights.index(after.bit_count()):]
+    for w in weights:
+        members = same_weight_ascending(n, w, after)
+        if after is not None:
+            next(members)  # `after` itself was served
+            after = None
+        yield from members
+
+
+@functools.lru_cache(maxsize=4)
+def _descending_prefix(n: int, light_first: bool) -> np.ndarray:
+    """The walk's first min(2^n, _ORDER_PREFIX) indices, read-only; every
+    trial at the same (n, direction) shares them."""
+    order = np.fromiter(
+        _weight_layer_walk(n, light_first), dtype=np.uint64, count=min(1 << n, _ORDER_PREFIX)
+    )
+    order.flags.writeable = False
+    return order
+
+
 def _weight_layer_chunks(n: int, theta: float, budget: int) -> Iterator[np.ndarray]:
     """Descending-probability order for i.i.d. Bernoulli(theta) passwords.
 
     For theta < 1/2 probability strictly decreases with weight, so the
-    order is weight layers 0..n, ascending numeric inside each layer
-    (Gosper's hack).  theta = 1/2 degenerates to ascending index.
+    order is weight layers 0..n, ascending numeric inside each layer;
+    theta > 1/2 walks the layers from n down.  theta = 1/2 degenerates to
+    ascending index.  Chunks hold _CHUNK0 indices, served from the cached
+    prefix and past it from a walk resumed at the prefix's last index.
     """
     if theta == 0.5:
         yield from _ascending_chunks(1 << n, budget)
         return
-    weights = range(n + 1) if theta < 0.5 else range(n, -1, -1)
-    limit = 1 << n
-    served = 0
-    buf: list[int] = []
-    for w in weights:
-        if w == 0:
-            members: Iterable[int] = (0,)
-        else:
-            def gosper(w=w):
-                v = (1 << w) - 1
-                while v < limit:
-                    yield v
-                    low = v & -v
-                    ripple = v + low
-                    v = ripple | (((v ^ ripple) >> 2) // low)
-            members = gosper()
-        for v in members:
-            buf.append(v)
-            served += 1
-            if len(buf) >= _CHUNK0:
-                yield np.array(buf, dtype=np.uint64)
-                buf = []
-            if served >= budget:
-                break
-        if served >= budget:
-            break
-    if buf:
-        yield np.array(buf, dtype=np.uint64)
+    light_first = theta < 0.5
+    prefix = _descending_prefix(n, light_first)
+    for start in range(0, min(budget, prefix.size), _CHUNK0):
+        yield prefix[start : min(start + _CHUNK0, budget)]
+    served = prefix.size
+    if served >= budget:
+        return
+    walk = _weight_layer_walk(n, light_first, after=int(prefix[-1]))
+    while served < budget:
+        chunk = np.fromiter(walk, dtype=np.uint64, count=min(_CHUNK0, budget - served))
+        yield chunk
+        served += chunk.size
 
 
 def strategy_chunks(strat: GuessStrategy, n: int, budget: int) -> Iterator[np.ndarray]:
@@ -205,6 +235,24 @@ def _bits_of(b: Union[BinLabel, int]) -> int:
     return b.bits if isinstance(b, BinLabel) else int(b)
 
 
+def _prefix_tables(mask: np.ndarray) -> list[np.ndarray]:
+    """live[j][v]: can a value whose first j + 1 bits are v lie in mask?
+    The last table is mask itself."""
+    tables = [mask]
+    while tables[-1].size > 2:
+        tables.append(tables[-1][0::2] | tables[-1][1::2])
+    return tables[::-1]
+
+
+def _hit_test(h: HashFunction, mask: np.ndarray):
+    """idx -> mask[h(idx)].  A keyed model draws each bit only while the
+    bits before it can still lead into mask (rng.biased_bits' live)."""
+    if not isinstance(h, KeyedHashModel):
+        return lambda idx: mask[h.eval_many(idx)]
+    live = _prefix_tables(mask)
+    return lambda idx: mask[h.eval_many(idx, live)]
+
+
 def _scan(
     h: HashFunction,
     mask: np.ndarray,
@@ -212,9 +260,10 @@ def _scan(
     budget: int,
     target: object,
 ) -> AttackResult:
+    hit_test = _hit_test(h, mask)
     consumed = 0
     for idx in strategy_chunks(strat, h.n, budget):
-        hits = mask[h.eval_many(idx)]
+        hits = hit_test(idx)
         if hits.any():
             return AttackResult(consumed + int(hits.argmax()) + 1, True, target)
         consumed += idx.size
@@ -322,10 +371,10 @@ def biased_password_race(
     if not 0 <= true_pw < (1 << h.n):
         raise ValueError(f"true password {true_pw} out of range for n={h.n}")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    mask = _target_mask(h.m, [bits])
+    hit_test = _hit_test(h, _target_mask(h.m, [bits]))
     consumed = 0
     for idx in strategy_chunks(descending_probability(theta), h.n, budget):
-        hash_hits = mask[h.eval_many(idx)]
+        hash_hits = hit_test(idx)
         pw_hits = idx == np.uint64(true_pw)
         any_hits = hash_hits | pw_hits
         if any_hits.any():
@@ -396,14 +445,22 @@ class GuessAccumulator:
         """Bulk add; entries equal to 0 count as failures.
 
         Values must be integral (float inputs are rounded); sums are kept
-        as Python ints so merging stays exact at any magnitude.
+        as Python ints so merging stays exact at any magnitude.  They are
+        summed in int64 when max|g|^2 * size < 2^63 rules out overflow.
         """
         g = np.asarray(guesses)
         if g.dtype.kind == "f":
             g = np.rint(g)
-        g = g.astype(np.int64)
+        g = g.astype(np.int64).ravel()
         self.count += int(g.size)
-        self.failures += int((g == 0).sum())
+        self.failures += int(np.count_nonzero(g == 0))
+        if not g.size:
+            return
+        peak = max(-int(g.min()), int(g.max()))
+        if peak * peak * g.size < 1 << 63:
+            self.total += int(g.sum())
+            self.total_sq += int(np.dot(g, g))
+            return
         ints = g.tolist()
         self.total += sum(ints)
         self.total_sq += sum(x * x for x in ints)

@@ -67,6 +67,10 @@ _NO_HIT = np.iinfo(np.int64).max
 #: An ordinal past every guess position (1.5 * 2^62), with int64 headroom.
 _BEYOND = 3 << 61
 
+#: Cells of the (row, value) buffer _first_occurrence_mask fills at once
+#: (4 MiB of int32).
+_DEDUP_CELLS = 1 << 20
+
 _ALLOCATED_MODES = ("allocated-online", "allocated-offline")
 _OFFLINE_MODES = ("allocated-offline", "unallocated-offline")
 _SINGLE_USER_MODES = ("no-allocation-keyed", "biased-password")
@@ -482,11 +486,11 @@ def _log_lines(cfg: ExperimentConfig, block: _Block) -> list[str]:
     offline = cfg.mode in _OFFLINE_MODES
     arms = block.arm.tolist() if block.arm is not None else [""] * block.trials.size
     return [
-        f"{rng.derive_seed(cfg.seed, t)},{user},"
+        f"{trial_seed},{user},"
         f"{f'any-of-{b}' if offline else format(b, f'0{width}b')},"
         f"{strategy},{g},{int(ok)},{arm}\n"
-        for t, user, b, g, ok, arm in zip(
-            block.trials.tolist(), block.user.tolist(), block.bins.tolist(),
+        for trial_seed, user, b, g, ok, arm in zip(
+            rng.derive_seeds(cfg.seed, block.trials).tolist(), block.user.tolist(), block.bins.tolist(),
             block.guesses.tolist(), block.success.tolist(), arms,
         )
     ]
@@ -839,7 +843,7 @@ def permutation_mean_guesswork(
     while done < samples:
         batch = min(rows, samples - done)
         draws = gen.integers(0, size, size=(batch, prefix))
-        firstocc = _first_occurrence_mask(draws)
+        firstocc = _first_occurrence_mask(draws, size)
         hits = hitmask[table[draws]] & firstocc
         anyhit = hits.any(axis=1)
         firstcol = hits.argmax(axis=1)
@@ -852,17 +856,27 @@ def permutation_mean_guesswork(
     return acc.estimate()
 
 
-def _first_occurrence_mask(draws: np.ndarray) -> np.ndarray:
-    """Per row, mark the first occurrence of each value (repeat draws are
-    skipped guesses).  Stable row-wise argsort puts equal values in column
-    order, so every group member after the first is a duplicate."""
-    order = np.argsort(draws, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(draws, order, axis=1)
-    dup_sorted = np.zeros(draws.shape, dtype=bool)
-    dup_sorted[:, 1:] = sorted_vals[:, 1:] == sorted_vals[:, :-1]
-    dup = np.zeros(draws.shape, dtype=bool)
-    np.put_along_axis(dup, order, dup_sorted, axis=1)
-    return ~dup
+def _first_occurrence_mask(draws: np.ndarray, size: int) -> np.ndarray:
+    """Per row, mark the first occurrence of each value in [0, size)
+    (repeat draws are skipped guesses).
+
+    Rows pass through one reused (row, value) int buffer a slab at a
+    time.  np.minimum.at leaves in each cell the smallest flat position
+    (shifted below 0) written to it, whatever order numpy writes in, and
+    an entry is a first occurrence when it finds its own position there.
+    """
+    rows, cols = draws.shape
+    slab = max(1, _DEDUP_CELLS // size)
+    cells_buf = np.zeros(min(rows, slab) * size, dtype=np.int32)
+    first = np.empty(draws.shape, dtype=bool)
+    for r0 in range(0, rows, slab):
+        part = draws[r0 : r0 + slab]
+        cells = (np.arange(part.shape[0])[:, None] * size + part).ravel()
+        pos = np.arange(-cells.size, 0, dtype=np.int32)
+        np.minimum.at(cells_buf, cells, pos)
+        first[r0 : r0 + slab] = (cells_buf[cells] == pos).reshape(part.shape)
+        cells_buf[cells] = 0
+    return first
 
 
 def _continue_permutation_scan(gen, table, hitmask, prefix_draws) -> tuple[int, bool]:

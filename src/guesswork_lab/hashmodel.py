@@ -11,7 +11,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,9 +92,13 @@ class KeyedHashModel:
         """The generated segment for index pw, ignoring overrides."""
         return int(rng.biased_bits(self.seed, self.p, self.m, np.array([pw]))[0])
 
-    def eval_many(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized hash of an index array, overrides applied."""
-        vals = rng.biased_bits(self.seed, self.p, self.m, idx)
+    def eval_many(self, idx: np.ndarray, live: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
+        """Vectorized hash of an index array, overrides applied.
+
+        live prunes the generated segments as in rng.biased_bits; planted
+        overrides are always returned exactly.
+        """
+        vals = rng.biased_bits(self.seed, self.p, self.m, idx, live)
         if self.overrides:
             keys = np.fromiter(self.overrides.keys(), dtype=np.uint64)
             repl = np.fromiter(self.overrides.values(), dtype=np.uint64)
@@ -299,18 +303,23 @@ def rank_bins_by_likelihood(m: int, p: float) -> np.ndarray:
 def iter_bins_by_likelihood(m: int, p: float) -> Iterator[int]:
     """Lazy least-likely-first bin enumeration, usable for any m.
 
-    Walks type classes from popcount m down to 0; inside a class, Gosper's
-    hack yields members in ascending numeric order.
+    Walks type classes from popcount m down to 0, each in ascending
+    numeric order.
     """
     check_bias(p)
-    limit = 1 << m
     for w in range(m, -1, -1):
-        if w == 0:
-            yield 0
-            continue
-        v = (1 << w) - 1
-        while v < limit:
-            yield v
-            low = v & -v
-            ripple = v + low
-            v = ripple | (((v ^ ripple) >> 2) // low)
+        yield from same_weight_ascending(m, w)
+
+
+def same_weight_ascending(width: int, weight: int, start: Optional[int] = None) -> Iterator[int]:
+    """Values below 2^width with `weight` one-bits in ascending order,
+    from start (a member) when given (Gosper's hack)."""
+    limit = 1 << width
+    v = (1 << weight) - 1 if start is None else start
+    while v < limit:
+        yield v
+        if v == 0:
+            return
+        low = v & -v
+        ripple = v + low
+        v = ripple | (((v ^ ripple) >> 2) // low)

@@ -8,6 +8,7 @@ count or evaluation order.
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,9 +42,12 @@ LANE_PASSWORDS = 0x9A55
 
 def mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array (wraps mod 2^64)."""
-    z = (z ^ (z >> _S30)) * _UM1
-    z = (z ^ (z >> _S27)) * _UM2
-    return z ^ (z >> _S31)
+    z = z ^ (z >> _S30)
+    z *= _UM1
+    z ^= z >> _S27
+    z *= _UM2
+    z ^= z >> _S31
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -66,20 +70,27 @@ def derive_seed(root: int, *path: int) -> int:
     return state
 
 
+def derive_seeds(root: int, parts: np.ndarray) -> np.ndarray:
+    """derive_seed(root, t) for every t of a uint64 array."""
+    t = np.asarray(parts, dtype=np.uint64)
+    return mix64(np.uint64(_mix64_int(root)) ^ ((t + _ONE) * _U_GOLDEN))
+
+
 def generator(root: int, *path: int) -> np.random.Generator:
     """A numpy Generator seeded from the derived path seed."""
     return np.random.default_rng(derive_seed(root, *path))
 
 
 def threshold_for(p: float) -> np.uint64:
-    """Integer threshold T with (h >> 11) < T  iff  (h >> 11) * 2^-53 < p.
+    """Integer threshold T with h < T  iff  (h >> 11) * 2^-53 < p.
 
     p * 2^53 is exact in floats (power-of-two scaling), so the per-bit
-    acceptance probability equals p to within 2^-53.
+    acceptance probability equals p to within 2^-53.  p = 1 would need
+    T = 2^64, which no uint64 holds, so the range is [0, 1).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return np.uint64(min(math.ceil(p * 2.0 ** 53), 1 << 53) << 11)
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"probability must lie in [0, 1), got {p}")
+    return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
 
 
 def words(seed: int, idx: np.ndarray, lane: int = 0) -> np.ndarray:
@@ -108,21 +119,71 @@ def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> 
     return (a1 * b1 + (mid >> _S32) + (mid2 >> _S32)).astype(np.int64)
 
 
-def biased_bits(seed: int, p: float, m: int, idx: np.ndarray) -> np.ndarray:
+def biased_bits(
+    seed: int, p: float, m: int, idx: np.ndarray, live: Optional[Sequence[np.ndarray]] = None
+) -> np.ndarray:
     """m-bit values for each index, bits i.i.d. Bernoulli(p) under the seed.
 
     Bit j of index i comes from one 53-bit uniform draw compared against p;
     draws for distinct (i, j) use distinct mixed states.  Output is uint64
     with bit 0 holding the last (least significant) position.
+
+    live, when given, holds m boolean tables; live[j] is indexed by the
+    first j + 1 bits of a value (its top bits) and must be False wherever
+    live[j - 1] is False for the shorter prefix.  Bits are then drawn
+    only while an index's prefix is live (dead indices leave in batches,
+    so some draw a few bits more): each value is either the true one or
+    a dead prefix of it followed by 0 bits.  With live[m - 1] the target
+    mask, mask[value] equals mask[true value].
     """
-    idx64 = idx.astype(np.uint64)
+    idx64 = idx.astype(np.uint64, copy=False)
     thr = threshold_for(p)
     base = mix64(idx64 * _U_GOLDEN + np.uint64(seed & MASK64))
+    if live is not None:
+        return _pruned_bits(base, thr, m, live)
     vals = np.zeros(idx64.shape, dtype=np.uint64)
     for j in range(m):
-        lane = np.uint64(((j + 1) * GOLDEN2) & MASK64)  # python-int product, no scalar wrap
-        h = mix64(base ^ lane)
+        h = mix64(base ^ _BIT_LANES[j])
         vals = (vals << _ONE) | (h < thr).astype(np.uint64)
+    return vals
+
+
+#: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
+_BIT_LANES = tuple(np.uint64(((j + 1) * GOLDEN2) & MASK64) for j in range(64))
+
+
+def _pruned_bits(base: np.ndarray, thr: np.uint64, m: int, live: Sequence[np.ndarray]) -> np.ndarray:
+    """biased_bits over a flat array of mixed bases, pruned by live.
+
+    A dead prefix stays dead when extended, so rows need not leave the
+    moment they die.  rows holds the positions still drawing (None while
+    all are) and prefix their bits so far as table indices.  Once at
+    least half of them are dead, every row stores its value so far and
+    the live ones are compacted with nonzero and take, severalfold
+    cheaper than boolean-mask indexing.
+    """
+    vals = None
+    rows = None
+    prefix = np.zeros(base.shape, dtype=np.intp)
+    for j in range(m):
+        prefix <<= 1
+        prefix |= mix64(base ^ _BIT_LANES[j]) < thr
+        alive = live[j][prefix]
+        if 2 * np.count_nonzero(alive) > prefix.size:
+            continue
+        keep = alive.nonzero()[0]
+        so_far = prefix.view(np.uint64) << np.uint64(m - 1 - j)
+        if rows is None:
+            vals = so_far
+        else:
+            vals[rows] = so_far
+        if not keep.size:
+            return vals
+        rows = keep if rows is None else rows.take(keep)
+        prefix, base = prefix.take(keep), base.take(keep)
+    if rows is None:
+        return prefix.view(np.uint64)
+    vals[rows] = prefix
     return vals
 
 

@@ -1,9 +1,11 @@
 """Attack strategy and guess-counting tests."""
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guesswork_lab import allocation as al
 from guesswork_lab import attack
@@ -233,6 +235,22 @@ class TestStrategyOrdering:
         assert seen.size == 50_000
         assert np.unique(seen).size == seen.size
 
+    @pytest.mark.parametrize("theta", [0.2, 0.8])
+    def test_descending_chunks_cross_cached_prefix(self, theta):
+        # 300,000 indices run past the cached 2^17-index prefix into the
+        # resumed walk; theta > 1/2 walks the weight layers from n down
+        n, budget = 23, 300_000
+        chunks = list(attack.strategy_chunks(attack.descending_probability(theta), n, budget))
+        assert [c.size for c in chunks[:-1]] == [2048] * (len(chunks) - 1)
+        full = (1 << n) - 1
+        expect = []
+        for k in range(n + 1):
+            layer = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), k))
+            expect.extend(layer if theta < 0.5 else sorted(full ^ v for v in layer))
+            if len(expect) >= budget:
+                break
+        assert np.concatenate(chunks).tolist() == expect[:budget]
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             attack.GuessStrategy("seeded-permutation")
@@ -306,3 +324,94 @@ class TestAverageGuessworkAcrossUsers:
 def test_attack_result_failure_invariant():
     with pytest.raises(ValueError):
         attack.AttackResult(guesses=5, success=False, target=None)
+
+
+class TestPrunedHitTest:
+    """Keyed scans draw a bit only while the bits before it can still lead
+    into the target set; the hit test must equal the one on full values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_mask_of_full_eval(self, data):
+        m = data.draw(st.sampled_from([1, 8, 14]))
+        top = (1 << m) - 1
+        kind = data.draw(st.sampled_from(["single", "several", "all"]))
+        if kind == "all":
+            bins = range(1 << m)
+        elif kind == "single":
+            bins = [data.draw(st.integers(0, top))]
+        else:
+            bins = data.draw(st.lists(st.integers(0, top), min_size=2, max_size=40))
+        n, size = 22, 3000
+        start = data.draw(st.integers(0, (1 << n) - size))
+        outside = data.draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, top)), max_size=5))
+        inside = data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, top)), max_size=5))
+        overrides = dict(outside)
+        overrides.update((start + k, b) for k, b in inside)
+        model = hm.KeyedHashModel(
+            m=m, n=n, p=data.draw(st.sampled_from([0.05, 0.3, 0.5])),
+            seed=data.draw(st.integers(0, (1 << 64) - 1)), overrides=overrides,
+        )
+        idx = np.arange(start, start + size, dtype=np.uint64)
+        mask = attack._target_mask(m, bins)
+        live = attack._prefix_tables(mask)
+        pruned = model.eval_many(idx, live)
+        full = model.eval_many(idx)
+        assert (mask[pruned] == mask[full]).all()
+        # each value is the true one, or a dead prefix of it then 0 bits
+        ok = pruned == full
+        for j in range(m):
+            shift = np.uint64(m - 1 - j)
+            head = full >> shift
+            ok |= (pruned == head << shift) & ~live[j][head.astype(np.intp)]
+        assert ok.all()
+
+
+class TestScanGolden:
+    """Guess counts recorded from the unpruned scan with sort-based dedup;
+    the faster scan must reproduce them exactly."""
+
+    def test_online_attack_guesses(self):
+        asc, perm = [], []
+        for k in range(12):
+            model = hm.KeyedHashModel(m=8, n=18, p=0.3, seed=rng.derive_seed(99, k))
+            asc.append(attack.online_attack(model, 0b11111100, attack.ascending()).guesses)
+            strat = attack.permutation(rng.derive_seed(98, k))
+            perm.append(attack.online_attack(model, 0b11111100, strat).guesses)
+        assert asc == [2819, 372, 866, 8870, 689, 3967, 3461, 415, 2732, 3631, 833, 4]
+        assert perm == [1780, 3055, 676, 721, 3822, 6124, 3993, 1673, 5189, 4242, 215, 8817]
+
+    def test_online_attack_near_exhaustion(self):
+        guesses = []
+        for k in range(6):
+            model = hm.KeyedHashModel(m=5, n=15, p=0.3, seed=rng.derive_seed(97, k))
+            strat = attack.permutation(rng.derive_seed(96, k))
+            guesses.append(attack.online_attack(model, 0b11111, strat).guesses)
+        assert guesses == [310, 466, 1278, 427, 555, 106]
+
+    @pytest.mark.parametrize("n,budget,seed,digest", [
+        (15, 1 << 15, 5, "caa569180ec3cd8811a0e109d219eb356e605abbf2d32931aee7d29fb03b6220"),
+        (18, 300_000, 6, "955b513eab44e787ee55539f131fcfc021e289a3bb8cb61d5d60690ac83de633"),
+    ])
+    def test_permutation_stream(self, n, budget, seed, digest):
+        chunks = list(attack.strategy_chunks(attack.permutation(seed), n, budget))
+        order = np.concatenate(chunks).astype("<u8")
+        assert hashlib.sha256(order.tobytes()).hexdigest() == digest
+
+
+class TestGuessAccumulatorSums:
+    @pytest.mark.parametrize("values", [
+        [0, 1, 2, 1 << 20, 0],
+        [0, 1 << 31],
+        [0, 1 << 31, (1 << 32) + 1, 1 << 40],
+        [3, (1 << 32) + 1],
+        [1 << 31] * 3,
+        [1 << 40, 0, 0],
+    ])
+    def test_add_array_equals_python_int_sums(self, values):
+        acc = attack.GuessAccumulator()
+        acc.add_array(np.array(values, dtype=np.int64))
+        assert acc.total == sum(values)
+        assert acc.total_sq == sum(v * v for v in values)
+        assert acc.failures == values.count(0)
+        assert acc.count == len(values)

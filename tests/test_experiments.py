@@ -206,6 +206,59 @@ class TestEngineAgreement:
         assert abs(sampled.mean - scanned.mean) <= 3.5 * combined
 
 
+#: Literal-scan estimates (mean, half-width, failures) recorded from the
+#: unpruned scan with sort-based dedup; the faster scan is bit-identical.
+SCAN_GOLDEN = {
+    "allocated-online": (735.915, 125.00038015323982, 0),
+    "allocated-offline": (208.395, 32.74544970731769, 0),
+    "unallocated-online": (54.62, 12.114806338854109, 0),
+    "unallocated-offline": (13.105, 2.1071584981871703, 0),
+    "no-allocation-keyed": (78.03, 23.775094744783186, 0),
+    "biased-password": (219.155, 73.41599583517308, 0),
+}
+
+
+class TestScanGolden:
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
+    def test_scan_engine_estimates(self, mode, theta):
+        est = ex.run_experiment(make_cfg(mode, theta=theta, trials=200, seed=2024, engine="scan"))
+        assert (est.mean, est.half_width_95, est.failures) == SCAN_GOLDEN[mode]
+
+    def test_heavy_first_and_budgeted_scans(self):
+        heavy = ex.run_experiment(make_cfg("biased-password", theta=0.7, trials=100, seed=11, engine="scan"))
+        assert (heavy.mean, heavy.half_width_95, heavy.failures) == (704.63, 160.97924020161258, 0)
+        capped = ex.run_experiment(
+            make_cfg("no-allocation-keyed", m=8, n=18, trials=200, seed=3, engine="scan", budget=300)
+        )
+        assert (capped.mean, capped.half_width_95, capped.failures) == (65.355, 11.197957146420293, 43)
+
+    @pytest.mark.parametrize("n,m,p,target,samples,expected", [
+        (10, 4, 0.25, 0, 20_000, (2.94805, 0.033204326952706316, 0)),
+        (8, 6, 0.3, 0, 20_000, (9.2061, 0.11536659510476377, 0)),
+        (10, 4, 0.25, 15, 3000, (333.07733333333334, 8.683757130704102, 0)),
+    ])
+    def test_permutation_mean_guesswork(self, n, m, p, target, samples, expected):
+        from guesswork_lab import hashmodel as hm
+
+        table = hm.sample_table_hash(m, n, p, seed=17)
+        est = ex.permutation_mean_guesswork(table, target, samples, seed=23)
+        assert (est.mean, est.half_width_95, est.failures) == expected
+
+
+class TestFirstOccurrenceMask:
+    @pytest.mark.parametrize("size", [1, 7, 1024, (1 << 20) + 3])
+    def test_matches_brute_force(self, size):
+        rows = 2000 if size > 1024 else 20_000
+        draws = np.random.default_rng(size).integers(0, size, size=(rows, 48))
+        expect = np.zeros(draws.shape, dtype=bool)
+        for r, row in enumerate(draws.tolist()):
+            seen = set()
+            for c, v in enumerate(row):
+                expect[r, c] = v not in seen
+                seen.add(v)
+        assert (ex._first_occurrence_mask(draws, size) == expect).all()
+
+
 class TestRunExperiment:
     def test_no_allocation_rate_near_one(self):
         est = ex.run_experiment(make_cfg("no-allocation-keyed", m=8, n=18, trials=4000))
@@ -272,6 +325,12 @@ class TestCiCalibration:
             est = ex.run_experiment(cfg)
             covered += abs(est.mean - true_mean) <= est.half_width_95
         assert covered >= 180
+
+    def test_trial_log_seeds_are_derived_per_trial(self):
+        buf = io.StringIO()
+        ex.run_experiment(make_cfg("no-allocation-keyed", trials=150, seed=2**64 - 3), trial_log=buf)
+        seeds = [int(line.split(",")[0]) for line in buf.getvalue().splitlines()[1:]]
+        assert seeds == [rng.derive_seed(2**64 - 3, t) for t in range(150)]
 
     def test_accumulator_merge_exact(self):
         from guesswork_lab.attack import GuessAccumulator

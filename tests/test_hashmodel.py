@@ -223,6 +223,22 @@ def test_biased_bits_integer_threshold_matches_uniform_rule():
         assert below < p <= at or p == at
 
 
+def test_biased_bits_edge_probabilities():
+    idx = np.arange(1000, dtype=np.uint64)
+    assert (rng.biased_bits(5, 0.0, 12, idx) == 0).all()
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        rng.biased_bits(5, 1.0, 12, idx)
+    with pytest.raises(ValueError):
+        rng.threshold_for(1.0)
+
+
+def test_derive_seeds_matches_scalar_path():
+    parts = [0, 1, 1 << 32, 1 << 63, (1 << 64) - 2]
+    for root in (0, 7, (1 << 64) - 1):
+        got = rng.derive_seeds(root, np.array(parts, dtype=np.uint64)).tolist()
+        assert got == [rng.derive_seed(root, t) for t in parts]
+
+
 def test_integers_below_is_high_word_of_product():
     idx = np.arange(2000, dtype=np.uint64)
     gen = np.random.default_rng(3)
