@@ -67,9 +67,11 @@ _NO_HIT = np.iinfo(np.int64).max
 #: An ordinal past every guess position (1.5 * 2^62), with int64 headroom.
 _BEYOND = 3 << 61
 
-#: Cells of the (row, value) buffer _first_occurrence_mask fills at once
-#: (4 MiB of int32).
+#: Cells of the (row, bucket) buffer _first_occurrence_mask fills at once
+#: (4 MiB of int32), and its most buckets per row: at least 256 rows go
+#: through the buffer together whatever the table size.
 _DEDUP_CELLS = 1 << 20
+_DEDUP_BUCKETS = 1 << 12
 
 _ALLOCATED_MODES = ("allocated-online", "allocated-offline")
 _OFFLINE_MODES = ("allocated-offline", "unallocated-offline")
@@ -860,22 +862,30 @@ def _first_occurrence_mask(draws: np.ndarray, size: int) -> np.ndarray:
     """Per row, mark the first occurrence of each value in [0, size)
     (repeat draws are skipped guesses).
 
-    Rows pass through one reused (row, value) int buffer a slab at a
-    time.  np.minimum.at leaves in each cell the smallest flat position
-    (shifted below 0) written to it, whatever order numpy writes in, and
-    an entry is a first occurrence when it finds its own position there.
+    Values fall into power-of-two buckets (value mod B; B >= size while
+    size <= _DEDUP_BUCKETS).  Rows pass through one reused (row, bucket)
+    int buffer a slab at a time: np.minimum.at leaves in each cell the
+    smallest flat position (shifted below 0) written to it, whatever
+    order numpy writes in, and an entry that finds its own position
+    there has no earlier entry in its bucket.  When B < size, the other
+    entries are checked against their row's earlier values directly.
     """
     rows, cols = draws.shape
-    slab = max(1, _DEDUP_CELLS // size)
-    cells_buf = np.zeros(min(rows, slab) * size, dtype=np.int32)
+    buckets = min(1 << max(size - 1, 1).bit_length(), _DEDUP_BUCKETS)
+    slab = _DEDUP_CELLS // buckets
+    cells_buf = np.zeros(min(rows, slab) * buckets, dtype=np.int32)
     first = np.empty(draws.shape, dtype=bool)
     for r0 in range(0, rows, slab):
         part = draws[r0 : r0 + slab]
-        cells = (np.arange(part.shape[0])[:, None] * size + part).ravel()
+        cells = (np.arange(part.shape[0])[:, None] * buckets + (part & (buckets - 1))).ravel()
         pos = np.arange(-cells.size, 0, dtype=np.int32)
         np.minimum.at(cells_buf, cells, pos)
         first[r0 : r0 + slab] = (cells_buf[cells] == pos).reshape(part.shape)
         cells_buf[cells] = 0
+    if buckets < size:
+        r, c = np.nonzero(~first)
+        earlier = (draws[r] == draws[r, c][:, None]) & (np.arange(cols) < c[:, None])
+        first[r, c] = ~earlier.any(axis=1)
     return first
 
 
