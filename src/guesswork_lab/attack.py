@@ -14,13 +14,15 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import rng
-from .allocation import AllocationPlan
 from .hashmodel import BinLabel, HashFunction, KeyedHashModel, same_weight_ascending
 from .infotheory import check_probability
 
 #: Indices per vectorized scan step; grows geometrically up to the cap.
 _CHUNK0 = 2048
 _CHUNK_CAP = 1 << 16
+
+#: Most (row, index) pairs one lockstep round hashes.
+_ROUND_PAIRS = 1 << 16
 
 #: Permutations over at most this many candidates are materialized whole.
 _PERM_MATERIALIZE_CAP = 1 << 14
@@ -236,21 +238,90 @@ def _bits_of(b: Union[BinLabel, int]) -> int:
 
 
 def _prefix_tables(mask: np.ndarray) -> list[np.ndarray]:
-    """live[j][v]: can a value whose first j + 1 bits are v lie in mask?
-    The last table is mask itself."""
+    """live[j][..., v]: can a value whose first j + 1 bits are v lie in
+    mask?  The last table is mask itself; a (K, 2^m) stack of masks gives
+    (K, 2^(j+1)) tables."""
     tables = [mask]
-    while tables[-1].size > 2:
-        tables.append(tables[-1][0::2] | tables[-1][1::2])
+    while tables[-1].shape[-1] > 2:
+        tables.append(tables[-1][..., 0::2] | tables[-1][..., 1::2])
     return tables[::-1]
 
 
-def _hit_test(h: HashFunction, mask: np.ndarray):
-    """idx -> mask[h(idx)].  A keyed model draws each bit only while the
-    bits before it can still lead into mask (rng.biased_bits' live)."""
-    if not isinstance(h, KeyedHashModel):
-        return lambda idx: mask[h.eval_many(idx)]
-    live = _prefix_tables(mask)
-    return lambda idx: mask[h.eval_many(idx, live)]
+def _window_specials(keys: np.ndarray, window: np.ndarray, ascending_window: bool):
+    """(entry, column) of every key lying in window; keys sorted ascending,
+    repeats allowed.  An ascending-index window is a contiguous range."""
+    if ascending_window:
+        lo = int(np.searchsorted(keys, window[0], side="left"))
+        hi = int(np.searchsorted(keys, window[-1], side="right"))
+        return np.arange(lo, hi), (keys[lo:hi] - window[0]).astype(np.intp)
+    left = np.searchsorted(keys, window, side="left")
+    counts = np.searchsorted(keys, window, side="right") - left
+    cols = np.flatnonzero(counts)
+    if not cols.size:
+        return cols, cols
+    counts = counts[cols]
+    ends = np.cumsum(counts)
+    entries = np.arange(ends[-1]) + np.repeat(left[cols] - (ends - counts), counts)
+    return entries, np.repeat(cols, counts)
+
+
+def lockstep_scan(
+    strat: GuessStrategy,
+    n: int,
+    budget: int,
+    natural,
+    rows: int,
+    specials: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First hits of `rows` scans that share one guess order.
+
+    natural(active, window) gives the natural hits, shaped (len(active),
+    len(window)), of the still-scanning rows `active` at the window's
+    indices.  specials = (index, row, hit) arrays: at a special index of
+    its row only `hit` decides (a planted override, or a password that
+    ends the scan).  Each round hashes one window of the order for every
+    active row.  The strategy serves chunks of _CHUNK0 * 4^k indices (at
+    most _CHUNK_CAP); a window is the rest of the current chunk, cut to
+    _ROUND_PAIRS // active indices while more than one row scans.  One
+    row thus keeps the chunk schedule, and many rows take narrow windows
+    that overshoot their first hits by little.  Returns each row's 1-based
+    guess count (0 when no hit came within the budget) and the index of
+    its first hit.
+    """
+    guesses = np.zeros(rows, dtype=np.int64)
+    first = np.zeros(rows, dtype=np.uint64)
+    active = np.arange(rows)
+    slot = np.arange(rows)  # position of each row in active, -1 once done
+    if specials is not None:
+        order = np.argsort(specials[0], kind="stable")
+        keys, key_rows, key_hits = (a[order] for a in specials)
+        ascending_window = strat.kind == "ascending-index"
+    consumed = 0
+    for chunk in strategy_chunks(strat, n, budget):
+        at = 0
+        while at < chunk.size:
+            width = chunk.size if active.size == 1 else max(1, _ROUND_PAIRS // active.size)
+            window = chunk[at : at + width]
+            hits = natural(active, window)
+            if specials is not None and keys.size:
+                entries, cols = _window_specials(keys, window, ascending_window)
+                where = slot[key_rows[entries]]
+                scanning = where >= 0
+                hits[where[scanning], cols[scanning]] = key_hits[entries[scanning]]
+            done = hits.any(axis=1)
+            if done.any():
+                finished = active[done]
+                cols = hits[done].argmax(axis=1)
+                guesses[finished] = consumed + cols + 1
+                first[finished] = window[cols]
+                active = active[~done]
+                if not active.size:
+                    return guesses, first
+                slot[finished] = -1
+                slot[active] = np.arange(active.size)
+            consumed += window.size
+            at += window.size
+    return guesses, first
 
 
 def _scan(
@@ -258,16 +329,36 @@ def _scan(
     mask: np.ndarray,
     strat: GuessStrategy,
     budget: int,
-    target: object,
-) -> AttackResult:
-    hit_test = _hit_test(h, mask)
-    consumed = 0
-    for idx in strategy_chunks(strat, h.n, budget):
-        hits = hit_test(idx)
-        if hits.any():
-            return AttackResult(consumed + int(hits.argmax()) + 1, True, target)
-        consumed += idx.size
-    return AttackResult(0, False, target)
+    bits: Optional[int] = None,
+    true_pw: Optional[int] = None,
+) -> tuple[int, int]:
+    """One row of lockstep_scan: (guesses, index of the first hit).
+
+    A keyed model draws each bit only while the bits before it can still
+    lead into mask: they must match bits, the one target bin, when given.
+    Its overrides, and true_pw as a hit, are the row's specials.
+    """
+    forced: dict[int, bool] = {}
+    if isinstance(h, KeyedHashModel):
+        live = None if bits is not None else _prefix_tables(mask)
+        forced = {pw: bool(mask[b]) for pw, b in h.overrides.items()}
+
+        def natural(active, idx):
+            return mask[rng.biased_bits(h.seed, h.p, h.m, idx, live, target=bits)][None, :]
+    else:
+        def natural(active, idx):
+            return mask[h.eval_many(idx)][None, :]
+    if true_pw is not None:
+        forced[true_pw] = True
+    specials = None
+    if forced:
+        specials = (
+            np.fromiter(forced, dtype=np.uint64, count=len(forced)),
+            np.zeros(len(forced), dtype=np.intp),
+            np.fromiter(forced.values(), dtype=bool, count=len(forced)),
+        )
+    guesses, first = lockstep_scan(strat, h.n, budget, natural, 1, specials)
+    return int(guesses[0]), int(first[0])
 
 
 def online_attack(
@@ -281,7 +372,8 @@ def online_attack(
     if not 0 <= bits < (1 << h.m):
         raise ValueError(f"bin {bits} out of range for m={h.m}")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    return _scan(h, _target_mask(h.m, [bits]), strat, budget, BinLabel(bits, h.m))
+    guesses, _ = _scan(h, _target_mask(h.m, [bits]), strat, budget, bits)
+    return AttackResult(guesses, guesses > 0, BinLabel(bits, h.m))
 
 
 def offline_attack_any(
@@ -297,7 +389,8 @@ def offline_attack_any(
     if bit_set[-1] >= (1 << h.m):
         raise ValueError("bin out of range for m")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    return _scan(h, _target_mask(h.m, bit_set), strat, budget, frozenset(bit_set))
+    guesses, _ = _scan(h, _target_mask(h.m, bit_set), strat, budget)
+    return AttackResult(guesses, guesses > 0, frozenset(bit_set))
 
 
 def fast_budget(m: int, q_b: float, p: float) -> int:
@@ -371,18 +464,12 @@ def biased_password_race(
     if not 0 <= true_pw < (1 << h.n):
         raise ValueError(f"true password {true_pw} out of range for n={h.n}")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    hit_test = _hit_test(h, _target_mask(h.m, [bits]))
-    consumed = 0
-    for idx in strategy_chunks(descending_probability(theta), h.n, budget):
-        hash_hits = hit_test(idx)
-        pw_hits = idx == np.uint64(true_pw)
-        any_hits = hash_hits | pw_hits
-        if any_hits.any():
-            at = int(any_hits.argmax())
-            arm = ARM_PASSWORD if pw_hits[at] else ARM_HASH
-            return AttackResult(consumed + at + 1, True, BinLabel(bits, h.m), arm=arm)
-        consumed += idx.size
-    return AttackResult(0, False, BinLabel(bits, h.m))
+    strat = descending_probability(theta)
+    guesses, first = _scan(h, _target_mask(h.m, [bits]), strat, budget, bits, true_pw)
+    if not guesses:
+        return AttackResult(0, False, BinLabel(bits, h.m))
+    arm = ARM_PASSWORD if first == true_pw else ARM_HASH
+    return AttackResult(guesses, True, BinLabel(bits, h.m), arm=arm)
 
 
 def biased_password_attack(
@@ -487,42 +574,3 @@ class GuessAccumulator:
         return EstimateWithCI(
             mean=mean, half_width_95=half, trials=self.count, failures=self.failures
         )
-
-
-def average_guesswork_across_users(
-    h: HashFunction,
-    plan: AllocationPlan,
-    trials: int,
-    seed: int,
-    mode: str = "key-averaged",
-    budget: Optional[int] = None,
-) -> EstimateWithCI:
-    """Mean guesswork over uniformly chosen users for the given hash.
-
-    key-averaged redraws the key each trial and scans ascending (keyed
-    models only); strategy-averaged keeps the hash fixed and redraws a
-    uniform guessing order each trial.
-    """
-    if plan.user_count == 0:
-        raise ValueError("plan has no users")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if mode not in ("key-averaged", "strategy-averaged"):
-        raise ValueError(f"unknown averaging mode: {mode}")
-    if mode == "key-averaged" and not isinstance(h, KeyedHashModel):
-        raise ValueError("key-averaged mode requires a keyed hash model")
-    acc = GuessAccumulator()
-    bins = plan.bins()
-    for trial in range(trials):
-        pick = rng.generator(seed, trial, 0x05E7)
-        b = bins[int(pick.integers(0, len(bins)))]
-        if mode == "key-averaged":
-            model = KeyedHashModel(
-                h.m, h.n, h.p, rng.derive_seed(seed, trial, 0x4E1), dict(h.overrides)
-            )
-            result = online_attack(model, b, ascending(), budget)
-        else:
-            strat = permutation(rng.derive_seed(seed, trial, 0x9E12))
-            result = online_attack(h, b, strat, budget)
-        acc.add(result.guesses, result.success)
-    return acc.estimate()

@@ -34,7 +34,7 @@ from .config import (  # noqa: F401  (re-exported)
     ExperimentConfig,
     default_input_width,
 )
-from .hashmodel import KeyedHashModel, exact_bernoulli_distribution
+from .hashmodel import exact_bernoulli_distribution
 from .infotheory import (
     binary_entropy,
     cross_entropy_identity,
@@ -72,6 +72,9 @@ _BEYOND = 3 << 61
 #: through the buffer together whatever the table size.
 _DEDUP_CELLS = 1 << 20
 _DEDUP_BUCKETS = 1 << 12
+
+#: Most bytes of stacked target-set tables one offline lockstep scan holds.
+_STACK_BYTES = 1 << 22
 
 _ALLOCATED_MODES = ("allocated-online", "allocated-offline")
 _OFFLINE_MODES = ("allocated-offline", "unallocated-offline")
@@ -413,65 +416,124 @@ _SAMPLED_KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# scan-engine trials
+# scan-engine kernel
 # ---------------------------------------------------------------------------
 
 
-def _scan_trial(cfg: ExperimentConfig, plan, trial: int) -> tuple[int, bool, int, int, str]:
-    """(guesses, success, user, bin, arm) of one literal scan; bin is the
-    attacked bin, or the number of target bins for an offline attack."""
+def _scan_inputs(cfg: ExperimentConfig, plan, trials: np.ndarray):
+    """Per-trial inputs of literal scans, drawn trial by trial.
+
+    Returns the key seeds, the 0-based attacked users, the users'
+    passwords and, per trial, the resolve_collisions outcome (allocated
+    modes: planted overrides, first writer wins) or the true biased
+    password.
+    """
     sc = cfg.scenario
-    key_seed = rng.derive_seed(cfg.seed, trial, _LANE_KEY)
-    pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
-    model = KeyedHashModel(sc.m, sc.n, sc.p, key_seed)
-    pick = rng.generator(cfg.seed, trial, _LANE_PICK)
-    budget = cfg.budget
-
-    if cfg.mode in _ALLOCATED_MODES:
-        outcome = alloc.backdoor_install(model, plan, pw_seed)
-        finals = outcome.final_bins()
-        uid = plan.users[int(pick.integers(0, plan.user_count))][0]
-        if cfg.mode == "allocated-online":
-            target = finals[uid]
-            res = attack.online_attack(model, target, attack.ascending(), budget)
-            return res.guesses, res.success, uid, target.bits, ""
-        bins = {b.bits for b in finals.values()}
-        res = attack.offline_attack_any(model, bins, attack.ascending(), budget)
-        return res.guesses, res.success, uid, len(bins), ""
-
-    if cfg.mode in ("unallocated-online", "unallocated-offline", "no-allocation-keyed"):
-        count = _user_count(cfg)
+    users = _user_count(cfg)
+    keys = np.empty(trials.size, dtype=np.uint64)
+    pick = np.zeros(trials.size, dtype=np.int64)
+    passwords = np.empty((trials.size, users), dtype=np.int64)
+    planted: list = []
+    for r, trial in enumerate(trials.tolist()):
+        keys[r] = rng.derive_seed(cfg.seed, trial, _LANE_KEY)
+        pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
+        if cfg.mode == "biased-password":
+            planted.append(attack.draw_biased_password(pw_seed, sc.n, sc.theta))
+            continue
         gen = rng.generator(pw_seed, rng.LANE_PASSWORDS)
-        passwords = [int(x) for x in gen.integers(0, 1 << sc.n, size=count)]
-        bins = [int(v) for v in model.eval_many(np.array(passwords, dtype=np.uint64))]
-        user_ix = int(pick.integers(0, count))
-        if cfg.mode == "unallocated-offline":
-            res = attack.offline_attack_any(model, set(bins), attack.ascending(), budget)
-            return res.guesses, res.success, user_ix + 1, len(set(bins)), ""
-        res = attack.online_attack(model, bins[user_ix], attack.ascending(), budget)
-        return res.guesses, res.success, user_ix + 1, bins[user_ix], ""
-
-    if cfg.mode == "biased-password":
-        true_pw = attack.draw_biased_password(pw_seed, sc.n, sc.theta)
-        target = (1 << sc.m) - 1
-        model.overrides[true_pw] = target
-        res = attack.biased_password_race(
-            model, target, sc.theta, true_pw, budget
-        )
-        return res.guesses, res.success, 1, target, res.arm or ""
-
-    raise ValueError(f"mode {cfg.mode} has no scan trial")
+        passwords[r] = gen.integers(0, 1 << sc.n, size=users)
+        pick[r] = rng.generator(cfg.seed, trial, _LANE_PICK).integers(0, users)
+        if plan is not None:
+            outcome = alloc.resolve_collisions(plan.users, passwords[r].tolist())
+            planted.append(outcome)
+    return keys, pick, passwords, planted
 
 
 def _scan_kernel(cfg: ExperimentConfig):
+    """Literal scans of a block of trials, hashed in lockstep.
+
+    Every trial redraws the key and scans the same guess order (ascending,
+    or probability-descending for the biased password), so one
+    attack.lockstep_scan serves the block.  An online row keeps drawing
+    bits only while they match its target bin; offline rows look their
+    target set up in stacked prefix tables.  Planted passwords are the
+    rows' special positions, decided by their planted bin alone; the true
+    biased password is a special hit, and the race is the password arm's
+    when it is the first hit.
+    """
+    sc = cfg.scenario
     plan = _plan_for(cfg) if cfg.mode in _ALLOCATED_MODES else None
+    offline = cfg.mode in _OFFLINE_MODES
+    biased = cfg.mode == "biased-password"
+    strat = attack.descending_probability(sc.theta) if biased else attack.ascending()
+    budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
     def run(trials: np.ndarray) -> _Block:
-        rows = [_scan_trial(cfg, plan, trial) for trial in trials.tolist()]
-        guesses, success, user, bins, arm = (np.array(col) for col in zip(*rows))
-        return _Block(trials, guesses, success, user, bins, arm)
+        keys, pick, passwords, planted = _scan_inputs(cfg, plan, trials)
+        rows = np.arange(trials.size)
+        if biased:
+            true_pw = np.array(planted, dtype=np.uint64)
+            target = np.full(trials.size, (1 << sc.m) - 1)
+            specials = (true_pw, rows, np.ones(trials.size, dtype=bool))
+        elif plan is not None:
+            finals = np.array([[b.bits for _, _, b in o.assignments] for o in planted], dtype=np.int64)
+            target = finals[rows, pick]
+            plants = [(r, pw, b.bits) for r, o in enumerate(planted) for pw, b in o.planted]
+            at, pw, bits = (np.array(col, dtype=np.int64) for col in zip(*plants))
+            # Every planted bin is some user's final bin: offline, a hit.
+            specials = (pw.astype(np.uint64), at, offline | (bits == target[at]))
+        else:
+            finals = rng.biased_bits(keys[:, None], sc.p, sc.m, passwords).astype(np.int64)
+            target = finals[rows, pick]
+            specials = None
+        if offline:
+            guesses, first = _offline_scans(cfg, strat, budget, keys, finals, specials)
+            bins = np.array([len(set(row)) for row in finals.tolist()], dtype=np.int64)
+        else:
+            def natural(active, window):
+                t = target[active, None]
+                return rng.biased_bits(keys[active, None], sc.p, sc.m, window, target=t).view(np.int64) == t
+
+            guesses, first = attack.lockstep_scan(strat, sc.n, budget, natural, trials.size, specials)
+            bins = target
+        success = guesses > 0
+        arm = None
+        if biased:
+            won = np.where(first == true_pw, attack.ARM_PASSWORD, attack.ARM_HASH)
+            arm = np.where(success, won, "")
+        return _Block(trials, guesses, success, pick + 1, bins, arm)
 
     return run
+
+
+def _offline_scans(cfg, strat, budget, keys, finals, specials):
+    """lockstep_scan of offline rows, whose target sets are their rows of
+    distinct final bins.  Rows go in groups whose stacked tables, one per
+    distinct set, fit in _STACK_BYTES."""
+    sc = cfg.scenario
+    group = max(1, _STACK_BYTES >> (sc.m + 1))
+    guesses = np.zeros(keys.size, dtype=np.int64)
+    first = np.zeros(keys.size, dtype=np.uint64)
+    for lo in range(0, keys.size, group):
+        part = slice(lo, lo + group)
+        sets, set_of = np.unique(np.sort(finals[part], axis=1), axis=0, return_inverse=True)
+        set_of = set_of.reshape(-1)
+        masks = np.zeros((sets.shape[0], 1 << sc.m), dtype=bool)
+        masks[np.arange(sets.shape[0])[:, None], sets] = True
+        tables = attack._prefix_tables(masks)
+        seeds = keys[part]
+
+        def natural(active, window):
+            k = set_of[active, None]
+            vals = rng.biased_bits(seeds[active, None], sc.p, sc.m, window, tables, table=k)
+            return tables[-1][k, vals.astype(np.intp)]
+
+        own = None
+        if specials is not None:
+            sel = (specials[1] >= lo) & (specials[1] < lo + group)
+            own = (specials[0][sel], specials[1][sel] - lo, specials[2][sel])
+        guesses[part], first[part] = attack.lockstep_scan(strat, sc.n, budget, natural, seeds.size, own)
+    return guesses, first
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +543,35 @@ def _scan_kernel(cfg: ExperimentConfig):
 _LOG_HEADER = "trial_seed,user,bin,strategy,guesses,success,arm\n"
 
 
-def _log_lines(cfg: ExperimentConfig, block: _Block) -> list[str]:
-    """One trial-log CSV line per trial of the block, in trial order."""
+#: Every arm a trial-log line can name.
+_ARMS = ("", attack.ARM_HASH, attack.ARM_PASSWORD)
+
+
+def _labels(values: np.ndarray, fmt) -> list[str]:
+    """fmt(v) for every value, each distinct value formatted once."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(list(map(fmt, distinct.tolist())), dtype=object)[inverse].tolist()
+
+
+def _log_text(cfg: ExperimentConfig, block: _Block) -> str:
+    """The block's trial-log CSV lines, in trial order.
+
+    Every column but the seed takes few distinct values in a block, so
+    each distinct piece is formatted once, separators included, and the
+    lines are joined in one pass.
+    """
     strategy = "probability-descending" if cfg.mode == "biased-password" else "ascending-index"
-    width = cfg.scenario.m
-    offline = cfg.mode in _OFFLINE_MODES
-    arms = block.arm.tolist() if block.arm is not None else [""] * block.trials.size
-    return [
-        f"{trial_seed},{user},"
-        f"{f'any-of-{b}' if offline else format(b, f'0{width}b')},"
-        f"{strategy},{g},{int(ok)},{arm}\n"
-        for trial_seed, user, b, g, ok, arm in zip(
-            rng.derive_seeds(cfg.seed, block.trials).tolist(), block.user.tolist(), block.bins.tolist(),
-            block.guesses.tolist(), block.success.tolist(), arms,
-        )
-    ]
+    bin_fmt = "any-of-{}" if cfg.mode in _OFFLINE_MODES else f"{{:0{cfg.scenario.m}b}}"
+    arm = 0 if block.arm is None else sum((block.arm == a) * k for k, a in enumerate(_ARMS))
+    tails = np.array([f",{ok},{a}\n" for a in _ARMS for ok in (0, 1)], dtype=object)
+    columns = (
+        map(str, rng.derive_seeds(cfg.seed, block.trials).tolist()),
+        _labels(block.user, ",{},".format),
+        _labels(block.bins, (bin_fmt + f",{strategy},").format),
+        _labels(block.guesses, str),
+        tails[2 * arm + block.success].tolist(),
+    )
+    return "".join(map("".join, zip(*columns)))
 
 
 def _run_range(
@@ -510,13 +586,13 @@ def _run_range(
     run = make(cfg)
     step = max(1, BLOCK_ELEMENTS // _user_count(cfg))
     acc = GuessAccumulator()
-    lines: list[str] = []
+    texts: list[str] = []
     for first in range(start, stop, step):
         block = run(np.arange(first, min(first + step, stop), dtype=np.uint64))
         acc.add_array(block.guesses)  # 0 marks a failed trial
         if log:
-            lines.extend(_log_lines(cfg, block))
-    return acc, "".join(lines)
+            texts.append(_log_text(cfg, block))
+    return acc, "".join(texts)
 
 
 def _broken_hash_estimate(cfg: ExperimentConfig) -> EstimateWithCI:

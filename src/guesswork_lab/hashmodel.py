@@ -100,14 +100,11 @@ class KeyedHashModel:
         """
         vals = rng.biased_bits(self.seed, self.p, self.m, idx, live)
         if self.overrides:
-            keys = np.fromiter(self.overrides.keys(), dtype=np.uint64)
-            repl = np.fromiter(self.overrides.values(), dtype=np.uint64)
-            order = np.argsort(keys)
-            keys, repl = keys[order], repl[order]
-            idx64 = idx.astype(np.uint64)
-            hit = np.isin(idx64, keys)
-            if hit.any():
-                vals[hit] = repl[np.searchsorted(keys, idx64[hit])]
+            keys, repl = (np.array(col, dtype=np.uint64) for col in zip(*sorted(self.overrides.items())))
+            idx64 = idx.astype(np.uint64, copy=False)
+            at = np.minimum(np.searchsorted(keys, idx64), keys.size - 1)
+            hit = keys[at] == idx64
+            vals[hit] = repl[at[hit]]
         return vals
 
     def copy(self) -> "KeyedHashModel":

@@ -120,13 +120,22 @@ def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> 
 
 
 def biased_bits(
-    seed: int, p: float, m: int, idx: np.ndarray, live: Optional[Sequence[np.ndarray]] = None
+    seed,
+    p: float,
+    m: int,
+    idx: np.ndarray,
+    live: Optional[Sequence[np.ndarray]] = None,
+    table=None,
+    target=None,
 ) -> np.ndarray:
     """m-bit values for each index, bits i.i.d. Bernoulli(p) under the seed.
 
     Bit j of index i comes from one 53-bit uniform draw compared against p;
     draws for distinct (i, j) use distinct mixed states.  Output is uint64
-    with bit 0 holding the last (least significant) position.
+    with bit 0 holding the last (least significant) position.  seed is one
+    seed, or a uint64 array broadcast against idx (an (R, 1) column of
+    seeds over a (W,) window gives R keys' values there): every (seed,
+    index) pair draws from mix64(index * GOLDEN + seed).
 
     live, when given, holds m boolean tables; live[j] is indexed by the
     first j + 1 bits of a value (its top bits) and must be False wherever
@@ -134,49 +143,84 @@ def biased_bits(
     only while an index's prefix is live (dead indices leave in batches,
     so some draw a few bits more): each value is either the true one or
     a dead prefix of it followed by 0 bits.  With live[m - 1] the target
-    mask, mask[value] equals mask[true value].
+    mask, mask[value] equals mask[true value].  Stacked tables, live[j]
+    of shape (K, 2^(j+1)), serve several target sets at once: table
+    (broadcast like seed) names each value's row k.  target, instead of
+    live, keeps a value live while its prefix is one of its own target's
+    (an int, or an array broadcast like seed), so the value equals the
+    target exactly when the true one does.
     """
-    idx64 = idx.astype(np.uint64, copy=False)
+    idx64 = np.asarray(idx).astype(np.uint64, copy=False)
     thr = threshold_for(p)
-    base = mix64(idx64 * _U_GOLDEN + np.uint64(seed & MASK64))
-    if live is not None:
-        return _pruned_bits(base, thr, m, live)
-    vals = np.zeros(idx64.shape, dtype=np.uint64)
-    for j in range(m):
-        h = mix64(base ^ _BIT_LANES[j])
-        vals = (vals << _ONE) | (h < thr).astype(np.uint64)
-    return vals
+    if isinstance(seed, (int, np.integer)):
+        seed = np.uint64(int(seed) & MASK64)
+    base = mix64(idx64 * _U_GOLDEN + np.asarray(seed, dtype=np.uint64))
+    if live is None and target is None:
+        vals = np.zeros(base.shape, dtype=np.uint64)
+        for j in range(m):
+            h = mix64(base ^ _BIT_LANES[j])
+            vals = (vals << _ONE) | (h < thr).astype(np.uint64)
+        return vals
+    if table is not None:
+        # Row k's prefixes follow k in the index of its flattened tables.
+        live = [t.reshape(-1) for t in live]
+    vals = _pruned_bits(base, thr, m, live, table, target)
+    if table is not None:
+        vals &= np.uint64((1 << m) - 1)
+    return vals.reshape(base.shape)
 
 
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
 _BIT_LANES = tuple(np.uint64(((j + 1) * GOLDEN2) & MASK64) for j in range(64))
 
 
-def _pruned_bits(base: np.ndarray, thr: np.uint64, m: int, live: Sequence[np.ndarray]) -> np.ndarray:
-    """biased_bits over a flat array of mixed bases, pruned by live.
+def _pruned_bits(base, thr, m, live, table, target) -> np.ndarray:
+    """biased_bits' pruned draw over mixed bases; returns a flat array.
 
     A dead prefix stays dead when extended, so rows need not leave the
     moment they die.  rows holds the positions still drawing (None while
-    all are) and prefix their bits so far as table indices.  Once at
-    least half of them are dead, every row stores its value so far and
-    the live ones are compacted with nonzero and take, severalfold
-    cheaper than boolean-mask indexing.
+    all are) and prefix their bits so far as table indices, after the
+    table row k when one is given.  Once at least half of them are dead,
+    every row stores its value so far and the live ones are compacted with
+    nonzero and take, severalfold cheaper than boolean-mask indexing.
+    Per-row targets broadcast over base's shape until the first
+    compaction and are gathered per position from then on.
     """
+    shape = base.shape
+    base = base.reshape(-1)
+    per_row = np.ndim(target) > 0
+    if per_row:
+        target = np.asarray(target, dtype=np.intp)
     vals = None
     rows = None
-    prefix = np.zeros(base.shape, dtype=np.intp)
+    prefix = None
     for j in range(m):
-        prefix <<= 1
-        prefix |= mix64(base ^ _BIT_LANES[j]) < thr
-        alive = live[j][prefix]
+        bits = mix64(base ^ _BIT_LANES[j]) < thr
+        if prefix is None:
+            start = 0 if table is None else np.asarray(table, dtype=np.intp) << 1
+            prefix = (start | bits.reshape(shape)).reshape(-1).astype(np.intp, copy=False)
+        else:
+            prefix <<= 1
+            prefix |= bits
+        shift = m - 1 - j
+        if target is None:
+            alive = live[j][prefix]
+        elif per_row and rows is None:
+            alive = (prefix.reshape(shape) == target >> shift).reshape(-1)
+        else:
+            alive = prefix == target >> shift
         if 2 * np.count_nonzero(alive) > prefix.size:
             continue
         keep = alive.nonzero()[0]
-        so_far = prefix.view(np.uint64) << np.uint64(m - 1 - j)
+        so_far = prefix.view(np.uint64) << np.uint64(shift)
         if rows is None:
             vals = so_far
+            if per_row:
+                target = np.broadcast_to(target, shape)[np.unravel_index(keep, shape)]
         else:
             vals[rows] = so_far
+            if per_row:
+                target = target.take(keep)
         if not keep.size:
             return vals
         rows = keep if rows is None else rows.take(keep)

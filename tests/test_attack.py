@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guesswork_lab import allocation as al
 from guesswork_lab import attack
 from guesswork_lab import experiments as ex
 from guesswork_lab import hashmodel as hm
@@ -288,39 +287,6 @@ class TestStrategyIrrelevanceSmall:
                 assert abs(means[i] - means[j]) <= 3.0 * combined
 
 
-class TestAverageGuessworkAcrossUsers:
-    def test_constant_table_strategy_averaged(self):
-        t = constant_table(3, 8, 6)
-        plan = al.allocate_bins(3, 0.3, 1)
-        plan = al.AllocationPlan(
-            m=3, p=0.3, users=((1, hm.BinLabel(6, 3)),), s_effective=plan.s_effective
-        )
-        est = attack.average_guesswork_across_users(
-            t, plan, trials=200, seed=1, mode="strategy-averaged"
-        )
-        assert est.mean == 1.0
-        assert est.half_width_95 == 0.0
-
-    def test_key_vs_strategy_averaged_agree(self):
-        plan = al.allocate_bins(6, 0.3, 4)
-        keyed = hm.KeyedHashModel(m=6, n=14, p=0.3, seed=77)
-        key_avg = attack.average_guesswork_across_users(
-            keyed, plan, trials=1500, seed=10, mode="key-averaged"
-        )
-        fixed = hm.KeyedHashModel(m=6, n=14, p=0.3, seed=78)
-        strat_avg = attack.average_guesswork_across_users(
-            fixed, plan, trials=1500, seed=11, mode="strategy-averaged"
-        )
-        combined = math.hypot(key_avg.half_width_95, strat_avg.half_width_95) / 1.96
-        assert abs(key_avg.mean - strat_avg.mean) <= 3.0 * combined
-
-    def test_mode_validation(self):
-        t = constant_table(3, 8, 6)
-        plan = al.allocate_bins(3, 0.3, 2)
-        with pytest.raises(ValueError):
-            attack.average_guesswork_across_users(t, plan, 100, 1, mode="key-averaged")
-
-
 def test_attack_result_failure_invariant():
     with pytest.raises(ValueError):
         attack.AttackResult(guesses=5, success=False, target=None)
@@ -364,6 +330,41 @@ class TestPrunedHitTest:
             shift = np.uint64(m - 1 - j)
             head = full >> shift
             ok |= (pruned == head << shift) & ~live[j][head.astype(np.intp)]
+        assert ok.all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rows_of_keys_match_one_key_at_a_time(self, data):
+        m = data.draw(st.sampled_from([1, 6, 12]))
+        top = (1 << m) - 1
+        rows = data.draw(st.integers(1, 6))
+        p = data.draw(st.sampled_from([0.05, 0.3, 0.5]))
+        seeds = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=rows, max_size=rows)),
+                         dtype=np.uint64)
+        start = data.draw(st.integers(0, 1 << 40))
+        window = np.arange(start, start + data.draw(st.integers(1, 300)), dtype=np.uint64)
+        full = np.stack([rng.biased_bits(int(seed), p, m, window) for seed in seeds])
+        column = seeds[:, None]
+        assert (rng.biased_bits(column, p, m, window) == full).all()
+
+        # one target bin per row: the value is the target exactly when the true one is
+        targets = np.array(data.draw(st.lists(st.integers(0, top), min_size=rows, max_size=rows)),
+                           dtype=np.uint64)[:, None]
+        got = rng.biased_bits(column, p, m, window, target=targets.astype(np.int64))
+        assert ((got == targets) == (full == targets)).all()
+
+        # one target set per row, from stacked prefix tables
+        sets = [data.draw(st.sets(st.integers(0, top), min_size=1, max_size=5)) for _ in range(rows)]
+        masks = np.stack([attack._target_mask(m, bins) for bins in sets])
+        live = attack._prefix_tables(masks)
+        k = np.arange(rows)[:, None]
+        got = rng.biased_bits(column, p, m, window, live, table=k)
+        assert (masks[k, got.astype(np.intp)] == masks[k, full.astype(np.intp)]).all()
+        ok = got == full
+        for j in range(m):
+            shift = np.uint64(m - 1 - j)
+            head = full >> shift
+            ok |= (got == head << shift) & ~live[j][k, head.astype(np.intp)]
         assert ok.all()
 
 

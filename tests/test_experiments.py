@@ -1,4 +1,5 @@
 """Experiment orchestration tests: engines, determinism, panels, sweeps."""
+import hashlib
 import io
 import math
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guesswork_lab import allocation as al
+from guesswork_lab import attack
 from guesswork_lab import experiments as ex
+from guesswork_lab import hashmodel as hm
 from guesswork_lab import rng
 from guesswork_lab.infotheory import binary_entropy
 from guesswork_lab.rates import ScenarioParams
@@ -58,19 +62,21 @@ class TestDeterminism:
         b = ex.run_experiment(cfg)
         assert a == b
 
-    def test_worker_count_invariant(self):
+    @pytest.mark.parametrize("engine", ["sampled", "scan"])
+    def test_worker_count_invariant(self, engine):
         for mode, theta in SAMPLED_MODES:
-            cfg = make_cfg(mode, theta=theta, trials=300)
+            cfg = make_cfg(mode, theta=theta, trials=300, engine=engine)
             serial_log, parallel_log = io.StringIO(), io.StringIO()
             serial = ex.run_experiment(cfg, workers=1, trial_log=serial_log)
             parallel = ex.run_experiment(cfg, workers=3, trial_log=parallel_log)
             assert serial == parallel == ex.run_experiment(cfg), mode
             assert serial_log.getvalue() == parallel_log.getvalue(), mode
 
+    @pytest.mark.parametrize("engine", ["sampled", "scan"])
     @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
-    def test_block_split_invariant(self, mode, theta, monkeypatch):
+    def test_block_split_invariant(self, mode, theta, engine, monkeypatch):
         # s = 0.6 gives 28 users at m = 6, so n = 9 makes collision rows common
-        cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=400)
+        cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=400, engine=engine)
         whole, whole_log = ex._run_range(cfg, 0, cfg.trials, log=True)
         monkeypatch.setattr(ex, "BLOCK_ELEMENTS", 7 * ex._user_count(cfg))
         k = 150  # not a multiple of the 7-trial block
@@ -243,6 +249,95 @@ class TestScanGolden:
         table = hm.sample_table_hash(m, n, p, seed=17)
         est = ex.permutation_mean_guesswork(table, target, samples, seed=23)
         assert (est.mean, est.half_width_95, est.failures) == expected
+
+
+#: sha256 of the scan engine's trial log for make_cfg(mode, trials=200,
+#: seed=2024, engine="scan"), recorded from the per-trial scan engine,
+#: without a budget and with one of 500 guesses (inside a lockstep window).
+SCAN_LOG_SHA256 = {
+    (None, "allocated-online"): "d885d2ab4940e1fcfb4f8d20ec73ca8237e11d2e5170a03015660069cf6d755a",
+    (None, "allocated-offline"): "872772049a8e32fc3baf60ca2ecc584c3df35737a208df54949a4cce22f08eb1",
+    (None, "unallocated-online"): "0aba06668c668c34c5b4629f7c6465598c6c6af8cfabc6d48e8fbbd6a5c4f02e",
+    (None, "unallocated-offline"): "e84f7b2afca74696a554864ef5b741a9d79e2d83ac22bea86763ba30b3b63f09",
+    (None, "no-allocation-keyed"): "a555f79e484376c37129a55ab9742ca48fb152fb7b335cf121f0c6b64762d0f7",
+    (None, "biased-password"): "3d06fb8ef3afe726751b604c323a66eb0db6f801d721f7057c18a19707e3b198",
+    (500, "allocated-online"): "7c527888c1908234f600c0fe07684853fc9fd051144e7a368bf499d479da93d6",
+    (500, "allocated-offline"): "e21148a54602b5c0390d6136c3019584804abb92f821b2e1afece0db218abe1c",
+    (500, "unallocated-online"): "7425395259c77b8aa95a8a8ed966cf1e1f0bf5bdbf869f79ae0f98a3188a66f6",
+    (500, "unallocated-offline"): "e84f7b2afca74696a554864ef5b741a9d79e2d83ac22bea86763ba30b3b63f09",
+    (500, "no-allocation-keyed"): "5cf745567bc90df0fb0c51d55cf847275edb0c23b87ef2fe8c94e04e59c1bfbc",
+    (500, "biased-password"): "27aaa5468deefb223840156d74c06d96af7e27f8d9420c7ffebc61b51472bcfe",
+}
+
+
+class TestScanLogDigests:
+    @pytest.mark.parametrize("budget", [None, 500])
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
+    def test_trial_log_sha256(self, mode, theta, budget):
+        buf = io.StringIO()
+        ex.run_experiment(make_cfg(mode, theta=theta, trials=200, seed=2024, engine="scan", budget=budget), trial_log=buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SCAN_LOG_SHA256[budget, mode]
+
+
+def _literal_trial(cfg, plan, trial):
+    """One trial as a literal experiment runs it: its own model, planted
+    overrides, and one attack call.  (guesses, success, user, bin, arm)."""
+    sc = cfg.scenario
+    key_seed = rng.derive_seed(cfg.seed, trial, ex._LANE_KEY)
+    pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
+    model = hm.KeyedHashModel(sc.m, sc.n, sc.p, key_seed)
+    pick = rng.generator(cfg.seed, trial, ex._LANE_PICK)
+    if cfg.mode == "biased-password":
+        true_pw = attack.draw_biased_password(pw_seed, sc.n, sc.theta)
+        target = (1 << sc.m) - 1
+        model.overrides[true_pw] = target
+        res = attack.biased_password_race(model, target, sc.theta, true_pw, cfg.budget)
+        return res.guesses, res.success, 1, target, res.arm or ""
+    if plan is not None:
+        finals = al.backdoor_install(model, plan, pw_seed).final_bins()
+        user = plan.users[int(pick.integers(0, plan.user_count))][0]
+        bins = [finals[uid].bits for uid, _ in plan.users]
+    else:
+        count = ex._user_count(cfg)
+        passwords = rng.generator(pw_seed, rng.LANE_PASSWORDS).integers(0, 1 << sc.n, size=count)
+        bins = model.eval_many(passwords.astype(np.uint64)).tolist()
+        user = int(pick.integers(0, count)) + 1
+    if cfg.mode in ex._OFFLINE_MODES:
+        res = attack.offline_attack_any(model, bins, attack.ascending(), cfg.budget)
+        return res.guesses, res.success, user, len(set(bins)), ""
+    res = attack.online_attack(model, bins[user - 1], attack.ascending(), cfg.budget)
+    return res.guesses, res.success, user, bins[user - 1], ""
+
+
+class TestScanKernelMatchesAttacks:
+    """The lockstep kernel's rows against one attack call per trial on the
+    trial's own model.  s = 0.6, n = 9 gives 28 users whose passwords often
+    collide (first writer wins in the allocated modes)."""
+
+    @pytest.mark.parametrize("budget", [None, 300])
+    @pytest.mark.parametrize("shape", [dict(), dict(s=0.6, n=9)])
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
+    def test_rows(self, mode, theta, shape, budget):
+        cfg = make_cfg(mode, theta=theta, trials=100, seed=41, engine="scan", budget=budget, **shape)
+        trials = np.arange(20, 120, dtype=np.uint64)
+        block = ex._scan_kernel(cfg)(trials)
+        plan = ex._plan_for(cfg) if mode.startswith("allocated") else None
+        expect = [_literal_trial(cfg, plan, t) for t in trials.tolist()]
+        arms = block.arm.tolist() if block.arm is not None else [""] * trials.size
+        got = list(zip(block.guesses.tolist(), block.success.tolist(), block.user.tolist(), block.bins.tolist(), arms))
+        assert got == expect
+
+    def test_biased_password_past_cached_prefix(self):
+        # At theta = 0.45, n = 18 many true passwords rank beyond the 2^17
+        # cached indices of the descending order; p^m makes hash hits rare.
+        cfg = make_cfg("biased-password", m=14, n=18, theta=0.45, trials=100, seed=12, engine="scan")
+        trials = np.arange(0, 10, dtype=np.uint64)
+        block = ex._scan_kernel(cfg)(trials)
+        assert (block.guesses > attack._ORDER_PREFIX).sum() >= 3
+        expect = [_literal_trial(cfg, None, t) for t in trials.tolist()]
+        got = list(zip(block.guesses.tolist(), block.success.tolist(), block.user.tolist(),
+                       block.bins.tolist(), block.arm.tolist()))
+        assert got == expect
 
 
 class TestFirstOccurrenceMask:
