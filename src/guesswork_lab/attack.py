@@ -291,8 +291,8 @@ def lockstep_scan(
     guesses = np.zeros(rows, dtype=np.int64)
     first = np.zeros(rows, dtype=np.uint64)
     active = np.arange(rows)
-    slot = np.arange(rows)  # position of each row in active, -1 once done
     if specials is not None:
+        slot = np.arange(rows)  # position of each row in active, -1 once done
         order = np.argsort(specials[0], kind="stable")
         keys, key_rows, key_hits = (a[order] for a in specials)
         ascending_window = strat.kind == "ascending-index"
@@ -317,8 +317,9 @@ def lockstep_scan(
                 active = active[~done]
                 if not active.size:
                     return guesses, first
-                slot[finished] = -1
-                slot[active] = np.arange(active.size)
+                if specials is not None:
+                    slot[finished] = -1
+                    slot[active] = np.arange(active.size)
             consumed += window.size
             at += window.size
     return guesses, first

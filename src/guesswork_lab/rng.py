@@ -150,11 +150,13 @@ def biased_bits(
     (an int, or an array broadcast like seed), so the value equals the
     target exactly when the true one does.
     """
-    idx64 = np.asarray(idx).astype(np.uint64, copy=False)
+    idx64 = idx.astype(np.uint64, copy=False)
     thr = threshold_for(p)
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, np.ndarray):
+        seed = seed.astype(np.uint64, copy=False)
+    else:
         seed = np.uint64(int(seed) & MASK64)
-    base = mix64(idx64 * _U_GOLDEN + np.asarray(seed, dtype=np.uint64))
+    base = mix64(idx64 * _U_GOLDEN + seed)
     if live is None and target is None:
         vals = np.zeros(base.shape, dtype=np.uint64)
         for j in range(m):
@@ -183,22 +185,24 @@ def _pruned_bits(base, thr, m, live, table, target) -> np.ndarray:
     table row k when one is given.  Once at least half of them are dead,
     every row stores its value so far and the live ones are compacted with
     nonzero and take, severalfold cheaper than boolean-mask indexing.
-    Per-row targets broadcast over base's shape until the first
-    compaction and are gathered per position from then on.
+    An array of targets broadcasts over base's shape until the first
+    compaction and is gathered per position from then on.
     """
     shape = base.shape
     base = base.reshape(-1)
-    per_row = np.ndim(target) > 0
+    per_row = isinstance(target, np.ndarray)
     if per_row:
-        target = np.asarray(target, dtype=np.intp)
+        target = target.astype(np.intp, copy=False)
     vals = None
     rows = None
     prefix = None
     for j in range(m):
         bits = mix64(base ^ _BIT_LANES[j]) < thr
         if prefix is None:
-            start = 0 if table is None else np.asarray(table, dtype=np.intp) << 1
-            prefix = (start | bits.reshape(shape)).reshape(-1).astype(np.intp, copy=False)
+            if table is None:
+                prefix = bits.astype(np.intp)
+            else:
+                prefix = ((np.asarray(table, dtype=np.intp) << 1) | bits.reshape(shape)).reshape(-1)
         else:
             prefix <<= 1
             prefix |= bits
