@@ -308,18 +308,24 @@ def lockstep_scan(
                 where = slot[key_rows[entries]]
                 scanning = where >= 0
                 hits[where[scanning], cols[scanning]] = key_hits[entries[scanning]]
-            done = hits.any(axis=1)
-            if done.any():
-                finished = active[done]
-                cols = hits[done].argmax(axis=1)
-                guesses[finished] = consumed + cols + 1
-                first[finished] = window[cols]
-                active = active[~done]
-                if not active.size:
+            if active.size == 1:  # the last row: its first hit ends the scan
+                col = int(hits[0].argmax())
+                if hits[0, col]:
+                    guesses[active[0]], first[active[0]] = consumed + col + 1, window[col]
                     return guesses, first
-                if specials is not None:
-                    slot[finished] = -1
-                    slot[active] = np.arange(active.size)
+            else:
+                cols = hits.argmax(axis=1)  # a row's first hit, or 0 when it has none
+                done = hits[np.arange(active.size), cols]
+                if done.any():
+                    finished, cols = active[done], cols[done]
+                    guesses[finished] = consumed + cols + 1
+                    first[finished] = window[cols]
+                    active = active[~done]
+                    if not active.size:
+                        return guesses, first
+                    if specials is not None:
+                        slot[finished] = -1
+                        slot[active] = np.arange(active.size)
             consumed += window.size
             at += window.size
     return guesses, first

@@ -420,7 +420,7 @@ _SAMPLED_KERNELS = {
 # ---------------------------------------------------------------------------
 
 
-def _scan_inputs(cfg: ExperimentConfig, plan, trials: np.ndarray):
+def _scan_inputs(cfg: ExperimentConfig, plan, users: int, trials: np.ndarray):
     """Per-trial inputs of literal scans, drawn trial by trial.
 
     Returns the key seeds, the 0-based attacked users, the users'
@@ -429,7 +429,6 @@ def _scan_inputs(cfg: ExperimentConfig, plan, trials: np.ndarray):
     password.
     """
     sc = cfg.scenario
-    users = _user_count(cfg)
     keys = np.empty(trials.size, dtype=np.uint64)
     pick = np.zeros(trials.size, dtype=np.int64)
     passwords = np.empty((trials.size, users), dtype=np.int64)
@@ -463,13 +462,14 @@ def _scan_kernel(cfg: ExperimentConfig):
     """
     sc = cfg.scenario
     plan = _plan_for(cfg) if cfg.mode in _ALLOCATED_MODES else None
+    users = _user_count(cfg)
     offline = cfg.mode in _OFFLINE_MODES
     biased = cfg.mode == "biased-password"
     strat = attack.descending_probability(sc.theta) if biased else attack.ascending()
     budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
     def run(trials: np.ndarray) -> _Block:
-        keys, pick, passwords, planted = _scan_inputs(cfg, plan, trials)
+        keys, pick, passwords, planted = _scan_inputs(cfg, plan, users, trials)
         rows = np.arange(trials.size)
         if biased:
             true_pw = np.array(planted, dtype=np.uint64)

@@ -368,6 +368,26 @@ class TestPrunedHitTest:
         assert ok.all()
 
 
+class TestWindowSpecials:
+    """A lockstep round finds every special index lying in its window
+    (repeats allowed, several rows may share one); brute force agrees."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        keys = np.sort(np.array(data.draw(st.lists(st.integers(0, 60), max_size=30)), dtype=np.uint64))
+        ascending = data.draw(st.booleans())
+        if ascending:
+            start = data.draw(st.integers(0, 60))
+            window = np.arange(start, start + data.draw(st.integers(1, 20)), dtype=np.uint64)
+        else:
+            window = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=20, unique=True)),
+                              dtype=np.uint64)
+        entries, cols = attack._window_specials(keys, window, ascending)
+        expect = [(e, c) for e, k in enumerate(keys.tolist()) for c, w in enumerate(window.tolist()) if k == w]
+        assert sorted(zip(entries.tolist(), cols.tolist())) == sorted(expect)
+
+
 class TestScanGolden:
     """Guess counts recorded from the unpruned scan with sort-based dedup;
     the faster scan must reproduce them exactly."""

@@ -62,28 +62,30 @@ class TestDeterminism:
         b = ex.run_experiment(cfg)
         assert a == b
 
-    @pytest.mark.parametrize("engine", ["sampled", "scan"])
-    def test_worker_count_invariant(self, engine):
+    def test_worker_count_invariant(self):
         for mode, theta in SAMPLED_MODES:
-            cfg = make_cfg(mode, theta=theta, trials=300, engine=engine)
-            serial_log, parallel_log = io.StringIO(), io.StringIO()
-            serial = ex.run_experiment(cfg, workers=1, trial_log=serial_log)
-            parallel = ex.run_experiment(cfg, workers=3, trial_log=parallel_log)
-            assert serial == parallel == ex.run_experiment(cfg), mode
-            assert serial_log.getvalue() == parallel_log.getvalue(), mode
+            for engine in ("sampled", "scan"):
+                cfg = make_cfg(mode, theta=theta, trials=300, engine=engine)
+                serial_log, parallel_log = io.StringIO(), io.StringIO()
+                serial = ex.run_experiment(cfg, workers=1, trial_log=serial_log)
+                parallel = ex.run_experiment(cfg, workers=3, trial_log=parallel_log)
+                assert serial == parallel == ex.run_experiment(cfg), (mode, engine)
+                assert serial_log.getvalue() == parallel_log.getvalue(), (mode, engine)
 
-    @pytest.mark.parametrize("engine", ["sampled", "scan"])
     @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
-    def test_block_split_invariant(self, mode, theta, engine, monkeypatch):
+    def test_block_split_invariant(self, mode, theta, monkeypatch):
         # s = 0.6 gives 28 users at m = 6, so n = 9 makes collision rows common
-        cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=400, engine=engine)
-        whole, whole_log = ex._run_range(cfg, 0, cfg.trials, log=True)
-        monkeypatch.setattr(ex, "BLOCK_ELEMENTS", 7 * ex._user_count(cfg))
-        k = 150  # not a multiple of the 7-trial block
-        head, head_log = ex._run_range(cfg, 0, k, log=True)
-        tail, tail_log = ex._run_range(cfg, k, cfg.trials, log=True)
-        assert head.merge(tail).estimate() == whole.estimate()
-        assert head_log + tail_log == whole_log
+        default = ex.BLOCK_ELEMENTS
+        for engine in ("sampled", "scan"):
+            cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=400, engine=engine)
+            monkeypatch.setattr(ex, "BLOCK_ELEMENTS", default)
+            whole, whole_log = ex._run_range(cfg, 0, cfg.trials, log=True)
+            monkeypatch.setattr(ex, "BLOCK_ELEMENTS", 7 * ex._user_count(cfg))
+            k = 150  # not a multiple of the 7-trial block
+            head, head_log = ex._run_range(cfg, 0, k, log=True)
+            tail, tail_log = ex._run_range(cfg, k, cfg.trials, log=True)
+            assert head.merge(tail).estimate() == whole.estimate(), engine
+            assert head_log + tail_log == whole_log, engine
 
 
 def _brute_force_position(n, specials, ordinal):
