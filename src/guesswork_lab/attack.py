@@ -34,6 +34,9 @@ _PERM_MASK_CAP = 1 << 26
 #: Seen-buffer mark of a served candidate; below every chunk position.
 _SEEN = np.iinfo(np.int32).min
 
+#: Most candidates whose seen buffer (16 MiB) is kept for reuse.
+_SEEN_FREE_CAP = 1 << 22
+
 #: Indices of each probability-descending order kept in memory (1 MiB).
 _ORDER_PREFIX = 1 << 17
 
@@ -116,35 +119,56 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
     # Lazy prefix of a uniform permutation: i.i.d. uniform draws filtered
     # to first occurrences are exactly such a prefix.
     use_mask = n_candidates <= _PERM_MASK_CAP
-    seen = np.zeros(n_candidates, dtype=np.int32) if use_mask else None
+    reuse = n_candidates <= _SEEN_FREE_CAP
+    seen = _take_seen(n_candidates) if use_mask else None
+    marked: list[np.ndarray] = []  # draws whose entries of seen were written
     seen_set: set[int] = set()
     served = 0
     chunk = _CHUNK0
-    while served < budget:
-        if use_mask and served > 0.9 * n_candidates:
-            # Near exhaustion rejection stalls; finish with a shuffle of
-            # the leftovers, which is the same conditional distribution.
-            rest = np.flatnonzero(seen != _SEEN).astype(np.uint64)
-            rest = rest[gen.permutation(rest.size)][: budget - served]
-            if rest.size:
-                yield rest
-            return
-        overdraw = int(chunk / max(1e-9, 1.0 - served / n_candidates) * 1.1) + 8
-        raw = gen.integers(0, n_candidates, size=min(overdraw, 4 * chunk + 8))
-        if use_mask:
-            raw = _fresh_draws(seen, raw)
-        else:
-            fresh = []
-            for v in raw.tolist():
-                if v not in seen_set:
-                    seen_set.add(v)
-                    fresh.append(v)
-            raw = np.array(fresh, dtype=np.int64)
-        if raw.size:
-            take = raw[: budget - served].astype(np.uint64)
-            yield take
-            served += take.size
-        chunk = min(chunk * 4, _CHUNK_CAP)
+    try:
+        while served < budget:
+            if use_mask and served > 0.9 * n_candidates:
+                # Near exhaustion rejection stalls; finish with a shuffle of
+                # the leftovers, which is the same conditional distribution.
+                rest = np.flatnonzero(seen != _SEEN).astype(np.uint64)
+                rest = rest[gen.permutation(rest.size)][: budget - served]
+                if rest.size:
+                    yield rest
+                return
+            overdraw = int(chunk / max(1e-9, 1.0 - served / n_candidates) * 1.1) + 8
+            raw = gen.integers(0, n_candidates, size=min(overdraw, 4 * chunk + 8))
+            if use_mask:
+                if reuse:
+                    marked.append(raw)
+                raw = _fresh_draws(seen, raw)
+            else:
+                fresh = []
+                for v in raw.tolist():
+                    if v not in seen_set:
+                        seen_set.add(v)
+                        fresh.append(v)
+                raw = np.array(fresh, dtype=np.int64)
+            if raw.size:
+                take = raw[: budget - served].astype(np.uint64)
+                yield take
+                served += take.size
+            chunk = min(chunk * 4, _CHUNK_CAP)
+    finally:
+        if reuse:
+            for raw in marked:
+                seen[raw] = 0
+            _SEEN_FREE.setdefault(n_candidates, []).append(seen)
+
+
+#: Zeroed seen buffers of finished lazy permutation scans, by candidate
+#: count: a scan takes one and hands it back clean, even when abandoned at
+#: its first hit, so no scan zeroes (and faults in) a buffer of its own.
+_SEEN_FREE: dict[int, list[np.ndarray]] = {}
+
+
+def _take_seen(n_candidates: int) -> np.ndarray:
+    free = _SEEN_FREE.get(n_candidates)
+    return free.pop() if free else np.zeros(n_candidates, dtype=np.int32)
 
 
 def _fresh_draws(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:

@@ -67,12 +67,6 @@ _NO_HIT = np.iinfo(np.int64).max
 #: An ordinal past every guess position (1.5 * 2^62), with int64 headroom.
 _BEYOND = 3 << 61
 
-#: Cells of the (row, bucket) buffer _first_occurrence_mask fills at once
-#: (4 MiB of int32), and its most buckets per row: at least 256 rows go
-#: through the buffer together whatever the table size.
-_DEDUP_CELLS = 1 << 20
-_DEDUP_BUCKETS = 1 << 12
-
 #: Most bytes of stacked target-set tables one offline lockstep scan holds.
 _STACK_BYTES = 1 << 22
 
@@ -921,48 +915,33 @@ def permutation_mean_guesswork(
     while done < samples:
         batch = min(rows, samples - done)
         draws = gen.integers(0, size, size=(batch, prefix))
-        firstocc = _first_occurrence_mask(draws, size)
-        hits = hitmask[table[draws]] & firstocc
-        anyhit = hits.any(axis=1)
-        firstcol = hits.argmax(axis=1)
-        distinct = np.cumsum(firstocc, axis=1)
-        guesses = distinct[np.arange(batch), firstcol]
-        acc.add_array(guesses[anyhit])
-        for row in np.flatnonzero(~anyhit):
+        guesses = _first_hit_guesses(draws, hitmask[table[draws]])
+        acc.add_array(guesses[guesses > 0])
+        for row in np.flatnonzero(guesses == 0):
             acc.add(*_continue_permutation_scan(gen, table, hitmask, draws[row]))
         done += batch
     return acc.estimate()
 
 
-def _first_occurrence_mask(draws: np.ndarray, size: int) -> np.ndarray:
-    """Per row, mark the first occurrence of each value in [0, size)
-    (repeat draws are skipped guesses).
+def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per row of i.i.d. draws, the guess count of its first hit (0 when
+    it has none), repeat draws being skipped guesses.
 
-    Values fall into power-of-two buckets (value mod B; B >= size while
-    size <= _DEDUP_BUCKETS).  Rows pass through one reused (row, bucket)
-    int buffer a slab at a time: np.minimum.at leaves in each cell the
-    smallest flat position (shifted below 0) written to it, whatever
-    order numpy writes in, and an entry that finds its own position
-    there has no earlier entry in its bucket.  When B < size, the other
-    entries are checked against their row's earlier values directly.
+    A row's first hit is a first occurrence, since an earlier copy would
+    have hit earlier, so its guess count is its column plus 1 less the
+    repeats before it.  Column c is checked for a repeat only in the rows
+    whose first hit lies further right.
     """
-    rows, cols = draws.shape
-    buckets = min(1 << max(size - 1, 1).bit_length(), _DEDUP_BUCKETS)
-    slab = _DEDUP_CELLS // buckets
-    cells_buf = np.zeros(min(rows, slab) * buckets, dtype=np.int32)
-    first = np.empty(draws.shape, dtype=bool)
-    for r0 in range(0, rows, slab):
-        part = draws[r0 : r0 + slab]
-        cells = (np.arange(part.shape[0])[:, None] * buckets + (part & (buckets - 1))).ravel()
-        pos = np.arange(-cells.size, 0, dtype=np.int32)
-        np.minimum.at(cells_buf, cells, pos)
-        first[r0 : r0 + slab] = (cells_buf[cells] == pos).reshape(part.shape)
-        cells_buf[cells] = 0
-    if buckets < size:
-        r, c = np.nonzero(~first)
-        earlier = (draws[r] == draws[r, c][:, None]) & (np.arange(cols) < c[:, None])
-        first[r, c] = ~earlier.any(axis=1)
-    return first
+    first = hits.argmax(axis=1)
+    guesses = np.where(hits[np.arange(first.size), first], first + 1, 0)
+    rows = np.flatnonzero(first > 1)
+    for c in range(1, draws.shape[1]):
+        rows = rows[first[rows] > c]
+        if not rows.size:
+            break
+        repeat = (draws[rows, :c] == draws[rows, c, None]).any(axis=1)
+        guesses[rows] -= repeat
+    return guesses
 
 
 def _continue_permutation_scan(gen, table, hitmask, prefix_draws) -> tuple[int, bool]:

@@ -11,7 +11,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -92,13 +92,9 @@ class KeyedHashModel:
         """The generated segment for index pw, ignoring overrides."""
         return int(rng.biased_bits(self.seed, self.p, self.m, np.array([pw]))[0])
 
-    def eval_many(self, idx: np.ndarray, live: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
-        """Vectorized hash of an index array, overrides applied.
-
-        live prunes the generated segments as in rng.biased_bits; planted
-        overrides are always returned exactly.
-        """
-        vals = rng.biased_bits(self.seed, self.p, self.m, idx, live)
+    def eval_many(self, idx: np.ndarray) -> np.ndarray:
+        """Vectorized hash of an index array, overrides applied."""
+        vals = rng.biased_bits(self.seed, self.p, self.m, idx)
         if self.overrides:
             keys, repl = (np.array(col, dtype=np.uint64) for col in zip(*sorted(self.overrides.items())))
             idx64 = idx.astype(np.uint64, copy=False)

@@ -163,20 +163,30 @@ def biased_bits(
             h = mix64(base ^ _BIT_LANES[j])
             vals = (vals << _ONE) | (h < thr).astype(np.uint64)
         return vals
+    if live is None:
+        if np.any(np.asarray(target) >> m):
+            raise ValueError(f"target out of range for m={m}")
+        return _target_bits(base, thr, m, target).reshape(base.shape)
     if table is not None:
         # Row k's prefixes follow k in the index of its flattened tables.
         live = [t.reshape(-1) for t in live]
-    vals = _pruned_bits(base, thr, m, live, table, target)
+    vals = _pruned_bits(base, thr, m, live, table)
     if table is not None:
         vals &= np.uint64((1 << m) - 1)
     return vals.reshape(base.shape)
 
 
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
-_BIT_LANES = tuple(np.uint64(((j + 1) * GOLDEN2) & MASK64) for j in range(64))
+_LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
+_BIT_LANES = tuple(_LANES)
+
+#: Rows at or below which a target draw takes all their remaining bits in
+#: one 2-D mix: numpy's fixed cost per call then outweighs the bits drawn
+#: for rows that would have stopped matching early.
+_FINISH_ROWS = 256
 
 
-def _pruned_bits(base, thr, m, live, table, target) -> np.ndarray:
+def _pruned_bits(base, thr, m, live, table) -> np.ndarray:
     """biased_bits' pruned draw over mixed bases; returns a flat array.
 
     A dead prefix stays dead when extended, so rows need not leave the
@@ -185,14 +195,9 @@ def _pruned_bits(base, thr, m, live, table, target) -> np.ndarray:
     table row k when one is given.  Once at least half of them are dead,
     every row stores its value so far and the live ones are compacted with
     nonzero and take, severalfold cheaper than boolean-mask indexing.
-    An array of targets broadcasts over base's shape until the first
-    compaction and is gathered per position from then on.
     """
     shape = base.shape
     base = base.reshape(-1)
-    per_row = isinstance(target, np.ndarray)
-    if per_row:
-        target = target.astype(np.intp, copy=False)
     vals = None
     rows = None
     prefix = None
@@ -206,25 +211,15 @@ def _pruned_bits(base, thr, m, live, table, target) -> np.ndarray:
         else:
             prefix <<= 1
             prefix |= bits
-        shift = m - 1 - j
-        if target is None:
-            alive = live[j][prefix]
-        elif per_row and rows is None:
-            alive = (prefix.reshape(shape) == target >> shift).reshape(-1)
-        else:
-            alive = prefix == target >> shift
+        alive = live[j][prefix]
         if 2 * np.count_nonzero(alive) > prefix.size:
             continue
         keep = alive.nonzero()[0]
-        so_far = prefix.view(np.uint64) << np.uint64(shift)
+        so_far = prefix.view(np.uint64) << np.uint64(m - 1 - j)
         if rows is None:
             vals = so_far
-            if per_row:
-                target = np.broadcast_to(target, shape)[np.unravel_index(keep, shape)]
         else:
             vals[rows] = so_far
-            if per_row:
-                target = target.take(keep)
         if not keep.size:
             return vals
         rows = keep if rows is None else rows.take(keep)
@@ -232,6 +227,105 @@ def _pruned_bits(base, thr, m, live, table, target) -> np.ndarray:
     if rows is None:
         return prefix.view(np.uint64)
     vals[rows] = prefix
+    return vals
+
+
+def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 of z in place; tmp is scratch of z's shape."""
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _UM1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _UM2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+
+
+def _target_bits(base, thr, m, target) -> np.ndarray:
+    """biased_bits' draw against a target over mixed bases.
+
+    Rows (the positions still matching, None while all are) draw bit j
+    only while their bits so far equal the target's; alive marks the rows
+    whose bits match since the last compaction and run counts, from its
+    second step on, the steps each has matched.  A row that stopped
+    matching at step d stores the target's first d bits, its own bit d
+    and then 0 bits, which is a dead prefix of its true value; a row that
+    matches to the end stores the target.  Rows are compacted once half
+    have stopped, and once at most _FINISH_ROWS remain their other bits
+    come from one 2-D mix, giving their true values.  An array of targets
+    broadcasts over base's shape until the first compaction and is
+    gathered per row from then on.
+    """
+    shape = base.shape
+    base = base.reshape(-1)
+    per_row = isinstance(target, np.ndarray)
+    target = target.astype(np.uint64) if per_row else np.uint64(target)
+    view = shape  # the shape targets broadcast over: shape, then (-1,)
+    vals = rows = None
+    z, tmp = np.empty(base.size, dtype=np.uint64), np.empty(base.size, dtype=np.uint64)
+    alive, match = np.empty(base.size, dtype=bool), np.empty(base.size, dtype=bool)
+    run = np.empty(base.size, dtype=np.uint8)
+    since = 0  # the first step since the last compaction
+    for j in range(m + 1):
+        n = base.size
+        if j == since and (n <= _FINISH_ROWS or j == m):
+            k = np.uint64(m - j)
+            value = (target >> k) << k
+            if j < m:
+                rest = np.empty((n, m - j), dtype=np.uint64)
+                np.bitwise_xor(base[:, None], _LANES[j:m], out=rest)
+                _mix_into(rest, np.empty_like(rest))
+                rest = np.dot((rest < thr).view(np.uint8), _WEIGHTS[64 - m + j :])
+                value = value | rest.reshape(view)
+            return _place(vals, rows, shape, value)
+        bit = np.uint64(1 << (m - 1 - j))
+        zj, out = z[:n], alive[:n] if j == since else match[:n]
+        np.bitwise_xor(base, _LANES[j], out=zj)
+        _mix_into(zj, tmp[:n])
+        if per_row:
+            np.less(zj, thr, out=out)
+            np.equal(out.reshape(view), (target & bit) != 0, out=out.reshape(view))
+        elif target & bit:
+            np.less(zj, thr, out=out)
+        else:
+            np.greater_equal(zj, thr, out=out)
+        live = alive[:n]
+        if j > since:
+            if j == since + 1:
+                np.copyto(run[:n], live)
+            live &= out
+            run[:n] += live
+        if 2 * np.count_nonzero(live) > n and j < m - 1:
+            continue
+        if j == since:
+            shift = np.uint64(m - 1 - j)
+        else:
+            shift = np.uint64(m - 1 - since) - np.minimum(run[:n], j - since).reshape(view)
+        vals = _place(vals, rows, shape, ((target >> shift) ^ _ONE) << shift)
+        keep = live.nonzero()[0]
+        if not keep.size:
+            return vals
+        if per_row:
+            target = np.broadcast_to(target, shape).reshape(-1).take(keep) if rows is None else target.take(keep)
+        rows = keep if rows is None else rows.take(keep)
+        base = base.take(keep)
+        view = (-1,)
+        since = j + 1
+
+
+#: Weights of k bits drawn first to last, the last one lowest: _WEIGHTS[64 - k:].
+_WEIGHTS = _ONE << np.arange(63, -1, -1, dtype=np.uint64)
+
+
+def _place(vals, rows, shape, value) -> np.ndarray:
+    """vals with the rows' entries set to value, which broadcasts over
+    shape while rows is None (vals then is created)."""
+    if rows is None:
+        vals = np.empty(shape, dtype=np.uint64)
+        vals[...] = value
+        return vals.reshape(-1)
+    vals[rows] = value
     return vals
 
 

@@ -308,21 +308,15 @@ class TestPrunedHitTest:
             bins = [data.draw(st.integers(0, top))]
         else:
             bins = data.draw(st.lists(st.integers(0, top), min_size=2, max_size=40))
-        n, size = 22, 3000
-        start = data.draw(st.integers(0, (1 << n) - size))
-        outside = data.draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, top)), max_size=5))
-        inside = data.draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, top)), max_size=5))
-        overrides = dict(outside)
-        overrides.update((start + k, b) for k, b in inside)
-        model = hm.KeyedHashModel(
-            m=m, n=n, p=data.draw(st.sampled_from([0.05, 0.3, 0.5])),
-            seed=data.draw(st.integers(0, (1 << 64) - 1)), overrides=overrides,
-        )
+        size = 3000
+        start = data.draw(st.integers(0, (1 << 22) - size))
+        p = data.draw(st.sampled_from([0.05, 0.3, 0.5]))
+        seed = data.draw(st.integers(0, (1 << 64) - 1))
         idx = np.arange(start, start + size, dtype=np.uint64)
         mask = attack._target_mask(m, bins)
         live = attack._prefix_tables(mask)
-        pruned = model.eval_many(idx, live)
-        full = model.eval_many(idx)
+        pruned = rng.biased_bits(seed, p, m, idx, live)
+        full = rng.biased_bits(seed, p, m, idx)
         assert (mask[pruned] == mask[full]).all()
         # each value is the true one, or a dead prefix of it then 0 bits
         ok = pruned == full
@@ -366,6 +360,55 @@ class TestPrunedHitTest:
             head = full >> shift
             ok |= (got == head << shift) & ~live[j][k, head.astype(np.intp)]
         assert ok.all()
+
+
+class TestTargetBits:
+    """biased_bits with a target draws a bit only while the bits before it
+    match the target's, and finishes few rows with one 2-D draw: a value
+    equals the target exactly when the true value does, and is the true
+    value or a dead prefix of it followed by 0 bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_full_draw(self, data):
+        m = data.draw(st.sampled_from([1, 8, 14, 62]))
+        p = data.draw(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.95]))
+        rows = data.draw(st.integers(1, 4))
+        width = data.draw(st.sampled_from([1, 7, rng._FINISH_ROWS, rng._FINISH_ROWS + 1, 2000]))
+        seeds = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=rows, max_size=rows)),
+                         dtype=np.uint64)[:, None]
+        start = data.draw(st.integers(0, 1 << 40))
+        window = np.arange(start, start + width, dtype=np.uint64)
+        full = rng.biased_bits(seeds, p, m, window)
+
+        def some_target(r):
+            # a value the row takes, so that some entries match, or any bin
+            if data.draw(st.booleans()):
+                return int(full[r, data.draw(st.integers(0, width - 1))])
+            return data.draw(st.integers(0, (1 << m) - 1))
+
+        if data.draw(st.booleans()):
+            t = some_target(0)
+            got = rng.biased_bits(seeds, p, m, window, target=t)
+            targets = np.full((rows, 1), t, dtype=np.uint64)
+        else:
+            targets = np.array([[some_target(r)] for r in range(rows)], dtype=np.uint64)
+            got = rng.biased_bits(seeds, p, m, window, target=targets.astype(np.int64))
+        assert got.shape == full.shape
+        assert ((got == targets) == (full == targets)).all()
+        ok = got == full
+        for j in range(m):
+            shift = np.uint64(m - 1 - j)
+            head = full >> shift
+            ok |= (got == head << shift) & (head != targets >> shift)
+        assert ok.all()
+
+    def test_target_out_of_range(self):
+        idx = np.arange(10, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            rng.biased_bits(3, 0.3, 4, idx, target=16)
+        with pytest.raises(ValueError):
+            rng.biased_bits(3, 0.3, 4, idx, target=np.array([[1], [-1]]))
 
 
 class TestWindowSpecials:
@@ -418,6 +461,23 @@ class TestScanGolden:
         chunks = list(attack.strategy_chunks(attack.permutation(seed), n, budget))
         order = np.concatenate(chunks).astype("<u8")
         assert hashlib.sha256(order.tobytes()).hexdigest() == digest
+
+    def test_abandoned_scan_returns_a_clean_seen_buffer(self):
+        # two lazy scans at one n share the seen-buffer free list; one is
+        # abandoned after its first chunk, as a scan stops at its first hit
+        a = attack.strategy_chunks(attack.permutation(1), 18, 1 << 18)
+        b = attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)
+        head = [next(b)]
+        next(a)
+        head.append(next(b))
+        a.close()
+        interleaved = np.concatenate(head + list(b))
+        alone = np.concatenate(list(attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)))
+        assert np.array_equal(interleaved, alone)
+        assert not any(buf.any() for buf in attack._SEEN_FREE[1 << 18])
+        self.test_permutation_stream(
+            18, 300_000, 6, "955b513eab44e787ee55539f131fcfc021e289a3bb8cb61d5d60690ac83de633"
+        )
 
 
 class TestGuessAccumulatorSums:

@@ -342,18 +342,35 @@ class TestScanKernelMatchesAttacks:
         assert got == expect
 
 
-class TestFirstOccurrenceMask:
-    @pytest.mark.parametrize("size", [1, 7, 1024, (1 << 20) + 3])
-    def test_matches_brute_force(self, size):
-        rows = 2000 if size > 1024 else 20_000
-        draws = np.random.default_rng(size).integers(0, size, size=(rows, 48))
-        expect = np.zeros(draws.shape, dtype=bool)
-        for r, row in enumerate(draws.tolist()):
-            seen = set()
-            for c, v in enumerate(row):
-                expect[r, c] = v not in seen
-                seen.add(v)
-        assert (ex._first_occurrence_mask(draws, size) == expect).all()
+class TestFirstHitGuesses:
+    """The C04 oracle counts repeats only up to each row's first hit."""
+
+    def test_replay_matches_brute_force(self):
+        # a dense 16-entry table: repeats before the first hit are common
+        table = hm.sample_table_hash(2, 4, 0.3, seed=1)
+        counts = np.bincount(table.table, minlength=4)
+        target = int(np.flatnonzero(counts >= 3)[counts[counts >= 3].argmin()])
+        samples, seed = 3000, 31
+        # the block permutation_mean_guesswork draws first
+        draws = rng.generator(seed, 0x9E34).integers(0, 16, size=(samples, 48))
+        got = ex._first_hit_guesses(draws, table.table[draws] == target)
+        expect = []
+        for row in draws.tolist():
+            seen, guesses = [], 0
+            for v in row:
+                if v not in seen:
+                    seen.append(v)
+                    if table.table[v] == target:
+                        guesses = len(seen)
+                        break
+            expect.append(guesses)
+        assert got.tolist() == expect
+        first_col = (table.table[draws] == target).argmax(axis=1)
+        assert np.count_nonzero(got < first_col + 1) > samples // 4
+        assert (got > 0).all()  # so the estimate is the replay's alone
+        acc = attack.GuessAccumulator()
+        acc.add_array(got)
+        assert ex.permutation_mean_guesswork(table, target, samples, seed) == acc.estimate()
 
 
 class TestRunExperiment:
