@@ -164,7 +164,7 @@ def biased_bits(
             vals = (vals << _ONE) | (h < thr).astype(np.uint64)
         return vals
     if live is None:
-        if np.any(np.asarray(target) >> m):
+        if np.any(target >> m) if isinstance(target, np.ndarray) else not 0 <= target < 1 << m:
             raise ValueError(f"target out of range for m={m}")
         return _target_bits(base, thr, m, target).reshape(base.shape)
     if table is not None:
