@@ -167,8 +167,10 @@ _SEEN_FREE: dict[int, list[np.ndarray]] = {}
 
 
 def _take_seen(n_candidates: int) -> np.ndarray:
-    free = _SEEN_FREE.get(n_candidates)
-    return free.pop() if free else np.zeros(n_candidates, dtype=np.int32)
+    try:  # one pop, so concurrent scans never share a buffer
+        return _SEEN_FREE[n_candidates].pop()
+    except (KeyError, IndexError):
+        return np.zeros(n_candidates, dtype=np.int32)
 
 
 def _fresh_draws(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:

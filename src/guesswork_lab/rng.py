@@ -147,8 +147,8 @@ def biased_bits(
     of shape (K, 2^(j+1)), serve several target sets at once: table
     (broadcast like seed) names each value's row k.  target, instead of
     live, keeps a value live while its prefix is one of its own target's
-    (an int, or an array broadcast like seed), so the value equals the
-    target exactly when the true one does.
+    (an int in [0, 2^m), or an array of them broadcast like seed), so the
+    value equals the target exactly when the true one does.
     """
     idx64 = idx.astype(np.uint64, copy=False)
     thr = threshold_for(p)
@@ -160,7 +160,7 @@ def biased_bits(
     if live is None and target is None:
         vals = np.zeros(base.shape, dtype=np.uint64)
         for j in range(m):
-            h = mix64(base ^ _BIT_LANES[j])
+            h = mix64(base ^ _LANES[j])
             vals = (vals << _ONE) | (h < thr).astype(np.uint64)
         return vals
     if live is None:
@@ -178,7 +178,6 @@ def biased_bits(
 
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
 _LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
-_BIT_LANES = tuple(_LANES)
 
 #: Rows at or below which a target draw takes all their remaining bits in
 #: one 2-D mix: numpy's fixed cost per call then outweighs the bits drawn
@@ -202,7 +201,7 @@ def _pruned_bits(base, thr, m, live, table) -> np.ndarray:
     rows = None
     prefix = None
     for j in range(m):
-        bits = mix64(base ^ _BIT_LANES[j]) < thr
+        bits = mix64(base ^ _LANES[j]) < thr
         if prefix is None:
             if table is None:
                 prefix = bits.astype(np.intp)

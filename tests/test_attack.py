@@ -462,9 +462,10 @@ class TestScanGolden:
         order = np.concatenate(chunks).astype("<u8")
         assert hashlib.sha256(order.tobytes()).hexdigest() == digest
 
-    def test_abandoned_scan_returns_a_clean_seen_buffer(self):
+    def test_abandoned_scan_returns_a_clean_seen_buffer(self, monkeypatch):
         # two lazy scans at one n share the seen-buffer free list; one is
         # abandoned after its first chunk, as a scan stops at its first hit
+        monkeypatch.setattr(attack, "_SEEN_FREE", {})
         a = attack.strategy_chunks(attack.permutation(1), 18, 1 << 18)
         b = attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)
         head = [next(b)]
@@ -472,9 +473,10 @@ class TestScanGolden:
         head.append(next(b))
         a.close()
         interleaved = np.concatenate(head + list(b))
+        free = attack._SEEN_FREE[1 << 18]
+        assert len(free) == 2 and not any(buf.any() for buf in free)
         alone = np.concatenate(list(attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)))
         assert np.array_equal(interleaved, alone)
-        assert not any(buf.any() for buf in attack._SEEN_FREE[1 << 18])
         self.test_permutation_stream(
             18, 300_000, 6, "955b513eab44e787ee55539f131fcfc021e289a3bb8cb61d5d60690ac83de633"
         )

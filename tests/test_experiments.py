@@ -348,8 +348,8 @@ class TestFirstHitGuesses:
     def test_replay_matches_brute_force(self):
         # a dense 16-entry table: repeats before the first hit are common
         table = hm.sample_table_hash(2, 4, 0.3, seed=1)
-        counts = np.bincount(table.table, minlength=4)
-        target = int(np.flatnonzero(counts >= 3)[counts[counts >= 3].argmin()])
+        target = 1  # 3 of 16 entries: just dense enough for the 48-draw prefix
+        assert np.count_nonzero(table.table == target) == 3
         samples, seed = 3000, 31
         # the block permutation_mean_guesswork draws first
         draws = rng.generator(seed, 0x9E34).integers(0, 16, size=(samples, 48))
