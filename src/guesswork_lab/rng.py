@@ -179,6 +179,9 @@ def biased_bits(
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
 _LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
 
+#: Weights of k bits drawn first to last, the last one lowest: _WEIGHTS[64 - k:].
+_WEIGHTS = _ONE << np.arange(63, -1, -1, dtype=np.uint64)
+
 #: Rows at or below which a target draw takes all their remaining bits in
 #: one 2-D mix: numpy's fixed cost per call then outweighs the bits drawn
 #: for rows that would have stopped matching early.
@@ -246,9 +249,9 @@ def _target_bits(base, thr, m, target) -> np.ndarray:
 
     Rows (the positions still matching, None while all are) draw bit j
     only while their bits so far equal the target's; alive marks the rows
-    whose bits match since the last compaction and run counts, from its
-    second step on, the steps each has matched.  A row that stopped
-    matching at step d stores the target's first d bits, its own bit d
+    still matching since the last compaction and run counts the steps
+    each matched since then (kept from the second step on).  A row that
+    stopped matching at step d stores the target's first d bits, its own bit d
     and then 0 bits, which is a dead prefix of its true value; a row that
     matches to the end stores the target.  Rows are compacted once half
     have stopped, and once at most _FINISH_ROWS remain their other bits
@@ -279,7 +282,8 @@ def _target_bits(base, thr, m, target) -> np.ndarray:
                 value = value | rest.reshape(view)
             return _place(vals, rows, shape, value)
         bit = np.uint64(1 << (m - 1 - j))
-        zj, out = z[:n], alive[:n] if j == since else match[:n]
+        zj = z[:n]
+        out = alive[:n] if j == since else match[:n]
         np.bitwise_xor(base, _LANES[j], out=zj)
         _mix_into(zj, tmp[:n])
         if per_row:
@@ -297,6 +301,8 @@ def _target_bits(base, thr, m, target) -> np.ndarray:
             run[:n] += live
         if 2 * np.count_nonzero(live) > n and j < m - 1:
             continue
+        # Rows that stopped store their values; the last step always
+        # settles, and the j == m pass then stores the survivors'.
         if j == since:
             shift = np.uint64(m - 1 - j)
         else:
@@ -311,10 +317,6 @@ def _target_bits(base, thr, m, target) -> np.ndarray:
         base = base.take(keep)
         view = (-1,)
         since = j + 1
-
-
-#: Weights of k bits drawn first to last, the last one lowest: _WEIGHTS[64 - k:].
-_WEIGHTS = _ONE << np.arange(63, -1, -1, dtype=np.uint64)
 
 
 def _place(vals, rows, shape, value) -> np.ndarray:
