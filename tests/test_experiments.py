@@ -373,6 +373,37 @@ class TestFirstHitGuesses:
         assert ex.permutation_mean_guesswork(table, target, samples, seed) == acc.estimate()
 
 
+class TestFirstOccurrenceMask:
+    """Only first occurrences count as guesses, at table sizes from 1 to
+    past the old dedup bucket cap."""
+
+    @pytest.mark.parametrize("size", [1, 7, 1024, (1 << 20) + 3])
+    def test_matches_brute_force(self, size):
+        rows = 2000 if size > 1024 else 20_000
+        gen = np.random.default_rng(size)
+        draws = gen.integers(0, size, size=(rows, 48))
+        # a quarter of the rows repeat their first 12 draws, so repeats
+        # precede the first hit at every size
+        draws[::4, 12:24] = draws[::4, :12]
+        hit_values = gen.random(size) < 1 / 24
+        hit_values[0] = True
+        hits = hit_values[draws]
+        expect = []
+        for row in draws.tolist():
+            seen, guesses = set(), 0
+            for v in row:
+                if v not in seen:
+                    seen.add(v)
+                    if hit_values[v]:
+                        guesses = len(seen)
+                        break
+            expect.append(guesses)
+        got = ex._first_hit_guesses(draws, hits)
+        assert got.tolist() == expect
+        if size > 1:
+            assert (got == 0).any() and (got < hits.argmax(axis=1) + 1).any()
+
+
 class TestRunExperiment:
     def test_no_allocation_rate_near_one(self):
         est = ex.run_experiment(make_cfg("no-allocation-keyed", m=8, n=18, trials=4000))
