@@ -281,6 +281,36 @@ class TestScanLogDigests:
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SCAN_LOG_SHA256[budget, mode]
 
 
+#: sha256 of the sampled engine's trial log for make_cfg(mode, trials=600,
+#: seed=2024) in two shapes: "plain" (3 users at m = 6, n = 14) and
+#: "colliding" (s = 0.6, n = 9, budget 60: 28 users whose passwords mostly
+#: collide, so most rows take the per-trial path).
+SAMPLED_LOG_SHA256 = {
+    ("plain", "allocated-online"): "7efc901e367ecf9f9b0e55b4f40c940e4e009ab1eac1da28cf16d0592687b6cb",
+    ("plain", "allocated-offline"): "215eaf76fd9c8f51d0a983d1e2f4cb3975d380db7c467c9fab4d773ce060482a",
+    ("plain", "unallocated-online"): "26a6812d149a1eee79c5c1bd4645cfa57d28cb3efa98d73ec35f9c3a3b9e6bbe",
+    ("plain", "unallocated-offline"): "f3ecc62b51076bfa09c9bbbcb57d87a12e9ac52c6b12488f040a334a92af5204",
+    ("plain", "no-allocation-keyed"): "ee9eb5a34314c1e7832b11104aa05f1b1a05c0f7f7124cfc6720b42bb08d8f74",
+    ("plain", "biased-password"): "4c0a13ab7f444e93aefd97b9894e523deea1367461f0c8dfa9d91f15167d31f2",
+    ("colliding", "allocated-online"): "8cdec2201cc25c8549bd540cc3bdd6a4decf6534159e5f28702569a2bbc69f29",
+    ("colliding", "allocated-offline"): "88425767dc19513d8f61d165e026543a8d67ef41f415330c522ff996fa3308af",
+    ("colliding", "unallocated-online"): "8a2e9fef4f390ab1a0a69620dce8ec88d0853757cad0d91fe08912689b8c2d84",
+    ("colliding", "unallocated-offline"): "45096657758b4ea130f31ce3d04205e1f5f69829dc8431410a35814d4808cd07",
+    ("colliding", "no-allocation-keyed"): "f17f6da4e047496ffcf472c1b87ed576bd52db45421238168af1475788e38591",
+    ("colliding", "biased-password"): "4a5ccf30dfc1db3103f872826a998763e589b6fe78c217b3fb6e658e65c4b63b",
+}
+
+
+class TestSampledLogDigests:
+    @pytest.mark.parametrize("shape", ["plain", "colliding"])
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES)
+    def test_trial_log_sha256(self, mode, theta, shape):
+        extra = dict(s=0.6, n=9, budget=60) if shape == "colliding" else {}
+        buf = io.StringIO()
+        ex.run_experiment(make_cfg(mode, theta=theta, trials=600, seed=2024, **extra), trial_log=buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == SAMPLED_LOG_SHA256[shape, mode]
+
+
 def _literal_trial(cfg, plan, trial):
     """One trial as a literal experiment runs it: its own model, planted
     overrides, and one attack call.  (guesses, success, user, bin, arm)."""
