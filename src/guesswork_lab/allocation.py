@@ -2,22 +2,16 @@
 
 Users are assigned distinct bins in ascending likelihood order; the
 backdoor then maps each user's freshly drawn password onto their bin by
-writing a single override (or table entry), resolving password
+writing a single override, resolving password
 collisions first-writer-wins toward the less likely bin.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from . import rng
-from .hashmodel import (
-    BinLabel,
-    KeyedHashModel,
-    TableHash,
-    iter_bins_by_likelihood,
-)
+from .hashmodel import BinLabel, KeyedHashModel, iter_bins_by_likelihood
 from .infotheory import binary_entropy, check_bias
 
 
@@ -43,28 +37,6 @@ class AllocationPlan:
     def bins(self) -> list[BinLabel]:
         return [b for _, b in self.users]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "guesswork-lab/1",
-            "kind": "allocation_plan",
-            "m": self.m,
-            "p": self.p,
-            "s_effective": self.s_effective,
-            "users": [[uid, b.as_binary()] for uid, b in self.users],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AllocationPlan":
-        return cls(
-            m=doc["m"],
-            p=doc["p"],
-            s_effective=doc["s_effective"],
-            users=tuple((uid, BinLabel.from_binary(b)) for uid, b in doc["users"]),
-        )
-
 
 @dataclass
 class BackdoorOutcome:
@@ -79,24 +51,6 @@ class BackdoorOutcome:
     assignments: list[tuple[int, int, BinLabel]] = field(default_factory=list)
     reassigned: list[tuple[int, BinLabel]] = field(default_factory=list)
     collision_count: int = 0
-
-    def final_bins(self) -> dict[int, BinLabel]:
-        return {uid: b for uid, _, b in self.assignments}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "guesswork-lab/1",
-            "kind": "backdoor_outcome",
-            "collision_count": self.collision_count,
-            "planted": [[pw, b.as_binary()] for pw, b in self.planted],
-            "assignments": [
-                [uid, pw, b.as_binary()] for uid, pw, b in self.assignments
-            ],
-            "reassigned": [[uid, b.as_binary()] for uid, b in self.reassigned],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def solve_s_for_user_count(m: int, user_count: int) -> float:
@@ -168,13 +122,6 @@ def resolve_collisions(
     return outcome
 
 
-def _install(plan: AllocationPlan, n: int, password_seed: int, write) -> BackdoorOutcome:
-    outcome = resolve_collisions(plan.users, _draw_passwords(plan, n, password_seed))
-    for pw, bin_label in outcome.planted:
-        write(pw, bin_label)
-    return outcome
-
-
 def backdoor_install(
     model: KeyedHashModel, plan: AllocationPlan, password_seed: int
 ) -> BackdoorOutcome:
@@ -186,19 +133,7 @@ def backdoor_install(
     """
     if plan.m != model.m:
         raise ValueError(f"plan m={plan.m} does not match model m={model.m}")
-    return _install(
-        plan, model.n, password_seed,
-        lambda pw, b: model.overrides.__setitem__(pw, b.bits),
-    )
-
-
-def backdoor_install_table(
-    h: TableHash, plan: AllocationPlan, password_seed: int
-) -> BackdoorOutcome:
-    """Table variant: each plant rewrites exactly one table entry."""
-    if plan.m != h.m:
-        raise ValueError(f"plan m={plan.m} does not match table m={h.m}")
-    return _install(
-        plan, h.n, password_seed,
-        lambda pw, b: h.table.__setitem__(pw, b.bits),
-    )
+    outcome = resolve_collisions(plan.users, _draw_passwords(plan, model.n, password_seed))
+    for pw, bin_label in outcome.planted:
+        model.overrides[pw] = bin_label.bits
+    return outcome

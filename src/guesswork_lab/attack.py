@@ -14,7 +14,13 @@ from typing import Iterable, Iterator, Optional, Union
 import numpy as np
 
 from . import rng
-from .hashmodel import BinLabel, HashFunction, KeyedHashModel, same_weight_ascending
+from .hashmodel import (
+    BinLabel,
+    HashFunction,
+    KeyedHashModel,
+    ResourceCapError,
+    same_weight_ascending,
+)
 from .infotheory import check_probability
 
 #: Indices per vectorized scan step; grows geometrically up to the cap.
@@ -27,8 +33,7 @@ _ROUND_PAIRS = 1 << 16
 #: Permutations over at most this many candidates are materialized whole.
 _PERM_MATERIALIZE_CAP = 1 << 14
 
-#: Seen-buffer cap for the lazy permutation prefix; beyond this a set
-#: is used (slower, but such scans are already enormous).
+#: Most candidates a seeded permutation serves (a 256 MiB seen buffer).
 _PERM_MASK_CAP = 1 << 26
 
 #: Seen-buffer mark of a served candidate; below every chunk position.
@@ -105,6 +110,8 @@ def _ascending_chunks(n_candidates: int, budget: int) -> Iterator[np.ndarray]:
 
 
 def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[np.ndarray]:
+    if n_candidates > _PERM_MASK_CAP:
+        raise ResourceCapError(f"seeded permutation capped at {_PERM_MASK_CAP} candidates")
     gen = rng.generator(seed, 0x9E12)
     if n_candidates <= _PERM_MATERIALIZE_CAP:
         perm = gen.permutation(n_candidates)[:budget].astype(np.uint64)
@@ -118,16 +125,14 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
         return
     # Lazy prefix of a uniform permutation: i.i.d. uniform draws filtered
     # to first occurrences are exactly such a prefix.
-    use_mask = n_candidates <= _PERM_MASK_CAP
     reuse = n_candidates <= _SEEN_FREE_CAP
-    seen = _take_seen(n_candidates) if use_mask else None
+    seen = _take_seen(n_candidates)
     marked: list[np.ndarray] = []  # draws whose entries of seen were written
-    seen_set: set[int] = set()
     served = 0
     chunk = _CHUNK0
     try:
         while served < budget:
-            if use_mask and served > 0.9 * n_candidates:
+            if served > 0.9 * n_candidates:
                 # Near exhaustion rejection stalls; finish with a shuffle of
                 # the leftovers, which is the same conditional distribution.
                 rest = np.flatnonzero(seen != _SEEN).astype(np.uint64)
@@ -137,17 +142,9 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
                 return
             overdraw = int(chunk / max(1e-9, 1.0 - served / n_candidates) * 1.1) + 8
             raw = gen.integers(0, n_candidates, size=min(overdraw, 4 * chunk + 8))
-            if use_mask:
-                if reuse:
-                    marked.append(raw)
-                raw = _fresh_draws(seen, raw)
-            else:
-                fresh = []
-                for v in raw.tolist():
-                    if v not in seen_set:
-                        seen_set.add(v)
-                        fresh.append(v)
-                raw = np.array(fresh, dtype=np.int64)
+            if reuse:
+                marked.append(raw)
+            raw = _fresh_draws(seen, raw)
             if raw.size:
                 take = raw[: budget - served].astype(np.uint64)
                 yield take
@@ -503,23 +500,6 @@ def biased_password_race(
         return AttackResult(0, False, BinLabel(bits, h.m))
     arm = ARM_PASSWORD if first == true_pw else ARM_HASH
     return AttackResult(guesses, True, BinLabel(bits, h.m), arm=arm)
-
-
-def biased_password_attack(
-    h: KeyedHashModel,
-    b: Union[BinLabel, int],
-    theta: float,
-    pw_seed: int,
-    budget: Optional[int] = None,
-) -> AttackResult:
-    """Race between guessing the user's actual password and any preimage of b.
-
-    The user's password is drawn bitwise Bernoulli(theta) from pw_seed;
-    see biased_password_race for the race itself.
-    """
-    return biased_password_race(
-        h, b, theta, draw_biased_password(pw_seed, h.n, theta), budget
-    )
 
 
 @dataclass

@@ -15,12 +15,16 @@ import os
 import re
 import secrets
 import sys
+from contextlib import nullcontext
+from dataclasses import asdict
 from typing import Optional
 
 import click
 
 from . import __version__, rates
-from .config import MODES, SCHEMA, ExperimentConfig, default_input_width
+from .config import (
+    MAX_INPUT_WIDTH, MODES, SCHEMA, ExperimentConfig, default_input_width, input_width_need,
+)
 from .infotheory import binary_entropy, kl_divergence
 from .rates import ScenarioParams
 
@@ -84,12 +88,40 @@ def _default_workers() -> int:
         return 1
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, sort_keys=True))
-
-
-def _echo_config(config: dict) -> None:
+def _emit(output: str, config: dict, body: dict, csv_lines, text_lines) -> None:
+    """Print a report: {"schema", "config", **body} as sorted JSON, or the
+    config echo followed by the csv or the text lines."""
+    if output == "json":
+        click.echo(json.dumps({"schema": SCHEMA, "config": config, **body}, sort_keys=True))
+        return
     click.echo("# config: " + json.dumps(config, sort_keys=True))
+    for line in csv_lines if output == "csv" else text_lines:
+        click.echo(line)
+
+
+def _check_assert(text: Optional[str], command: str, kind: str, value: Optional[float]) -> None:
+    """Check --assert "kind≈center±tol" against value after the report:
+    exit 3 when it fails, exit 2 when it names another kind."""
+    if text is None:
+        return
+    got, center, tol = _parse_assert(text)
+    if got != kind:
+        raise click.UsageError(f"{command} only supports {kind} assertions")
+    if value is None or abs(value - center) > tol:
+        click.echo(f"ASSERT FAIL: {kind} {value} not within {center}±{tol}", err=True)
+        sys.exit(3)
+    click.echo(f"ASSERT OK: {kind} {value:.6f} within {center}±{tol}")
+
+
+def _capped(fn, *args, **kwargs):
+    """fn(*args, **kwargs); exit 4 when it exceeds a resource cap."""
+    from .hashmodel import ResourceCapError
+
+    try:
+        return fn(*args, **kwargs)
+    except ResourceCapError as err:
+        click.echo(f"resource cap: {err}", err=True)
+        sys.exit(4)
 
 
 def _scenario(m: int, n: Optional[int], p: float, s: float, theta: Optional[float]) -> ScenarioParams:
@@ -148,10 +180,8 @@ def cmd_rates(p, s, m, n, theta, q_type, output):
             "most_likely_offline": rates.most_likely_rate_offline(s, p),
             "most_likely_online": rates.most_likely_rate_online(p),
         }
-        extras = {
-            "key_size_ratio": rates.key_size_ratio(s, p),
-            "argmax_type": rates.guesswork_argmax_type(s, p),
-        }
+        key_size = rates.key_size_ratio(s, p)
+        q_star, q_value = rates.guesswork_argmax_type(s, p)
         if theta is not None:
             reports["biased_password"] = rates.biased_password_rate(scenario, q_type)
     except ValueError as err:
@@ -160,46 +190,33 @@ def cmd_rates(p, s, m, n, theta, q_type, output):
         "command": "rates", "p": p, "s": s, "m": scenario.m, "n": scenario.n,
         "theta": theta, "q_type": q_type, "output": output,
     }
-    if output == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": config,
-            "units": "bits_per_m",
-            "rates": {
-                name: {
-                    "rate": rep.rate, "lower": rep.lower, "upper": rep.upper,
-                    "region": rep.region, "units": "bits_per_m",
-                }
-                for name, rep in reports.items()
-            },
-            "key_size_ratio": extras["key_size_ratio"],
-            "argmax_type": {
-                "q_star": extras["argmax_type"][0],
-                "value": extras["argmax_type"][1],
-            },
-        }
-        _emit_json(payload)
-        return
-    _echo_config(config)
-    if output == "csv":
-        click.echo("scenario,rate,lower,upper,region,units")
-        for name, rep in reports.items():
-            click.echo(
-                f"{name},{_num(rep.rate)},{_num(rep.lower)},{_num(rep.upper)},"
-                f"{rep.region or ''},bits_per_m"
-            )
-        return
+    body = {
+        "units": "bits_per_m",
+        "rates": {
+            name: {
+                "rate": rep.rate, "lower": rep.lower, "upper": rep.upper,
+                "region": rep.region, "units": "bits_per_m",
+            }
+            for name, rep in reports.items()
+        },
+        "key_size_ratio": key_size,
+        "argmax_type": {"q_star": q_star, "value": q_value},
+    }
+    csv_lines = ["scenario,rate,lower,upper,region,units"] + [
+        f"{name},{_num(rep.rate)},{_num(rep.lower)},{_num(rep.upper)},{rep.region or ''},bits_per_m"
+        for name, rep in reports.items()
+    ]
     width = max(len(name) for name in reports)
-    for name, rep in reports.items():
-        if rep.rate is not None:
-            value = f"{rep.rate:.6f}"
-        else:
-            value = f"[{rep.lower:.6f}, {rep.upper:.6f}]"
-        region = f"  ({rep.region})" if rep.region else ""
-        click.echo(f"{name:<{width}}  {value}{region}")
-    click.echo(f"{'key_size_ratio':<{width}}  {extras['key_size_ratio']:.6f}")
-    q_star, value = extras["argmax_type"]
-    click.echo(f"{'argmax_type':<{width}}  q*={q_star:.6f} value={value:.6f}")
+    text_lines = [
+        f"{name:<{width}}  "
+        + (f"{rep.rate:.6f}" if rep.rate is not None else f"[{rep.lower:.6f}, {rep.upper:.6f}]")
+        + (f"  ({rep.region})" if rep.region else "")
+        for name, rep in reports.items()
+    ] + [
+        f"{'key_size_ratio':<{width}}  {key_size:.6f}",
+        f"{'argmax_type':<{width}}  q*={q_star:.6f} value={q_value:.6f}",
+    ]
+    _emit(output, config, body, csv_lines, text_lines)
 
 
 def _num(x) -> str:
@@ -241,29 +258,19 @@ def cmd_table1(output):
     printed precision.
     """
     cells = _table1_cells()
-    config = {"command": "table1", "output": output}
-    if output == "json":
-        _emit_json({
-            "schema": SCHEMA, "config": config, "units": "bits_per_m",
-            "cells": cells,
-        })
-        return
-    _echo_config(config)
-    if output == "csv":
-        click.echo("p,one_minus_s,column,computed,reference,delta,delta_at_printed_precision")
-        for c in cells:
-            click.echo(
-                f"{c['p']},{c['one_minus_s']},{c['column']},{c['computed']:.10g},"
-                f"{c['reference']},{c['delta']:.3e},{c['delta_at_printed_precision']:.3e}"
-            )
-        return
-    click.echo(f"{'p':>5} {'1-s':>5} {'column':<12} {'computed':>10} {'reference':>10} {'delta':>10}")
-    for c in cells:
-        note = "  (known reference discrepancy)" if c["loose"] else ""
-        click.echo(
-            f"{c['p']:>5g} {c['one_minus_s']:>5g} {c['column']:<12} "
-            f"{c['computed']:>10.6f} {c['reference']:>10g} {c['delta']:>10.2e}{note}"
-        )
+    csv_lines = ["p,one_minus_s,column,computed,reference,delta,delta_at_printed_precision"] + [
+        f"{c['p']},{c['one_minus_s']},{c['column']},{c['computed']:.10g},"
+        f"{c['reference']},{c['delta']:.3e},{c['delta_at_printed_precision']:.3e}"
+        for c in cells
+    ]
+    text_lines = [f"{'p':>5} {'1-s':>5} {'column':<12} {'computed':>10} {'reference':>10} {'delta':>10}"] + [
+        f"{c['p']:>5g} {c['one_minus_s']:>5g} {c['column']:<12} "
+        f"{c['computed']:>10.6f} {c['reference']:>10g} {c['delta']:>10.2e}"
+        + ("  (known reference discrepancy)" if c["loose"] else "")
+        for c in cells
+    ]
+    _emit(output, {"command": "table1", "output": output},
+          {"units": "bits_per_m", "cells": cells}, csv_lines, text_lines)
 
 
 def _experiment_config(**fields) -> ExperimentConfig:
@@ -273,36 +280,30 @@ def _experiment_config(**fields) -> ExperimentConfig:
         raise click.UsageError(str(err))
 
 
-def _build_config(mode, m, n, p, s, theta, trials, seed_text, engine, budget, rho):
-    seed = _parse_seed(seed_text)
-    scenario = _scenario(m, n, p, s, theta)
-    return _experiment_config(
-        scenario=scenario, trials=trials, seed=seed, mode=mode,
-        engine=engine, budget=budget, rho=rho,
-    )
+def _warn_if_width_capped(cfg: ExperimentConfig, m: int) -> None:
+    """Warn on stderr when a defaulted input width for bin width m was cut
+    to the cap below the width its margin asks for, in a mode that draws
+    trials (their guess counts can then be truncated)."""
+    need = input_width_need(m, cfg.scenario.p, cfg.scenario.s)
+    if not cfg.kind.exact and need > MAX_INPUT_WIDTH:
+        click.echo(
+            f"warning: input width capped at n={MAX_INPUT_WIDTH}, below the n={need} "
+            f"that m={m} asks for; guess counts near 2^{MAX_INPUT_WIDTH} are cut short",
+            err=True,
+        )
 
 
 def _config_dict(cfg: ExperimentConfig, command: str, **extra) -> dict:
-    doc = {
-        "command": command,
-        "mode": cfg.mode,
-        "m": cfg.scenario.m,
-        "n": cfg.scenario.n,
-        "p": cfg.scenario.p,
-        "s": cfg.scenario.s,
-        "theta": cfg.scenario.theta,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "engine": cfg.engine,
-        "budget": cfg.budget,
-        "rho": cfg.rho,
+    sc = cfg.scenario
+    return {
+        "command": command, "mode": cfg.mode, "m": sc.m, "n": sc.n, "p": sc.p, "s": sc.s,
+        "theta": sc.theta, "trials": cfg.trials, "seed": cfg.seed, "engine": cfg.engine,
+        "budget": cfg.budget, "rho": cfg.rho, **extra,
     }
-    doc.update(extra)
-    return doc
 
 
 @main.command("simulate")
-@click.option("--mode", type=click.Choice(MODES), required=True,
+@click.option("--mode", type=click.Choice(tuple(MODES)), required=True,
               help="Attack scenario to simulate.")
 @click.option("--m", "m", type=int, required=True, help="Bin width in bits.")
 @click.option("--n", "n", type=int, default=None, help="Input width in bits (auto if omitted).")
@@ -331,7 +332,6 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
                  assert_text, seed, workers, output):
     """Monte Carlo estimate of the mean guesswork for one scenario."""
     from . import experiments
-    from .hashmodel import ResourceCapError
 
     if budget is not None:
         if budget == "fast":
@@ -343,56 +343,38 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
                 budget = int(budget)
             except ValueError:
                 raise click.UsageError("--budget must be an integer or 'fast'")
-    cfg = _build_config(mode, m, n, p, s, theta, trials, seed, engine, budget, rho)
+    cfg = _experiment_config(
+        seed=_parse_seed(seed), scenario=_scenario(m, n, p, s, theta), trials=trials,
+        mode=mode, engine=engine, budget=budget, rho=rho,
+    )
+    if n is None:
+        _warn_if_width_capped(cfg, m)
     workers = workers or _default_workers()
-    try:
-        if trial_log is not None:
-            with open(trial_log, "w", encoding="ascii") as fh:
-                est = experiments.run_experiment(cfg, workers=workers, trial_log=fh)
-        else:
-            est = experiments.run_experiment(cfg, workers=workers)
-    except ResourceCapError as err:
-        click.echo(f"resource cap: {err}", err=True)
-        sys.exit(4)
+    with open(trial_log, "w", encoding="ascii") if trial_log is not None else nullcontext() as fh:
+        est = _capped(experiments.run_experiment, cfg, workers=workers, trial_log=fh)
     rate = math.log2(est.mean) / cfg.scenario.m if est.mean > 0 else None
-    config = _config_dict(cfg, "simulate", workers=workers, output=output)
     result = {
         "mean": est.mean, "units": "guesses",
         "half_width_95": est.half_width_95,
         "trials": est.trials, "failures": est.failures,
         "rate": {"value": rate, "units": "bits_per_m"},
     }
-    if output == "json":
-        _emit_json({"schema": SCHEMA, "config": config, "result": result})
-    else:
-        _echo_config(config)
-        if output == "csv":
-            click.echo("mean,half_width_95,trials,failures,rate_bits_per_m")
-            click.echo(
-                f"{est.mean:.10g},{est.half_width_95:.10g},{est.trials},"
-                f"{est.failures},{_num(rate)}"
-            )
-        else:
-            click.echo(
-                f"mean guesses: {est.mean:.6g} +- {est.half_width_95:.3g} (95% CI), "
-                f"failures {est.failures}/{est.trials}"
-            )
-            if rate is not None:
-                click.echo(f"rate: {rate:.6f} bits_per_m")
-    if assert_text is not None:
-        kind, center, tol = _parse_assert(assert_text)
-        if kind != "rate":
-            raise click.UsageError("simulate only supports rate assertions")
-        if rate is None or abs(rate - center) > tol:
-            click.echo(
-                f"ASSERT FAIL: rate {rate} not within {center}±{tol}", err=True
-            )
-            sys.exit(3)
-        click.echo(f"ASSERT OK: rate {rate:.6f} within {center}±{tol}")
+    _emit(
+        output, _config_dict(cfg, "simulate", workers=workers, output=output), {"result": result},
+        [
+            "mean,half_width_95,trials,failures,rate_bits_per_m",
+            f"{est.mean:.10g},{est.half_width_95:.10g},{est.trials},{est.failures},{_num(rate)}",
+        ],
+        [
+            f"mean guesses: {est.mean:.6g} +- {est.half_width_95:.3g} (95% CI), "
+            f"failures {est.failures}/{est.trials}"
+        ] + ([f"rate: {rate:.6f} bits_per_m"] if rate is not None else []),
+    )
+    _check_assert(assert_text, "simulate", "rate", rate)
 
 
 @main.command("sweep")
-@click.option("--mode", type=click.Choice(MODES), required=True)
+@click.option("--mode", type=click.Choice(tuple(MODES)), required=True)
 @click.option("--m", "m_list", required=True,
               help="Comma-separated bin widths, e.g. 8,10,12.")
 @click.option("--p", "p", type=float, required=True)
@@ -412,59 +394,34 @@ def cmd_sweep(mode, m_list, p, s, theta, trials, engine, rho, assert_text,
               seed, workers, output):
     """Fit the guesswork growth rate from a sweep over bin widths."""
     from . import experiments
-    from .hashmodel import ResourceCapError
 
     steps = _parse_int_list(m_list, "--m")
     if len(steps) < 3:
         raise click.UsageError("--m needs at least 3 sweep points")
-    base = _scenario(steps[0], None, p, s, theta)
     cfg = _experiment_config(
-        scenario=base, trials=trials, seed=_parse_seed(seed), mode=mode,
-        m_sweep=tuple(steps), engine=engine, rho=rho,
+        scenario=_scenario(steps[0], None, p, s, theta), trials=trials, seed=_parse_seed(seed),
+        mode=mode, m_sweep=tuple(steps), engine=engine, rho=rho,
     )
+    _warn_if_width_capped(cfg, steps[-1])
     workers = workers or _default_workers()
-    try:
-        result = experiments.sweep_rate(cfg, workers=workers)
-    except ResourceCapError as err:
-        click.echo(f"resource cap: {err}", err=True)
-        sys.exit(4)
-    config = _config_dict(cfg, "sweep", m_sweep=list(steps), workers=workers,
-                          output=output)
-    if output == "json":
-        _emit_json({
-            "schema": SCHEMA, "config": config,
+    result = _capped(experiments.sweep_rate, cfg, workers=workers)
+    points = [(m, y, ci) for (m, y), ci in zip(result.points, result.cis)]
+    _emit(
+        output, _config_dict(cfg, "sweep", m_sweep=list(steps), workers=workers, output=output),
+        {
             "result": {
                 "fitted_rate": {"value": result.fitted_rate, "units": "bits_per_m"},
                 "intercept": result.intercept,
                 "r_squared": result.r_squared,
-                "points": [
-                    {"m": m, "log2_mean": y, "ci": ci}
-                    for (m, y), ci in zip(result.points, result.cis)
-                ],
+                "points": [{"m": m, "log2_mean": y, "ci": ci} for m, y, ci in points],
             },
-        })
-    else:
-        _echo_config(config)
-        if output == "csv":
-            click.echo(result.to_csv(), nl=False)
-        else:
-            for (m, y), ci in zip(result.points, result.cis):
-                click.echo(f"m={m:<3d} log2(mean)={y:.4f} +- {ci:.4f}")
-            click.echo(
-                f"fitted rate: {result.fitted_rate:.6f} bits_per_m "
-                f"(r^2={result.r_squared:.5f})"
-            )
-    if assert_text is not None:
-        kind, center, tol = _parse_assert(assert_text)
-        if kind != "slope":
-            raise click.UsageError("sweep only supports slope assertions")
-        if abs(result.fitted_rate - center) > tol:
-            click.echo(
-                f"ASSERT FAIL: slope {result.fitted_rate} not within {center}±{tol}",
-                err=True,
-            )
-            sys.exit(3)
-        click.echo(f"ASSERT OK: slope {result.fitted_rate:.6f} within {center}±{tol}")
+        },
+        ["m,log2_mean,ci"] + [f"{m},{y:.10g},{ci:.10g}" for m, y, ci in points],
+        [f"m={m:<3d} log2(mean)={y:.4f} +- {ci:.4f}" for m, y, ci in points] + [
+            f"fitted rate: {result.fitted_rate:.6f} bits_per_m (r^2={result.r_squared:.5f})"
+        ],
+    )
+    _check_assert(assert_text, "sweep", "slope", result.fitted_rate)
 
 
 @main.command("concentration")
@@ -485,9 +442,8 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
     """Empirical P(G <= 2^{m l}) for the least likely bin against the bound."""
     from . import experiments
 
-    scenario = _scenario(m, n, p, s, None)
     cfg = _experiment_config(
-        scenario=scenario, trials=trials, seed=_parse_seed(seed),
+        scenario=_scenario(m, n, p, s, None), trials=trials, seed=_parse_seed(seed),
         mode="allocated-online",
     )
     full = math.log2(1.0 / p)  # all-ones bin exponent H(1) + D(1||p)
@@ -499,27 +455,17 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
         rows = experiments.concentration_report(cfg, ls)
     except ValueError as err:
         raise click.UsageError(str(err))
-    config = _config_dict(cfg, "concentration", l_values=ls, output=output)
-    if output == "json":
-        _emit_json({
-            "schema": SCHEMA, "config": config,
-            "rows": [
-                {"l": r.l, "empirical": r.empirical, "ci": r.ci, "bound": r.bound}
-                for r in rows
-            ],
-        })
-    else:
-        _echo_config(config)
-        if output == "csv":
-            click.echo("l,empirical,ci,bound")
-            for r in rows:
-                click.echo(f"{r.l:.6g},{r.empirical:.6g},{r.ci:.6g},{r.bound:.6g}")
-        else:
-            for r in rows:
-                click.echo(
-                    f"l={r.l:.4f}  empirical={r.empirical:.6f} (+-{r.ci:.6f})  "
-                    f"bound={r.bound:.6f}"
-                )
+    if n is None:
+        _warn_if_width_capped(cfg, m)
+    _emit(
+        output, _config_dict(cfg, "concentration", l_values=ls, output=output),
+        {"rows": [asdict(r) for r in rows]},
+        ["l,empirical,ci,bound"] + [f"{r.l:.6g},{r.empirical:.6g},{r.ci:.6g},{r.bound:.6g}" for r in rows],
+        [
+            f"l={r.l:.4f}  empirical={r.empirical:.6f} (+-{r.ci:.6f})  bound={r.bound:.6f}"
+            for r in rows
+        ],
+    )
     if assert_flag:
         bad = [r for r in rows if r.empirical > r.bound + 3.0 * r.ci / 1.96]
         if bad:
@@ -541,37 +487,20 @@ def cmd_keysize(alpha_list, output):
         rows = experiments.keysize_panel(alphas)
     except ValueError as err:
         raise click.UsageError(str(err))
-    config = {"command": "keysize", "alpha": alphas, "output": output}
-    if output == "json":
-        _emit_json({
-            "schema": SCHEMA, "config": config,
-            "rows": [
-                {
-                    "alpha": r.alpha, "p0": r.p0, "roundtrip": r.roundtrip,
-                    "uniform_key_bits": r.uniform_key_bits,
-                    "biased_key_bits": r.biased_key_bits,
-                    "ratio": r.ratio, "storage_ratio": r.storage_ratio,
-                    "entropy_coded_factor": r.entropy_coded_factor,
-                }
-                for r in rows
-            ],
-        })
-        return
-    _echo_config(config)
-    if output == "csv":
-        click.echo("alpha,p0,roundtrip,ratio,storage_ratio,entropy_coded_factor")
-        for r in rows:
-            click.echo(
-                f"{r.alpha},{r.p0:.10g},{r.roundtrip:.10g},{r.ratio},"
-                f"{r.storage_ratio:.10g},{r.entropy_coded_factor:.10g}"
-            )
-        return
-    click.echo(f"{'alpha':>6} {'p0':>10} {'ratio':>6} {'storage':>8} {'H(p0)':>7}  key sizes")
-    for r in rows:
-        click.echo(
+    _emit(
+        output, {"command": "keysize", "alpha": alphas, "output": output},
+        {"rows": [asdict(r) for r in rows]},
+        ["alpha,p0,roundtrip,ratio,storage_ratio,entropy_coded_factor"] + [
+            f"{r.alpha},{r.p0:.10g},{r.roundtrip:.10g},{r.ratio},"
+            f"{r.storage_ratio:.10g},{r.entropy_coded_factor:.10g}"
+            for r in rows
+        ],
+        [f"{'alpha':>6} {'p0':>10} {'ratio':>6} {'storage':>8} {'H(p0)':>7}  key sizes"] + [
             f"{r.alpha:>6g} {r.p0:>10.6f} {r.ratio:>6g} {r.storage_ratio:>8.4f} "
             f"{r.entropy_coded_factor:>7.4f}  {r.uniform_key_bits} vs {r.biased_key_bits}"
-        )
+            for r in rows
+        ],
+    )
 
 
 if __name__ == "__main__":

@@ -16,15 +16,36 @@ from .rates import ScenarioParams
 #: Tag of every JSON document the package writes.
 SCHEMA = "guesswork-lab/1"
 
-MODES = (
-    "allocated-online",
-    "allocated-offline",
-    "unallocated-online",
-    "unallocated-offline",
-    "broken-hash",
-    "biased-password",
-    "no-allocation-keyed",
-)
+
+@dataclass(frozen=True)
+class Mode:
+    """What an attack scenario does, read wherever a mode decides anything.
+
+    allocated: users hold the least likely bins, their passwords planted
+    by the backdoor (otherwise each password keeps its keyed-hash bin);
+    offline: the attacker wins on any stored bin, not one user's;
+    single_user: one user per trial; biased: that user's password is
+    Bernoulli(theta) and raced in probability-descending order;
+    exact: a closed-form moment, no trials drawn.
+    """
+
+    allocated: bool = False
+    offline: bool = False
+    single_user: bool = False
+    biased: bool = False
+    exact: bool = False
+
+
+#: Every mode by name, in the order the command line lists them.
+MODES = {
+    "allocated-online": Mode(allocated=True),
+    "allocated-offline": Mode(allocated=True, offline=True),
+    "unallocated-online": Mode(),
+    "unallocated-offline": Mode(offline=True),
+    "broken-hash": Mode(exact=True),
+    "biased-password": Mode(single_user=True, biased=True),
+    "no-allocation-keyed": Mode(single_user=True),
+}
 
 #: Minimum trials for the normal-approximation interval to mean anything.
 MIN_TRIALS = 100
@@ -33,11 +54,15 @@ MIN_TRIALS = 100
 MAX_INPUT_WIDTH = 62
 
 
+def input_width_need(m: int, p: float, s: float, margin: float = 1.25) -> int:
+    """Input width comfortably above the guesswork exponent:
+    margin * m * (log2(1/p) + H(s)), rounded up."""
+    return math.ceil(margin * m * (math.log2(1.0 / p) + binary_entropy(s)))
+
+
 def default_input_width(m: int, p: float, s: float, margin: float = 1.25) -> int:
-    """Input width comfortably above the guesswork exponent: at least
-    margin * m * (log2(1/p) + H(s)), capped at the 62-bit index limit."""
-    need = margin * m * (math.log2(1.0 / p) + binary_entropy(s))
-    return max(m + 2, min(MAX_INPUT_WIDTH, math.ceil(need)))
+    """input_width_need capped at the 62-bit index limit, and at least m + 2."""
+    return max(m + 2, min(MAX_INPUT_WIDTH, input_width_need(m, p, s, margin)))
 
 
 @dataclass(frozen=True)
@@ -53,9 +78,13 @@ class ExperimentConfig:
     rho: float = 1.0
     budget: Optional[int] = None
 
+    @property
+    def kind(self) -> Mode:
+        return MODES[self.mode]
+
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
+            raise ValueError(f"unknown mode {self.mode!r}; choose from {tuple(MODES)}")
         if self.trials < MIN_TRIALS:
             raise ValueError(f"trials must be >= {MIN_TRIALS} for CI validity")
         if self.engine not in ("sampled", "scan"):
@@ -67,9 +96,9 @@ class ExperimentConfig:
             if any(b <= a for a, b in zip(steps, steps[1:])):
                 raise ValueError("m_sweep must be strictly increasing")
             object.__setattr__(self, "m_sweep", steps)
-        if self.mode == "biased-password" and self.scenario.theta is None:
+        if self.kind.biased and self.scenario.theta is None:
             raise ValueError("biased-password mode requires scenario.theta")
-        if self.mode != "broken-hash" and self.scenario.n > MAX_INPUT_WIDTH:
+        if not self.kind.exact and self.scenario.n > MAX_INPUT_WIDTH:
             raise ValueError(f"n must be <= {MAX_INPUT_WIDTH}, got {self.scenario.n}")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")

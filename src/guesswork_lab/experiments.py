@@ -32,7 +32,9 @@ from .config import (  # noqa: F401  (re-exported)
     MIN_TRIALS,
     MODES,
     ExperimentConfig,
+    Mode,
     default_input_width,
+    input_width_need,
 )
 from .hashmodel import exact_bernoulli_distribution
 from .infotheory import (
@@ -44,7 +46,6 @@ from .infotheory import (
 from .rates import (
     ScenarioParams,
     concentration_bound,
-    expected_guesses_per_bin,
     key_size_ratio,
 )
 
@@ -70,10 +71,6 @@ _BEYOND = 3 << 61
 #: Most bytes of stacked target-set tables one offline lockstep scan holds.
 _STACK_BYTES = 1 << 22
 
-_ALLOCATED_MODES = ("allocated-online", "allocated-offline")
-_OFFLINE_MODES = ("allocated-offline", "unallocated-offline")
-_SINGLE_USER_MODES = ("no-allocation-keyed", "biased-password")
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -84,12 +81,6 @@ class SweepResult:
     fitted_rate: float
     intercept: float
     r_squared: float
-
-    def to_csv(self) -> str:
-        lines = ["m,log2_mean,ci"]
-        for (m, y), ci in zip(self.points, self.cis):
-            lines.append(f"{m},{y:.10g},{ci:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def _log2_pk(m: int, p: float, weight: int) -> float:
@@ -206,7 +197,7 @@ def _plan_for(cfg: ExperimentConfig) -> alloc.AllocationPlan:
 
 def _user_count(cfg: ExperimentConfig) -> int:
     """Users, each with a password, in every trial of the mode."""
-    return 1 if cfg.mode in _SINGLE_USER_MODES else cfg.scenario.user_count()
+    return 1 if cfg.kind.single_user else cfg.scenario.user_count()
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +390,13 @@ def _biased_password_kernel(cfg: ExperimentConfig):
     return run
 
 
-_SAMPLED_KERNELS = {
-    "allocated-online": lambda cfg: _allocated_kernel(cfg, online=True),
-    "allocated-offline": lambda cfg: _allocated_kernel(cfg, online=False),
-    "unallocated-online": lambda cfg: _unallocated_kernel(cfg, online=True),
-    "unallocated-offline": lambda cfg: _unallocated_kernel(cfg, online=False),
-    "no-allocation-keyed": lambda cfg: _unallocated_kernel(cfg, online=True),
-    "biased-password": _biased_password_kernel,
-}
+def _sampled_kernel(cfg: ExperimentConfig):
+    """The block kernel of the config's mode."""
+    kind = cfg.kind
+    if kind.biased:
+        return _biased_password_kernel(cfg)
+    make = _allocated_kernel if kind.allocated else _unallocated_kernel
+    return make(cfg, online=not kind.offline)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +420,7 @@ def _scan_inputs(cfg: ExperimentConfig, plan, users: int, trials: np.ndarray):
     for r, trial in enumerate(trials.tolist()):
         keys[r] = rng.derive_seed(cfg.seed, trial, _LANE_KEY)
         pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
-        if cfg.mode == "biased-password":
+        if cfg.kind.biased:
             planted.append(attack.draw_biased_password(pw_seed, sc.n, sc.theta))
             continue
         gen = rng.generator(pw_seed, rng.LANE_PASSWORDS)
@@ -455,10 +445,9 @@ def _scan_kernel(cfg: ExperimentConfig):
     when it is the first hit.
     """
     sc = cfg.scenario
-    plan = _plan_for(cfg) if cfg.mode in _ALLOCATED_MODES else None
+    plan = _plan_for(cfg) if cfg.kind.allocated else None
     users = _user_count(cfg)
-    offline = cfg.mode in _OFFLINE_MODES
-    biased = cfg.mode == "biased-password"
+    offline, biased = cfg.kind.offline, cfg.kind.biased
     strat = attack.descending_probability(sc.theta) if biased else attack.ascending()
     budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
@@ -554,8 +543,8 @@ def _log_text(cfg: ExperimentConfig, block: _Block) -> str:
     each distinct piece is formatted once, separators included, and the
     lines are joined in one pass.
     """
-    strategy = "probability-descending" if cfg.mode == "biased-password" else "ascending-index"
-    bin_fmt = "any-of-{}" if cfg.mode in _OFFLINE_MODES else f"{{:0{cfg.scenario.m}b}}"
+    strategy = "probability-descending" if cfg.kind.biased else "ascending-index"
+    bin_fmt = "any-of-{}" if cfg.kind.offline else f"{{:0{cfg.scenario.m}b}}"
     arm = 0 if block.arm is None else sum((block.arm == a) * k for k, a in enumerate(_ARMS))
     tails = np.array([f",{ok},{a}\n" for a in _ARMS for ok in (0, 1)], dtype=object)
     columns = (
@@ -576,8 +565,7 @@ def _run_range(
     Returns the accumulated guesses and, when log is set, the range's
     trial-log lines in trial order.
     """
-    make = _SAMPLED_KERNELS[cfg.mode] if cfg.engine == "sampled" else _scan_kernel
-    run = make(cfg)
+    run = (_sampled_kernel if cfg.engine == "sampled" else _scan_kernel)(cfg)
     step = max(1, BLOCK_ELEMENTS // _user_count(cfg))
     acc = GuessAccumulator()
     texts: list[str] = []
@@ -608,7 +596,7 @@ def run_experiment(
     trial is emitted, in trial order for any worker count:
     trial_seed,user,bin,strategy,guesses,success,arm.
     """
-    if cfg.mode == "broken-hash":
+    if cfg.kind.exact:
         return _broken_hash_estimate(cfg)
     log = trial_log is not None
     if workers <= 1:
@@ -963,18 +951,8 @@ def _continue_permutation_scan(gen, table, hitmask, prefix_draws) -> tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# theory helpers used by acceptance checks and the CLI
+# theory helpers used by acceptance checks
 # ---------------------------------------------------------------------------
-
-
-def allocated_theory_log2_mean(m: int, n: int, p: float, user_count: int) -> float:
-    """log2 of the exact theoretical mean guesswork across allocated users,
-    from the per-bin truncated-geometric expectation."""
-    plan = alloc.allocate_bins(m, p, user_count)
-    total = 0.0
-    for _, b in plan.users:
-        total += expected_guesses_per_bin(m, n, b.type_fraction, p)
-    return math.log2(total / user_count)
 
 
 def realized_min_type(m: int, p: float, user_count: int) -> float:

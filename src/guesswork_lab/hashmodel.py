@@ -3,12 +3,10 @@
 The keyed model realizes a hash whose value on input i is the i-th m-bit
 segment of a Bernoulli(p) key.  The key is never materialized: segments
 are a pure function of (seed, i), so n up to 62 is usable.  Explicit
-tables are capped at n, m <= 24 and expose exact effective distributions.
+tables are capped at n, m <= 24.
 """
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
@@ -16,7 +14,6 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import rng
-from .config import SCHEMA
 from .infotheory import check_bias
 
 #: Explicit tables beyond these widths are refused (16 MiB of packed bits).
@@ -50,14 +47,6 @@ class BinLabel:
         """q(b): fraction of one-bits, indexing the bin's probability class."""
         return self.popcount / self.m
 
-    def as_binary(self) -> str:
-        return format(self.bits, f"0{self.m}b")
-
-    @classmethod
-    def from_binary(cls, text: str) -> "BinLabel":
-        return cls(int(text, 2), len(text))
-
-
 @dataclass
 class KeyedHashModel:
     """Segmented keyed hash with Bernoulli(p) segments and sparse overrides.
@@ -88,10 +77,6 @@ class KeyedHashModel:
         if not 0 <= bits < (1 << self.m):
             raise ValueError(f"override bin {bits} out of range for m={self.m}")
 
-    def segment(self, pw: int) -> int:
-        """The generated segment for index pw, ignoring overrides."""
-        return int(rng.biased_bits(self.seed, self.p, self.m, np.array([pw]))[0])
-
     def eval_many(self, idx: np.ndarray) -> np.ndarray:
         """Vectorized hash of an index array, overrides applied."""
         vals = rng.biased_bits(self.seed, self.p, self.m, idx)
@@ -102,50 +87,6 @@ class KeyedHashModel:
             hit = keys[at] == idx64
             vals[hit] = repl[at[hit]]
         return vals
-
-    def copy(self) -> "KeyedHashModel":
-        return KeyedHashModel(self.m, self.n, self.p, self.seed, dict(self.overrides))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "keyed_hash",
-            "m": self.m,
-            "n": self.n,
-            "p": self.p,
-            "seed": self.seed,
-            "overrides": sorted([pw, bits] for pw, bits in self.overrides.items()),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "KeyedHashModel":
-        if doc.get("kind") != "keyed_hash":
-            raise ValueError(f"not a keyed_hash document: {doc.get('kind')}")
-        return cls(
-            m=doc["m"],
-            n=doc["n"],
-            p=doc["p"],
-            seed=doc["seed"],
-            overrides={int(pw): int(bits) for pw, bits in doc["overrides"]},
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "KeyedHashModel":
-        return cls.from_json_dict(json.loads(text))
-
-
-def keyed_hash_eval(model: KeyedHashModel, pw: int) -> BinLabel:
-    """Hash of password index pw: the planted override if present, else the
-    generated key segment.  Deterministic in (model, pw)."""
-    if not 0 <= pw < (1 << model.n):
-        raise ValueError(f"password index {pw} out of range for n={model.n}")
-    if pw in model.overrides:
-        return BinLabel(model.overrides[pw], model.m)
-    return BinLabel(model.segment(pw), model.m)
-
 
 @dataclass
 class TableHash:
@@ -173,39 +114,6 @@ class TableHash:
     def eval_many(self, idx: np.ndarray) -> np.ndarray:
         return self.table[idx.astype(np.int64)]
 
-    def copy(self) -> "TableHash":
-        return TableHash(self.m, self.n, self.table.copy())
-
-    def to_json_dict(self) -> dict:
-        bits = np.unpackbits(
-            self.table.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1
-        )[:, 32 - self.m :]
-        packed = np.packbits(bits.reshape(-1))
-        return {
-            "schema": SCHEMA,
-            "kind": "table_hash",
-            "m": self.m,
-            "n": self.n,
-            "table_b64": base64.b64encode(packed.tobytes()).decode("ascii"),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TableHash":
-        if doc.get("kind") != "table_hash":
-            raise ValueError(f"not a table_hash document: {doc.get('kind')}")
-        m, n = doc["m"], doc["n"]
-        packed = np.frombuffer(base64.b64decode(doc["table_b64"]), dtype=np.uint8)
-        bits = np.unpackbits(packed)[: (1 << n) * m].reshape(-1, m)
-        weights = (1 << np.arange(m - 1, -1, -1)).astype(np.uint32)
-        return cls(m=m, n=n, table=(bits * weights).sum(axis=1, dtype=np.uint32))
-
-    @classmethod
-    def loads(cls, text: str) -> "TableHash":
-        return cls.from_json_dict(json.loads(text))
-
 
 HashFunction = Union[KeyedHashModel, TableHash]
 
@@ -227,12 +135,6 @@ def sample_table_hash(m: int, n: int, p: float, seed: int) -> TableHash:
         weights = (1 << np.arange(m - 1, -1, -1)).astype(np.uint32)
         table[start:stop] = bits @ weights
     return TableHash(m=m, n=n, table=table)
-
-
-def effective_distribution(h: TableHash) -> "EffectiveDistribution":
-    """Exact fraction of inputs mapped to each bin."""
-    counts = np.bincount(h.table, minlength=1 << h.m)
-    return EffectiveDistribution(m=h.m, fractions=counts / float(1 << h.n))
 
 
 @dataclass
@@ -262,12 +164,6 @@ def exact_bernoulli_distribution(m: int, p: float) -> EffectiveDistribution:
     return EffectiveDistribution(m=m, fractions=np.exp(logs))
 
 
-def preimage_count(h: TableHash, b: BinLabel | int) -> int:
-    """L_b: number of inputs the table maps to bin b."""
-    bits = b.bits if isinstance(b, BinLabel) else int(b)
-    return int(np.count_nonzero(h.table == bits))
-
-
 def popcounts(m: int) -> np.ndarray:
     """Popcount of every value in [0, 2^m) as an int8-ish array."""
     vals = np.arange(1 << m, dtype=np.uint32)
@@ -275,22 +171,6 @@ def popcounts(m: int) -> np.ndarray:
     for j in range(m):
         counts += (vals >> j) & 1
     return counts
-
-
-def rank_bins_by_likelihood(m: int, p: float) -> np.ndarray:
-    """All 2^m bin values sorted least likely first under a Bernoulli(p) key.
-
-    For p < 1/2 this is popcount descending; ties within a type class
-    break by ascending numeric value.  p = 1/2 keeps the same order even
-    though all bins tie.
-    """
-    if m > TABLE_M_CAP:
-        raise ResourceCapError(
-            f"full ranking capped at m<={TABLE_M_CAP}; use iter_bins_by_likelihood"
-        )
-    check_bias(p)
-    vals = np.arange(1 << m, dtype=np.uint32)
-    return vals[np.lexsort((vals, -popcounts(m)))]
 
 
 def iter_bins_by_likelihood(m: int, p: float) -> Iterator[int]:

@@ -176,9 +176,10 @@ class TestBiasedPasswordAttack:
     def test_true_password_guessed_first(self):
         # theta < 1/2 makes the all-zero password the first guess
         for pw_seed in range(200):
-            if attack.draw_biased_password(pw_seed, 16, 0.05) == 0:
+            pw = attack.draw_biased_password(pw_seed, 16, 0.05)
+            if pw == 0:
                 model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=1)
-                res = attack.biased_password_attack(model, 15, 0.05, pw_seed)
+                res = attack.biased_password_race(model, 15, 0.05, pw)
                 assert res.guesses == 1 and res.arm == attack.ARM_PASSWORD
                 return
         raise AssertionError("no all-zero password draw in seed range")
@@ -187,8 +188,9 @@ class TestBiasedPasswordAttack:
         model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=2)
         model.overrides[0] = 15  # first guess under theta < 1/2
         for pw_seed in range(100):
-            if attack.draw_biased_password(pw_seed, 16, 0.3) != 0:
-                res = attack.biased_password_attack(model, 15, 0.3, pw_seed)
+            pw = attack.draw_biased_password(pw_seed, 16, 0.3)
+            if pw != 0:
+                res = attack.biased_password_race(model, 15, 0.3, pw)
                 assert res.guesses == 1 and res.arm == attack.ARM_HASH
                 return
         raise AssertionError("all draws were the zero password")
@@ -249,6 +251,12 @@ class TestStrategyOrdering:
             if len(expect) >= budget:
                 break
         assert np.concatenate(chunks).tolist() == expect[:budget]
+
+    def test_permutation_past_cap_fails_loudly(self):
+        # 2^27 candidates would need a 512 MiB seen buffer: refused before
+        # any buffer is taken
+        with pytest.raises(hm.ResourceCapError):
+            next(attack.strategy_chunks(attack.permutation(1), 27, 10))
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):

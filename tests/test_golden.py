@@ -69,6 +69,43 @@ def test_stdout_matches_golden(name):
     assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def _capped_warning(m, need):
+    return (
+        f"warning: input width capped at n=62, below the n={need} that m={m} asks for; "
+        "guess counts near 2^62 are cut short\n"
+    )
+
+
+def test_capped_width_warns_on_stderr_only():
+    argv, _ = CASES["simulate-capped-width"]
+    result = invoke(argv)
+    assert result.exit_code == 0
+    assert result.stderr == _capped_warning(30, 83)
+    assert result.stdout == (GOLDEN / "simulate-capped-width.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv,warning", [
+    (["sweep", "--mode", "allocated-online", "--p", "0.3", "--m", "8,16,26", "--trials", "100"],
+     _capped_warning(26, 72)),
+    (["concentration", "--m", "30", "--p", "0.3", "--trials", "1000"], _capped_warning(30, 83)),
+    (["simulate", "--mode", "allocated-online", "--m", "30", "--n", "62", "--p", "0.3",
+      "--trials", "100"], ""),
+    (["sweep", "--mode", "allocated-online", "--p", "0.3", "--m", "8,10,12", "--trials", "100"], ""),
+])
+def test_capped_width_warning_cases(argv, warning):
+    result = invoke(argv)
+    assert result.exit_code == 0, result.output
+    assert result.stderr == warning
+
+
+def test_exact_mode_does_not_warn(capsys):
+    cfg = cli._experiment_config(
+        scenario=cli._scenario(30, None, 0.3, 0.9, None), trials=100, seed=1, mode="broken-hash",
+    )
+    cli._warn_if_width_capped(cfg, 30)
+    assert capsys.readouterr().err == ""
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, code) in sorted(CASES.items()):
