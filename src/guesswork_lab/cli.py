@@ -5,7 +5,7 @@ included), so any output can be reproduced by replaying the echoed
 flags.  JSON output is deterministic byte-for-byte for a fixed config.
 
 Exit codes: 0 success, 2 flag validation, 3 failed --assert check,
-4 resource cap (explicit-table limits exceeded).
+4 resource cap (explicit-table or permutation limits exceeded).
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ SCHEMA = "guesswork-lab/1"
 
 @dataclass(frozen=True)
 class Mode:
-    """What an attack scenario does, read wherever a mode decides anything.
+    """What an attack scenario does; every decision that depends on the mode reads these fields.
 
     allocated: users hold the least likely bins, their passwords planted
     by the backdoor (otherwise each password keeps its keyed-hash bin);
