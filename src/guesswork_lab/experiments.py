@@ -352,21 +352,27 @@ def _unallocated_kernel(cfg: ExperimentConfig, online: bool):
     return run
 
 
-def _draw_ranks(cfg: ExperimentConfig, trials: np.ndarray) -> np.ndarray:
-    """0-based guess position of each trial's true biased password.
+def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray):
+    """(weight, offset, rank) of each trial's true biased password.
 
-    The guess order lists passwords by ascending weight, uniformly ordered
-    within a weight layer: the weight is an inverse-CDF Binomial(n, theta)
-    draw and the position within its layer a uniform integer.
+    The weight is an inverse-CDF Binomial(n, theta) draw and the offset a
+    uniform position inside its layer of C(n, weight) passwords; rank is
+    the 0-based guess position, the layers lying in the order
+    attack._weight_layer_walk serves them: lightest first below theta =
+    1/2, heaviest first above it.  At theta = 1/2 the guess order is
+    ascending index, and rank, uniform over 2^n, is the password itself.
     """
     n, theta = cfg.scenario.n, cfg.scenario.theta
     layers = [math.comb(n, k) for k in range(n + 1)]
-    below = np.array(list(itertools.accumulate(layers[:-1], initial=0)), dtype=np.int64)
+    walk = range(n + 1) if theta <= 0.5 else range(n, -1, -1)
+    below = np.zeros(n + 1, dtype=np.int64)
+    below[list(walk)] = list(itertools.accumulate((layers[k] for k in walk), initial=0))[:-1]
     cdf = np.cumsum([layers[k] * theta ** k * (1.0 - theta) ** (n - k) for k in range(n + 1)])
     u = rng.uniforms(cfg.seed, trials, _LANE_WEIGHT)
     weight = np.minimum(np.searchsorted(cdf, u, side="right"), n)
     size = np.array(layers, dtype=np.uint64)[weight]
-    return below[weight] + rng.integers_below(cfg.seed, trials, _LANE_RANK, size)
+    offset = rng.integers_below(cfg.seed, trials, _LANE_RANK, size)
+    return weight, offset, below[weight] + offset
 
 
 def _biased_password_kernel(cfg: ExperimentConfig):
@@ -376,7 +382,7 @@ def _biased_password_kernel(cfg: ExperimentConfig):
     p_hit = _pk(sc.m, sc.p, sc.m)  # all-ones target bin
 
     def run(trials: np.ndarray) -> _Block:
-        rank = _draw_ranks(cfg, trials)
+        _, _, rank = _draw_biased(cfg, trials)
         u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
         guesses, success = _first_hits(
             u, np.full(trials.size, p_hit), rank[:, None], rank, sc.n, cfg.budget

@@ -169,7 +169,7 @@ class TestKernelsMatchScalarPath:
                 for r in range(trials.size)
             ]
         elif mode == "biased-password":
-            rank = ex._draw_ranks(cfg, trials)
+            _, _, rank = ex._draw_biased(cfg, trials)
             p_hit = ex._pk(sc.m, sc.p, sc.m)
             expect = [
                 (*ex._scan_outcome_sampled(u[r], sc.n, p_hit, [int(rank[r])], [], budget), (1 << sc.m) - 1)
@@ -201,6 +201,7 @@ class TestEngineAgreement:
             ("unallocated-offline", None),
             ("no-allocation-keyed", None),
             ("biased-password", 0.15),
+            ("biased-password", 0.7),
         ],
     )
     def test_scan_vs_sampled(self, mode, theta):
@@ -212,6 +213,24 @@ class TestEngineAgreement:
         )
         combined = math.hypot(sampled.half_width_95, scanned.half_width_95) / 1.96
         assert abs(sampled.mean - scanned.mean) <= 3.5 * combined
+
+
+class TestBiasedDraws:
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.7])
+    def test_rank_lies_in_the_drawn_weight_layer(self, theta):
+        # The descending order serves weight layers lightest first below
+        # theta = 1/2 and heaviest first above it; at 1/2 it is ascending
+        # index, so there the rank is the password itself.
+        n = 10
+        cfg = make_cfg("biased-password", m=6, n=n, theta=theta, trials=3000)
+        weight, offset, rank = ex._draw_biased(cfg, np.arange(3000, dtype=np.uint64))
+        order = np.concatenate(list(attack.strategy_chunks(attack.descending_probability(theta), n, 1 << n)))
+        assert np.unique(weight).size >= 5
+        assert ((0 <= offset) & (offset < np.array([math.comb(n, w) for w in weight]))).all()
+        if theta == 0.5:
+            assert np.array_equal(order, np.arange(1 << n))
+        else:
+            assert np.array_equal(np.bitwise_count(order[rank]), weight)
 
 
 #: Literal-scan estimates (mean, half-width, failures) recorded from the
