@@ -451,19 +451,19 @@ def permutation_average_exact(total: int, preimages: int) -> float:
     return (total + 1) / (preimages + 1)
 
 
-def broken_hash_moment(dist, rho: float) -> float:
+def broken_hash_moment(probs: np.ndarray, rho: float) -> float:
     """Exact rho-th guesswork moment against a fully known hash.
 
-    The attacker holds one preimage per bin and guesses bins by
-    descending effective probability (ties ascending): sum of
-    rank^rho * P(rank).
+    probs holds every bin's probability.  The attacker holds one preimage
+    per bin and guesses bins by descending probability (ties ascending):
+    sum of rank^rho * P(rank).
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    fractions = np.asarray(dist.fractions, dtype=np.float64)
-    order = np.argsort(-fractions, kind="stable")
-    ranks = np.arange(1, fractions.size + 1, dtype=np.float64)
-    return float((ranks ** rho) @ fractions[order])
+    probs = np.asarray(probs, dtype=np.float64)
+    order = np.argsort(-probs, kind="stable")
+    ranks = np.arange(1, probs.size + 1, dtype=np.float64)
+    return float((ranks ** rho) @ probs[order])
 
 
 def draw_biased_password(seed: int, n: int, theta: float) -> int:

@@ -137,40 +137,13 @@ def sample_table_hash(m: int, n: int, p: float, seed: int) -> TableHash:
     return TableHash(m=m, n=n, table=table)
 
 
-@dataclass
-class EffectiveDistribution:
-    """P_H(b) for all 2^m bins; nonnegative, sums to one."""
-
-    m: int
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        self.fractions = np.asarray(self.fractions, dtype=np.float64)
-        if self.fractions.shape != (1 << self.m,):
-            raise ValueError("fractions must cover all 2^m bins")
-        if (self.fractions < 0).any():
-            raise ValueError("fractions must be nonnegative")
-        if abs(float(self.fractions.sum()) - 1.0) > 1e-12:
-            raise ValueError("fractions must sum to 1")
-
-
-def exact_bernoulli_distribution(m: int, p: float) -> EffectiveDistribution:
-    """The exact i.i.d. Bernoulli(p) distribution over all 2^m bins."""
+def exact_bernoulli_distribution(m: int, p: float) -> np.ndarray:
+    """P(b) of every bin b in [0, 2^m) under i.i.d. Bernoulli(p) bits."""
     if m > TABLE_M_CAP:
         raise ResourceCapError(f"exact distribution capped at m<={TABLE_M_CAP}")
     check_bias(p)
-    w = popcounts(m)
-    logs = w * math.log(p) + (m - w) * math.log1p(-p)
-    return EffectiveDistribution(m=m, fractions=np.exp(logs))
-
-
-def popcounts(m: int) -> np.ndarray:
-    """Popcount of every value in [0, 2^m) as an int8-ish array."""
-    vals = np.arange(1 << m, dtype=np.uint32)
-    counts = np.zeros(1 << m, dtype=np.int64)
-    for j in range(m):
-        counts += (vals >> j) & 1
-    return counts
+    w = np.bitwise_count(np.arange(1 << m)).astype(np.float64)
+    return np.exp(w * math.log(p) + (m - w) * math.log1p(-p))
 
 
 def iter_bins_by_likelihood(m: int, p: float) -> Iterator[int]:

@@ -114,7 +114,7 @@ class TestBrokenHashMoment:
         )
 
     def test_point_mass(self):
-        dist = hm.EffectiveDistribution(m=3, fractions=np.eye(8)[5])
+        dist = np.eye(8)[5]
         for rho in (0.0, 1.0, 2.0):
             assert attack.broken_hash_moment(dist, rho) == 1.0
 

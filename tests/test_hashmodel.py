@@ -124,7 +124,7 @@ class TestEffectiveDistribution:
         assert abs(dist[0b1111] - expected) <= 3 * sigma
 
     def test_convergence_to_key_distribution(self):
-        exact = hm.exact_bernoulli_distribution(4, 0.3).fractions
+        exact = hm.exact_bernoulli_distribution(4, 0.3)
         medians = []
         for n in (12, 16, 20):
             gaps = []
@@ -156,7 +156,7 @@ class TestRankBins:
         for m, p in [(4, 0.3), (6, 0.45), (5, 0.5)]:
             order = ranking(m, p)
             assert sorted(order) == list(range(1 << m))
-            probs = hm.exact_bernoulli_distribution(m, p).fractions[order]
+            probs = hm.exact_bernoulli_distribution(m, p)[order]
             # float rounding in exp(log) leaves ~1e-17 wiggle on exact ties
             assert (np.diff(probs) >= -1e-16).all()
 
