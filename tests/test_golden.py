@@ -4,8 +4,9 @@ Each case's stdout is stored in tests/golden/<name>.txt together with its
 exit code.  The goldens pin simulate (two sampled modes, the scan engine
 and broken-hash), sweep and concentration in every output format, so a
 refactor of the renderer or the engines cannot change a printed byte
-unnoticed.  Run this file as a script to rewrite them; do that only for
-an intended output change, and say so in CHANGES.md.
+unnoticed.  Run this file as a script to rewrite them, all of them or
+only the cases named (``python tests/test_golden.py simulate-scan-text``);
+do that only for an intended output change, and say so in CHANGES.md.
 """
 import pathlib
 import sys
@@ -106,10 +107,28 @@ def test_exact_mode_does_not_warn(capsys):
     assert capsys.readouterr().err == ""
 
 
-if __name__ == "__main__":
+def rewrite(names):
+    """Rewrite the named goldens (every one when none is named); an unknown
+    name exits non-zero before anything is written."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, code) in sorted(CASES.items()):
+    for name in names or sorted(CASES):
+        argv, code = CASES[name]
         result = invoke(argv)
         if result.exit_code != code:
             sys.exit(f"{name}: exit {result.exit_code}, expected {code}")
         (GOLDEN / f"{name}.txt").write_text(result.stdout, encoding="utf-8")
+
+
+def test_rewrite_refuses_an_unknown_case():
+    stamps = {p.name: p.stat().st_mtime_ns for p in GOLDEN.iterdir()}
+    with pytest.raises(SystemExit) as stop:
+        rewrite(["simulate-scan-text", "no-such-case"])
+    assert stop.value.code == "unknown golden case: no-such-case"
+    assert {p.name: p.stat().st_mtime_ns for p in GOLDEN.iterdir()} == stamps
+
+
+if __name__ == "__main__":
+    rewrite(sys.argv[1:])
