@@ -251,8 +251,7 @@ def strategy_chunks(strat: GuessStrategy, n: int, budget: int) -> Iterator[np.nd
 
 def _target_mask(m: int, bins: Iterable[int]) -> np.ndarray:
     mask = np.zeros(1 << m, dtype=bool)
-    for b in bins:
-        mask[b] = True
+    mask[list(bins)] = True
     return mask
 
 
@@ -464,16 +463,6 @@ def broken_hash_moment(probs: np.ndarray, rho: float) -> float:
     order = np.argsort(-probs, kind="stable")
     ranks = np.arange(1, probs.size + 1, dtype=np.float64)
     return float((ranks ** rho) @ probs[order])
-
-
-def draw_biased_password(seed: int, n: int, theta: float) -> int:
-    """An n-bit password with bits i.i.d. Bernoulli(theta)."""
-    check_probability(theta, "theta")
-    gen = rng.generator(seed, 0x7E7A)
-    pw = 0
-    for _ in range(n):
-        pw = (pw << 1) | int(gen.random() < theta)
-    return pw
 
 
 def biased_password_race(

@@ -8,12 +8,13 @@ Two simulation engines share every scenario:
   the first natural hit is geometric in the per-guess success
   probability, mapped around the planted/conditioned password positions,
   which are handled individually.  It runs one numpy kernel per block of
-  trials; trials with a password collision take a per-trial path.  The
-  two engines agree in distribution and are cross-checked in the test
-  suite.
+  trials.  The two engines agree in distribution and are cross-checked in
+  the test suite.
 
 All per-trial randomness derives from (seed, trial index), so estimates
-are bit-identical for any block or worker split.
+are bit-identical for any block or worker split.  Both engines draw a
+trial's passwords, attacked user and biased password with the same
+counter-keyed block functions.
 """
 from __future__ import annotations
 
@@ -83,12 +84,8 @@ class SweepResult:
     r_squared: float
 
 
-def _log2_pk(m: int, p: float, weight: int) -> float:
-    return weight * math.log2(p) + (m - weight) * math.log2(1.0 - p)
-
-
 def _pk(m: int, p: float, weight: int) -> float:
-    return 2.0 ** _log2_pk(m, p, weight)
+    return 2.0 ** (weight * math.log2(p) + (m - weight) * math.log2(1.0 - p))
 
 
 def _map_past_specials(ordinal: int, specials: np.ndarray) -> int:
@@ -157,9 +154,7 @@ def _first_hits(
     min(geometric - 1, first hit).
     """
     horizon = (1 << n) if budget is None else min(budget, 1 << n)
-    repeat = np.zeros(specials.shape, dtype=bool)
-    repeat[:, 1:] = specials[:, 1:] == specials[:, :-1]
-    specials = np.where(repeat, _NO_HIT, specials)
+    specials = np.where(_run_heads(specials), specials, _NO_HIT)
     # An ordinal past the 2^n - #specials free indices maps past 2^n, so
     # clamping it (and p_hit = 0) to _BEYOND leaves the outcome unchanged.
     never = p_hit <= 0.0
@@ -174,6 +169,14 @@ def _first_hits(
     pos = np.minimum(pos, first_hit)
     success = pos < horizon
     return np.where(success, pos + 1, 0), success
+
+
+def _run_heads(ranked: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in each row of a row-sorted
+    array: its distinct values' first copies."""
+    head = np.ones(ranked.shape, dtype=bool)
+    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    return head
 
 
 def _pk_table(sc: ScenarioParams) -> np.ndarray:
@@ -286,68 +289,68 @@ def _unallocated_row(sc, passwords, raw_bins, user_ix, u, online, budget) -> tup
     return guesses, success, value
 
 
-def _allocated_kernel(cfg: ExperimentConfig, online: bool):
-    sc = cfg.scenario
-    plan = _plan_for(cfg)
-    users = plan.user_count
-    bits = np.array([b.bits for b in plan.bins()], dtype=np.int64)
-    pk = _pk_table(sc)
-    p_user = pk[np.bitwise_count(bits)]
-    p_all = _p_any(pk, bits.tolist())
-
-    def run(trials: np.ndarray) -> _Block:
-        pw = _draw_passwords(cfg, trials, users)
-        pick = _draw_pick(cfg, trials, users)
-        u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
-        ordered = np.sort(pw, axis=1)
-        if online:
-            own = pw[np.arange(trials.size), pick]
-            guesses, success = _first_hits(u, p_user[pick], ordered, own, sc.n, cfg.budget)
-            bins = bits[pick]
-        else:
-            first = ordered[:, 0]
-            p_hit = np.full(trials.size, p_all)
-            guesses, success = _first_hits(u, p_hit, ordered[:, :1], first, sc.n, cfg.budget)
-            bins = np.full(trials.size, users)
-        for r in _collision_rows(ordered):
-            guesses[r], success[r], bins[r] = _allocated_row(
-                sc, plan, pw[r].tolist(), int(pick[r]), float(u[r]), online, cfg.budget
-            )
-        return _Block(trials, guesses, success, pick + 1, bins)
-
-    return run
+def _first_writer(pw: np.ndarray) -> np.ndarray:
+    """For each (row, user), the first user of the row who drew the same
+    password: a stable sort lists each run of equal passwords in user
+    order, and every member of a run takes the run's head."""
+    order = np.argsort(pw, axis=1, kind="stable")
+    head = _run_heads(np.take_along_axis(pw, order, axis=1))
+    start = np.maximum.accumulate(np.where(head, np.arange(pw.shape[1]), 0), axis=1)
+    writer = np.empty_like(order)
+    np.put_along_axis(writer, order, np.take_along_axis(order, start, axis=1), axis=1)
+    return writer
 
 
-def _unallocated_kernel(cfg: ExperimentConfig, online: bool):
-    sc = cfg.scenario
+def _users_kernel(cfg: ExperimentConfig):
+    """The allocated and unallocated modes.  Every user draws a password
+    and holds a bin, planned or the key's value; a password two users drew
+    keeps its first writer's bin.  Online the attacked user's bin is the
+    target and the passwords holding it are forced hits; offline every
+    password is a hit and the target set is the rows' distinct bins."""
+    sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
     pk = _pk_table(sc)
+    if kind.allocated:
+        plan_bits = np.array([b.bits for b in _plan_for(cfg).bins()], dtype=np.int64)
+        p_user = pk[np.bitwise_count(plan_bits)]
+        p_all = _p_any(pk, plan_bits.tolist())
+
+    def outcome(bins, pw, pick, ordered):
+        """(bin column, p_hit, first forced hit) of rows holding these bins."""
+        if kind.offline:
+            ranked = np.sort(bins, axis=1)
+            new = _run_heads(ranked)
+            terms = np.where(new, pk[np.bitwise_count(ranked)], 0.0)
+            return new.sum(axis=1), np.cumsum(terms, axis=1)[:, -1], ordered[:, 0]  # sequential, as _p_any
+        target = bins[np.arange(pick.size), pick]
+        first = np.where(bins == target[:, None], pw, _NO_HIT).min(axis=1)
+        return target, pk[np.bitwise_count(target)], first
 
     def run(trials: np.ndarray) -> _Block:
         pw = _draw_passwords(cfg, trials, users)
-        raw = _draw_user_bins(cfg, trials, users)
         pick = _draw_pick(cfg, trials, users)
         u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
         ordered = np.sort(pw, axis=1)
-        if online:
-            bins = raw[np.arange(trials.size), pick]
-            first = np.where(raw == bins[:, None], pw, _NO_HIT).min(axis=1)
-            p_hit = pk[np.bitwise_count(bins)]
-            guesses, success = _first_hits(u, p_hit, ordered, first, sc.n, cfg.budget)
+        clash = _collision_rows(ordered)
+        if kind.allocated:
+            # Rows without a collision hold the plan's distinct bins.
+            if kind.offline:
+                value, p_hit = np.full(trials.size, users), np.full(trials.size, p_all)
+                first = ordered[:, 0].copy()
+            else:
+                value, p_hit, first = plan_bits[pick], p_user[pick], pw[np.arange(trials.size), pick]
+            if clash.size:
+                bins = plan_bits[_first_writer(pw[clash])]
+                parts = outcome(bins, pw[clash], pick[clash], ordered[clash])
+                value[clash], p_hit[clash], first[clash] = parts
         else:
-            ranked = np.sort(raw, axis=1)
-            new = np.ones(ranked.shape, dtype=bool)
-            new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-            terms = np.where(new, pk[np.bitwise_count(ranked)], 0.0)
-            p_hit = np.cumsum(terms, axis=1)[:, -1]  # sequential, as _p_any
-            first = ordered[:, 0]
-            guesses, success = _first_hits(u, p_hit, ordered[:, :1], first, sc.n, cfg.budget)
-            bins = new.sum(axis=1)
-        for r in _collision_rows(ordered):
-            guesses[r], success[r], bins[r] = _unallocated_row(
-                sc, pw[r].tolist(), raw[r].tolist(), int(pick[r]), float(u[r]), online, cfg.budget
-            )
-        return _Block(trials, guesses, success, pick + 1, bins)
+            bins = _draw_user_bins(cfg, trials, users)
+            if clash.size:
+                bins[clash] = np.take_along_axis(bins[clash], _first_writer(pw[clash]), axis=1)
+            value, p_hit, first = outcome(bins, pw, pick, ordered)
+        specials = ordered[:, :1] if kind.offline else ordered
+        guesses, success = _first_hits(u, p_hit, specials, first, sc.n, cfg.budget)
+        return _Block(trials, guesses, success, pick + 1, value)
 
     return run
 
@@ -375,6 +378,26 @@ def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray):
     return weight, offset, below[weight] + offset
 
 
+def _nth_of_weight(n: int, weight: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The offset-th n-bit value, ascending, with `weight` one-bits, per row.
+
+    Combinatorial number system: values of one weight ascend in the colex
+    order of their bit sets, so scanning bits from the top, bit c is set
+    exactly when C(c, k) <= the offset left, k being the bits left to set.
+    """
+    comb = np.array([[math.comb(c, k) for k in range(n + 1)] for c in range(n)], dtype=np.int64)
+    left = np.array(weight, dtype=np.int64)
+    rest = np.array(offset, dtype=np.int64)
+    value = np.zeros(left.shape, dtype=np.int64)
+    for c in range(n - 1, -1, -1):
+        step = comb[c, left]
+        take = (left > 0) & (step <= rest)
+        value[take] |= 1 << c
+        rest -= np.where(take, step, 0)
+        left -= take
+    return value
+
+
 def _biased_password_kernel(cfg: ExperimentConfig):
     """Race between the true biased password and any other preimage of the
     least likely bin, in probability-descending guess order."""
@@ -398,11 +421,7 @@ def _biased_password_kernel(cfg: ExperimentConfig):
 
 def _sampled_kernel(cfg: ExperimentConfig):
     """The block kernel of the config's mode."""
-    kind = cfg.kind
-    if kind.biased:
-        return _biased_password_kernel(cfg)
-    make = _allocated_kernel if kind.allocated else _unallocated_kernel
-    return make(cfg, online=not kind.offline)
+    return (_biased_password_kernel if cfg.kind.biased else _users_kernel)(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -410,74 +429,52 @@ def _sampled_kernel(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _scan_inputs(cfg: ExperimentConfig, plan, users: int, trials: np.ndarray):
-    """Per-trial inputs of literal scans, drawn trial by trial.
-
-    Returns the key seeds, the 0-based attacked users, the users'
-    passwords and, per trial, the resolve_collisions outcome (allocated
-    modes: planted overrides, first writer wins) or the true biased
-    password.
-    """
-    sc = cfg.scenario
-    keys = np.empty(trials.size, dtype=np.uint64)
-    pick = np.zeros(trials.size, dtype=np.int64)
-    passwords = np.empty((trials.size, users), dtype=np.int64)
-    planted: list = []
-    for r, trial in enumerate(trials.tolist()):
-        keys[r] = rng.derive_seed(cfg.seed, trial, _LANE_KEY)
-        pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
-        if cfg.kind.biased:
-            planted.append(attack.draw_biased_password(pw_seed, sc.n, sc.theta))
-            continue
-        gen = rng.generator(pw_seed, rng.LANE_PASSWORDS)
-        passwords[r] = gen.integers(0, 1 << sc.n, size=users)
-        pick[r] = rng.generator(cfg.seed, trial, _LANE_PICK).integers(0, users)
-        if plan is not None:
-            outcome = alloc.resolve_collisions(plan.users, passwords[r].tolist())
-            planted.append(outcome)
-    return keys, pick, passwords, planted
-
-
 def _scan_kernel(cfg: ExperimentConfig):
     """Literal scans of a block of trials, hashed in lockstep.
 
-    Every trial redraws the key and scans the same guess order (ascending,
-    or probability-descending for the biased password), so one
-    attack.lockstep_scan serves the block.  An online row keeps drawing
-    bits only while they match its target bin; offline rows look their
-    target set up in stacked prefix tables.  Planted passwords are the
-    rows' special positions, decided by their planted bin alone; the true
-    biased password is a special hit, and the race is the password arm's
-    when it is the first hit.
+    Each trial draws the sampled engine's passwords, attacked user and
+    biased password, and a key of its own; every trial scans the same
+    guess order (ascending, or probability-descending for the biased
+    password), so one attack.lockstep_scan serves the block.  An online
+    row keeps drawing bits only while they match its target bin; offline
+    rows look their target set up in stacked prefix tables.  Planted
+    passwords are the rows' special positions, decided by their planted
+    bin alone; the true biased password is a special hit, and the race is
+    the password arm's when it is the first hit.
     """
-    sc = cfg.scenario
-    plan = _plan_for(cfg) if cfg.kind.allocated else None
+    sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
-    offline, biased = cfg.kind.offline, cfg.kind.biased
-    strat = attack.descending_probability(sc.theta) if biased else attack.ascending()
+    if kind.allocated:
+        plan_bits = np.array([b.bits for b in _plan_for(cfg).bins()], dtype=np.int64)
+    strat = attack.descending_probability(sc.theta) if kind.biased else attack.ascending()
     budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
     def run(trials: np.ndarray) -> _Block:
-        keys, pick, passwords, planted = _scan_inputs(cfg, plan, users, trials)
+        keys = rng.words(cfg.seed, trials, _LANE_KEY)
         rows = np.arange(trials.size)
-        if biased:
-            true_pw = np.array(planted, dtype=np.uint64)
+        pick = np.zeros(trials.size, dtype=np.int64)
+        specials = None
+        if kind.biased:
+            weight, offset, rank = _draw_biased(cfg, trials)
+            true_pw = (rank if sc.theta == 0.5 else _nth_of_weight(sc.n, weight, offset)).astype(np.uint64)
             target = np.full(trials.size, (1 << sc.m) - 1)
             specials = (true_pw, rows, np.ones(trials.size, dtype=bool))
-        elif plan is not None:
-            finals = np.array([[b.bits for _, _, b in o.assignments] for o in planted], dtype=np.int64)
-            target = finals[rows, pick]
-            plants = [(r, pw, b.bits) for r, o in enumerate(planted) for pw, b in o.planted]
-            at, pw, bits = (np.array(col, dtype=np.int64) for col in zip(*plants))
-            # Every planted bin is some user's final bin: offline, a hit.
-            specials = (pw.astype(np.uint64), at, offline | (bits == target[at]))
         else:
-            finals = rng.biased_bits(keys[:, None], sc.p, sc.m, passwords).astype(np.int64)
-            target = finals[rows, pick]
-            specials = None
-        if offline:
+            pw = _draw_passwords(cfg, trials, users)
+            pick = _draw_pick(cfg, trials, users)
+            if kind.allocated:
+                writer = _first_writer(pw)
+                finals = plan_bits[writer]
+                target = finals[rows, pick]
+                at, col = np.nonzero(writer == np.arange(users))  # the planted passwords
+                # Every planted bin is some user's final bin: offline, a hit.
+                specials = (pw[at, col].astype(np.uint64), at, kind.offline | (finals[at, col] == target[at]))
+            else:
+                finals = rng.biased_bits(keys[:, None], sc.p, sc.m, pw).astype(np.int64)
+                target = finals[rows, pick]
+        if kind.offline:
             guesses, first = _offline_scans(cfg, strat, budget, keys, finals, specials)
-            bins = np.array([len(set(row)) for row in finals.tolist()], dtype=np.int64)
+            bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1)
         else:
             def natural(active, window):
                 t = target[active, None]
@@ -487,7 +484,7 @@ def _scan_kernel(cfg: ExperimentConfig):
             bins = target
         success = guesses > 0
         arm = None
-        if biased:
+        if kind.biased:
             won = np.where(first == true_pw, attack.ARM_PASSWORD, attack.ARM_HASH)
             arm = np.where(success, won, "")
         return _Block(trials, guesses, success, pick + 1, bins, arm)

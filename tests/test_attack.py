@@ -174,37 +174,32 @@ class TestFixedTableStrategyAverage:
 
 class TestBiasedPasswordAttack:
     def test_true_password_guessed_first(self):
-        # theta < 1/2 makes the all-zero password the first guess
-        for pw_seed in range(200):
-            pw = attack.draw_biased_password(pw_seed, 16, 0.05)
-            if pw == 0:
-                model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=1)
-                res = attack.biased_password_race(model, 15, 0.05, pw)
+        # the lightest password comes first below theta = 1/2, the heaviest above
+        for theta, pw in ((0.05, 0), (0.95, (1 << 16) - 1)):
+            for seed in range(5):
+                model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=seed)
+                res = attack.biased_password_race(model, 15, theta, pw)
                 assert res.guesses == 1 and res.arm == attack.ARM_PASSWORD
-                return
-        raise AssertionError("no all-zero password draw in seed range")
 
     def test_hash_arm_immediate_with_planted_first_guess(self):
         model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=2)
         model.overrides[0] = 15  # first guess under theta < 1/2
-        for pw_seed in range(100):
-            pw = attack.draw_biased_password(pw_seed, 16, 0.3)
-            if pw != 0:
-                res = attack.biased_password_race(model, 15, 0.3, pw)
-                assert res.guesses == 1 and res.arm == attack.ARM_HASH
-                return
-        raise AssertionError("all draws were the zero password")
+        for pw in (1, 0b1011, 1 << 15, (1 << 16) - 1):
+            res = attack.biased_password_race(model, 15, 0.3, pw)
+            assert res.guesses == 1 and res.arm == attack.ARM_HASH
 
     def test_password_arm_fraction_shifts_with_theta(self):
         trials = 1200
+        place = 1 << np.arange(15, -1, -1)
         fractions = []
         for theta in (0.05, 0.15, 0.3, 0.45):
+            # true passwords with bits i.i.d. Bernoulli(theta)
+            passwords = (np.random.default_rng(22).random((trials, 16)) < theta) @ place
             wins = 0
-            for trial in range(trials):
+            for trial, pw in enumerate(passwords.tolist()):
                 model = hm.KeyedHashModel(
                     m=6, n=16, p=0.3, seed=rng.derive_seed(21, trial)
                 )
-                pw = attack.draw_biased_password(rng.derive_seed(22, trial), 16, theta)
                 model.overrides[pw] = 63
                 res = attack.biased_password_race(model, 63, theta, pw)
                 assert res.success

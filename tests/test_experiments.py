@@ -1,6 +1,7 @@
 """Experiment orchestration tests: engines, determinism, panels, sweeps."""
 import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -233,15 +234,56 @@ class TestBiasedDraws:
             assert np.array_equal(np.bitwise_count(order[rank]), weight)
 
 
-#: Literal-scan estimates (mean, half-width, failures) recorded from the
-#: unpruned scan with sort-based dedup; the faster scan is bit-identical.
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_nth_of_weight_enumerates_each_layer(self, n):
+        for w in range(n + 1):
+            layer = list(hm.same_weight_ascending(n, w))
+            got = ex._nth_of_weight(n, np.full(len(layer), w), np.arange(len(layer)))
+            assert got.tolist() == layer
+
+    def test_nth_of_weight_layer_ends_at_62_bits(self):
+        n = 62
+        for w in (0, 1, 2, 17, 31, 45, 61, 62):
+            size = math.comb(n, w)
+            head = list(itertools.islice(hm.same_weight_ascending(n, w), 2))
+            last = ((1 << w) - 1) << (n - w)
+            offsets = [0, 1, size - 1] if size > 1 else [0]
+            got = ex._nth_of_weight(n, np.full(len(offsets), w), np.array(offsets)).tolist()
+            assert got == head + [last] if size > 1 else got == head
+            assert list(hm.same_weight_ascending(n, w, last)) == [last]  # nothing follows it
+
+
+class TestEnginesShareDraws:
+    """Both engines draw each trial's passwords, attacked user, planted set
+    and biased password alike, so they agree row by row on everything but
+    the natural hit's position."""
+
+    @pytest.mark.parametrize("shape", [dict(), dict(s=0.6, n=9)])
+    @pytest.mark.parametrize("mode,theta", SAMPLED_MODES + [("biased-password", 0.7)])
+    def test_rows(self, mode, theta, shape):
+        trials = np.arange(10, 310, dtype=np.uint64)
+        sampled = ex._sampled_kernel(make_cfg(mode, theta=theta, seed=9, **shape))(trials)
+        scanned = ex._scan_kernel(make_cfg(mode, theta=theta, seed=9, engine="scan", **shape))(trials)
+        assert np.array_equal(sampled.user, scanned.user)
+        if not mode.startswith("unallocated") and mode != "no-allocation-keyed":
+            assert np.array_equal(sampled.bins, scanned.bins)
+        if mode == "biased-password":
+            _, _, rank = ex._draw_biased(make_cfg(mode, theta=theta, seed=9, **shape), trials)
+            assert (sampled.guesses <= rank + 1).all() and (scanned.guesses <= rank + 1).all()
+            both = (sampled.arm == attack.ARM_PASSWORD) & (scanned.arm == attack.ARM_PASSWORD)
+            assert both.sum() >= 10
+            assert np.array_equal(sampled.guesses[both], scanned.guesses[both])
+
+
+#: Literal-scan estimates (mean, half-width, failures), recorded once the
+#: scan engine drew its inputs with the sampled engine's block functions.
 SCAN_GOLDEN = {
-    "allocated-online": (735.915, 125.00038015323982, 0),
-    "allocated-offline": (208.395, 32.74544970731769, 0),
-    "unallocated-online": (54.62, 12.114806338854109, 0),
-    "unallocated-offline": (13.105, 2.1071584981871703, 0),
-    "no-allocation-keyed": (78.03, 23.775094744783186, 0),
-    "biased-password": (219.155, 73.41599583517308, 0),
+    "allocated-online": (798.285, 122.6403504491964, 0),
+    "allocated-offline": (241.3, 34.16532434822031, 0),
+    "unallocated-online": (64.415, 14.776978959110346, 0),
+    "unallocated-offline": (13.405, 2.4442944841870293, 0),
+    "no-allocation-keyed": (49.61, 14.694186416245607, 0),
+    "biased-password": (212.535, 54.178472527167884, 0),
 }
 
 
@@ -253,11 +295,11 @@ class TestScanGolden:
 
     def test_heavy_first_and_budgeted_scans(self):
         heavy = ex.run_experiment(make_cfg("biased-password", theta=0.7, trials=100, seed=11, engine="scan"))
-        assert (heavy.mean, heavy.half_width_95, heavy.failures) == (704.63, 160.97924020161258, 0)
+        assert (heavy.mean, heavy.half_width_95, heavy.failures) == (865.35, 205.7789119498709, 0)
         capped = ex.run_experiment(
             make_cfg("no-allocation-keyed", m=8, n=18, trials=200, seed=3, engine="scan", budget=300)
         )
-        assert (capped.mean, capped.half_width_95, capped.failures) == (65.355, 11.197957146420293, 43)
+        assert (capped.mean, capped.half_width_95, capped.failures) == (62.675, 10.629972173862237, 43)
 
     @pytest.mark.parametrize("n,m,p,target,samples,expected", [
         (10, 4, 0.25, 0, 20_000, (2.94805, 0.033204326952706316, 0)),
@@ -273,21 +315,21 @@ class TestScanGolden:
 
 
 #: sha256 of the scan engine's trial log for make_cfg(mode, trials=200,
-#: seed=2024, engine="scan"), recorded from the per-trial scan engine,
-#: without a budget and with one of 500 guesses (inside a lockstep window).
+#: seed=2024, engine="scan"), without a budget and with one of 500 guesses
+#: (inside a lockstep window), recorded with the shared input draws.
 SCAN_LOG_SHA256 = {
-    (None, "allocated-online"): "d885d2ab4940e1fcfb4f8d20ec73ca8237e11d2e5170a03015660069cf6d755a",
-    (None, "allocated-offline"): "872772049a8e32fc3baf60ca2ecc584c3df35737a208df54949a4cce22f08eb1",
-    (None, "unallocated-online"): "0aba06668c668c34c5b4629f7c6465598c6c6af8cfabc6d48e8fbbd6a5c4f02e",
-    (None, "unallocated-offline"): "e84f7b2afca74696a554864ef5b741a9d79e2d83ac22bea86763ba30b3b63f09",
-    (None, "no-allocation-keyed"): "a555f79e484376c37129a55ab9742ca48fb152fb7b335cf121f0c6b64762d0f7",
-    (None, "biased-password"): "3d06fb8ef3afe726751b604c323a66eb0db6f801d721f7057c18a19707e3b198",
-    (500, "allocated-online"): "7c527888c1908234f600c0fe07684853fc9fd051144e7a368bf499d479da93d6",
-    (500, "allocated-offline"): "e21148a54602b5c0390d6136c3019584804abb92f821b2e1afece0db218abe1c",
-    (500, "unallocated-online"): "7425395259c77b8aa95a8a8ed966cf1e1f0bf5bdbf869f79ae0f98a3188a66f6",
-    (500, "unallocated-offline"): "e84f7b2afca74696a554864ef5b741a9d79e2d83ac22bea86763ba30b3b63f09",
-    (500, "no-allocation-keyed"): "5cf745567bc90df0fb0c51d55cf847275edb0c23b87ef2fe8c94e04e59c1bfbc",
-    (500, "biased-password"): "27aaa5468deefb223840156d74c06d96af7e27f8d9420c7ffebc61b51472bcfe",
+    (None, "allocated-online"): "f26b13931a38cb4a4e748a67134bc255662a6eb78217630839fe3e20db60ced0",
+    (None, "allocated-offline"): "6ed16bef450d07c2ef2deb2ad0ddb0efb10961f1189399c6916c004f17ca1e5d",
+    (None, "unallocated-online"): "8664b2b0de4c118af5a0bb5585c14c1a4b23d8854e10ffec947898272c8b249c",
+    (None, "unallocated-offline"): "39f633193a2227d43618336e2c1089991fcb90b0317a41e2e9c7442f89b90014",
+    (None, "no-allocation-keyed"): "741a743c846c85c6d814b9f4ee220735f583eb2c3813c4bdeedf82670e74ee4f",
+    (None, "biased-password"): "15d0b560a2250e11f3784e62a9a6e337473206e8b8e5c74953c13a951bfdab29",
+    (500, "allocated-online"): "705b6200c63b54f117932f7c5aa80a94ddf22280b823319b931899e197356859",
+    (500, "allocated-offline"): "29e75955c13e7172c13ef2076ed0cd2eb0df9179d25b556a637d9d93cc30fd17",
+    (500, "unallocated-online"): "9c8a595745576af3d6951c47fe25120070a41686148c04a2a2821735b01e0172",
+    (500, "unallocated-offline"): "39f633193a2227d43618336e2c1089991fcb90b0317a41e2e9c7442f89b90014",
+    (500, "no-allocation-keyed"): "93cbdeee521287cc78039a0c2622bf429a42b02480565980758812ee4215bdb6",
+    (500, "biased-password"): "ac349e00d9181cb0d8b8202c1e19fe8976d31f1ff13b55235505fda192a21bd7",
 }
 
 
@@ -303,7 +345,7 @@ class TestScanLogDigests:
 #: sha256 of the sampled engine's trial log for make_cfg(mode, trials=600,
 #: seed=2024) in two shapes: "plain" (3 users at m = 6, n = 14) and
 #: "colliding" (s = 0.6, n = 9, budget 60: 28 users whose passwords mostly
-#: collide, so most rows take the per-trial path).
+#: collide, so most rows are collision rows).
 SAMPLED_LOG_SHA256 = {
     ("plain", "allocated-online"): "7efc901e367ecf9f9b0e55b4f40c940e4e009ab1eac1da28cf16d0592687b6cb",
     ("plain", "allocated-offline"): "215eaf76fd9c8f51d0a983d1e2f4cb3975d380db7c467c9fab4d773ce060482a",
@@ -331,28 +373,30 @@ class TestSampledLogDigests:
 
 
 def _literal_trial(cfg, plan, trial):
-    """One trial as a literal experiment runs it: its own model, planted
-    overrides, and one attack call.  (guesses, success, user, bin, arm)."""
+    """One trial as a literal experiment runs it, from the draws both
+    engines share: its own model, the first writers' planted overrides and
+    one attack call.  (guesses, success, user, bin, arm)."""
     sc = cfg.scenario
-    key_seed = rng.derive_seed(cfg.seed, trial, ex._LANE_KEY)
-    pw_seed = rng.derive_seed(cfg.seed, trial, rng.LANE_PASSWORDS)
-    model = hm.KeyedHashModel(sc.m, sc.n, sc.p, key_seed)
-    pick = rng.generator(cfg.seed, trial, ex._LANE_PICK)
+    at = np.array([trial], dtype=np.uint64)
+    model = hm.KeyedHashModel(sc.m, sc.n, sc.p, int(rng.words(cfg.seed, at, ex._LANE_KEY)[0]))
     if cfg.mode == "biased-password":
-        true_pw = attack.draw_biased_password(pw_seed, sc.n, sc.theta)
+        weight, offset, rank = (int(v[0]) for v in ex._draw_biased(cfg, at))
+        layer = hm.same_weight_ascending(sc.n, weight)
+        true_pw = rank if sc.theta == 0.5 else next(itertools.islice(layer, offset, None))
         target = (1 << sc.m) - 1
         model.overrides[true_pw] = target
         res = attack.biased_password_race(model, target, sc.theta, true_pw, cfg.budget)
         return res.guesses, res.success, 1, target, res.arm or ""
+    count = ex._user_count(cfg)
+    passwords = ex._draw_passwords(cfg, at, count)[0].tolist()
+    user = int(ex._draw_pick(cfg, at, count)[0]) + 1
     if plan is not None:
-        finals = {uid: b for uid, _, b in al.backdoor_install(model, plan, pw_seed).assignments}
-        user = plan.users[int(pick.integers(0, plan.user_count))][0]
-        bins = [finals[uid].bits for uid, _ in plan.users]
+        outcome = al.resolve_collisions(plan.users, passwords)
+        for pw, b in outcome.planted:
+            model.overrides[pw] = b.bits
+        bins = [b.bits for _, _, b in outcome.assignments]
     else:
-        count = ex._user_count(cfg)
-        passwords = rng.generator(pw_seed, rng.LANE_PASSWORDS).integers(0, 1 << sc.n, size=count)
-        bins = model.eval_many(passwords.astype(np.uint64)).tolist()
-        user = int(pick.integers(0, count)) + 1
+        bins = model.eval_many(np.array(passwords, dtype=np.uint64)).tolist()
     if cfg.kind.offline:
         res = attack.offline_attack_any(model, bins, attack.ascending(), cfg.budget)
         return res.guesses, res.success, user, len(set(bins)), ""
