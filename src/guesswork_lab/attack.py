@@ -251,7 +251,8 @@ def strategy_chunks(strat: GuessStrategy, n: int, budget: int) -> Iterator[np.nd
 
 def _target_mask(m: int, bins: Iterable[int]) -> np.ndarray:
     mask = np.zeros(1 << m, dtype=bool)
-    mask[list(bins)] = True
+    for b in bins:
+        mask[b] = True
     return mask
 
 

@@ -233,7 +233,6 @@ class TestBiasedDraws:
         else:
             assert np.array_equal(np.bitwise_count(order[rank]), weight)
 
-
     @pytest.mark.parametrize("n", range(1, 11))
     def test_nth_of_weight_enumerates_each_layer(self, n):
         for w in range(n + 1):
@@ -244,13 +243,12 @@ class TestBiasedDraws:
     def test_nth_of_weight_layer_ends_at_62_bits(self):
         n = 62
         for w in (0, 1, 2, 17, 31, 45, 61, 62):
-            size = math.comb(n, w)
-            head = list(itertools.islice(hm.same_weight_ascending(n, w), 2))
-            last = ((1 << w) - 1) << (n - w)
-            offsets = [0, 1, size - 1] if size > 1 else [0]
-            got = ex._nth_of_weight(n, np.full(len(offsets), w), np.array(offsets)).tolist()
-            assert got == head + [last] if size > 1 else got == head
+            want = list(itertools.islice(hm.same_weight_ascending(n, w), 2))  # one if the layer has one
+            offsets = list(range(len(want))) + [math.comb(n, w) - 1]
+            last = ((1 << w) - 1) << (n - w)  # the top w bits
             assert list(hm.same_weight_ascending(n, w, last)) == [last]  # nothing follows it
+            got = ex._nth_of_weight(n, np.full(len(offsets), w), np.array(offsets))
+            assert got.tolist() == want + [last]
 
 
 class TestEnginesShareDraws:
