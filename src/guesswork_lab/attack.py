@@ -356,28 +356,32 @@ def lockstep_scan(
 
 def _scan(
     h: HashFunction,
-    mask: np.ndarray,
+    target: Union[int, np.ndarray],
     strat: GuessStrategy,
     budget: int,
-    bits: Optional[int] = None,
     true_pw: Optional[int] = None,
 ) -> tuple[int, int]:
     """One row of lockstep_scan: (guesses, index of the first hit).
 
-    A keyed model draws each bit only while the bits before it can still
-    lead into mask: they must match bits, the one target bin, when given.
+    target is one bin, or a boolean mask over the bins.  A keyed model
+    draws each bit only while the bits before it can still lead to a hit.
     Its overrides, and true_pw as a hit, are the row's specials.
     """
+    online = not isinstance(target, np.ndarray)
+
+    def hit(vals):
+        return vals == target if online else target[vals]
+
     forced: dict[int, bool] = {}
     if isinstance(h, KeyedHashModel):
-        live = None if bits is not None else _prefix_tables(mask)
-        forced = {pw: bool(mask[b]) for pw, b in h.overrides.items()}
+        draw = {"target": target} if online else {"live": _prefix_tables(target)}
+        forced = {pw: bool(hit(b)) for pw, b in h.overrides.items()}
 
         def natural(active, idx):
-            return mask[rng.biased_bits(h.seed, h.p, h.m, idx, live, target=bits)][None, :]
+            return rng.biased_bits(h.seed, h.p, h.m, idx, **draw)[None, :]
     else:
         def natural(active, idx):
-            return mask[h.eval_many(idx)][None, :]
+            return hit(h.eval_many(idx))[None, :]
     if true_pw is not None:
         forced[true_pw] = True
     specials = None
@@ -402,7 +406,7 @@ def online_attack(
     if not 0 <= bits < (1 << h.m):
         raise ValueError(f"bin {bits} out of range for m={h.m}")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    guesses, _ = _scan(h, _target_mask(h.m, [bits]), strat, budget, bits)
+    guesses, _ = _scan(h, bits, strat, budget)
     return AttackResult(guesses, guesses > 0, BinLabel(bits, h.m))
 
 
@@ -485,7 +489,7 @@ def biased_password_race(
         raise ValueError(f"true password {true_pw} out of range for n={h.n}")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
     strat = descending_probability(theta)
-    guesses, first = _scan(h, _target_mask(h.m, [bits]), strat, budget, bits, true_pw)
+    guesses, first = _scan(h, bits, strat, budget, true_pw)
     if not guesses:
         return AttackResult(0, False, BinLabel(bits, h.m))
     arm = ARM_PASSWORD if first == true_pw else ARM_HASH

@@ -102,3 +102,5 @@ class ExperimentConfig:
             raise ValueError(f"n must be <= {MAX_INPUT_WIDTH}, got {self.scenario.n}")
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"budget must be >= 1 guess, got {self.budget}")

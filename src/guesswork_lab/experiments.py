@@ -477,8 +477,7 @@ def _scan_kernel(cfg: ExperimentConfig):
             bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1)
         else:
             def natural(active, window):
-                t = target[active, None]
-                return rng.biased_bits(keys[active, None], sc.p, sc.m, window, target=t).view(np.int64) == t
+                return rng.biased_bits(keys[active, None], sc.p, sc.m, window, target=target[active, None])
 
             guesses, first = attack.lockstep_scan(strat, sc.n, budget, natural, trials.size, specials)
             bins = target
@@ -510,9 +509,7 @@ def _offline_scans(cfg, strat, budget, keys, finals, specials):
         seeds = keys[part]
 
         def natural(active, window):
-            k = set_of[active, None]
-            vals = rng.biased_bits(seeds[active, None], sc.p, sc.m, window, tables, table=k)
-            return tables[-1][k, vals.astype(np.intp)]
+            return rng.biased_bits(seeds[active, None], sc.p, sc.m, window, tables, table=set_of[active, None])
 
         own = None
         if specials is not None:

@@ -137,18 +137,17 @@ def biased_bits(
     seeds over a (W,) window gives R keys' values there): every (seed,
     index) pair draws from mix64(index * GOLDEN + seed).
 
-    live, when given, holds m boolean tables; live[j] is indexed by the
-    first j + 1 bits of a value (its top bits) and must be False wherever
-    live[j - 1] is False for the shorter prefix.  Bits are then drawn
-    only while an index's prefix is live (dead indices leave in batches,
-    so some draw a few bits more): each value is either the true one or
-    a dead prefix of it followed by 0 bits.  With live[m - 1] the target
-    mask, mask[value] equals mask[true value].  Stacked tables, live[j]
-    of shape (K, 2^(j+1)), serve several target sets at once: table
-    (broadcast like seed) names each value's row k.  target, instead of
-    live, keeps a value live while its prefix is one of its own target's
-    (an int in [0, 2^m), or an array of them broadcast like seed), so the
-    value equals the target exactly when the true one does.
+    Given target or live, the result is instead a boolean array of the
+    same shape: is each value a hit?  Bits are then drawn only while a
+    value can still be one, so a miss costs the bits up to the first that
+    rules it out.  target is an int in [0, 2^m), or one per row: an array
+    broadcast against the shape's leading axes and 1 (an (R, 1) column
+    over R rows), and a hit is a value equal to its target.  live instead
+    holds m boolean tables: live[j] is indexed by the first j + 1 bits of
+    a value (its top bits), must be False wherever live[j - 1] is False
+    for the shorter prefix, and a hit is a value in the mask live[m - 1].
+    Stacked tables, live[j] of shape (K, 2^(j+1)), serve several masks at
+    once: table (broadcast like seed) names each value's row k.
     """
     idx64 = idx.astype(np.uint64, copy=False)
     thr = threshold_for(p)
@@ -166,70 +165,25 @@ def biased_bits(
     if live is None:
         if np.any(target >> m) if isinstance(target, np.ndarray) else not 0 <= target < 1 << m:
             raise ValueError(f"target out of range for m={m}")
-        return _target_bits(base, thr, m, target).reshape(base.shape)
-    if table is not None:
+    elif table is not None:
         # Row k's prefixes follow k in the index of its flattened tables.
         live = [t.reshape(-1) for t in live]
-    vals = _pruned_bits(base, thr, m, live, table)
-    if table is not None:
-        vals &= np.uint64((1 << m) - 1)
-    return vals.reshape(base.shape)
+    return _hits(base, thr, m, live, table, target)
 
 
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
 _LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
 
-#: Weights of k bits drawn first to last, the last one lowest: _WEIGHTS[64 - k:].
-_WEIGHTS = _ONE << np.arange(63, -1, -1, dtype=np.uint64)
+#: Shifts of k bits drawn first to last, the last one lowest: _DOWN[64 - k:].
+_DOWN = np.arange(63, -1, -1, dtype=np.uint64)
 
-#: Rows at or below which a target draw takes all their remaining bits in
-#: one 2-D mix: numpy's fixed cost per call then outweighs the bits drawn
-#: for rows that would have stopped matching early.
+#: Weights of k bits drawn first to last: _WEIGHTS[64 - k:].
+_WEIGHTS = _ONE << _DOWN
+
+#: Survivors at or below which a hit test takes all their remaining bits
+#: in one 2-D mix: numpy's fixed cost per call then outweighs the bits
+#: drawn for survivors that would have been ruled out early.
 _FINISH_ROWS = 256
-
-
-def _pruned_bits(base, thr, m, live, table) -> np.ndarray:
-    """biased_bits' pruned draw over mixed bases; returns a flat array.
-
-    A dead prefix stays dead when extended, so rows need not leave the
-    moment they die.  rows holds the positions still drawing (None while
-    all are) and prefix their bits so far as table indices, after the
-    table row k when one is given.  Once at least half of them are dead,
-    every row stores its value so far and the live ones are compacted with
-    nonzero and take, severalfold cheaper than boolean-mask indexing.
-    """
-    shape = base.shape
-    base = base.reshape(-1)
-    vals = None
-    rows = None
-    prefix = None
-    for j in range(m):
-        bits = mix64(base ^ _LANES[j]) < thr
-        if prefix is None:
-            if table is None:
-                prefix = bits.astype(np.intp)
-            else:
-                prefix = ((np.asarray(table, dtype=np.intp) << 1) | bits.reshape(shape)).reshape(-1)
-        else:
-            prefix <<= 1
-            prefix |= bits
-        alive = live[j][prefix]
-        if 2 * np.count_nonzero(alive) > prefix.size:
-            continue
-        keep = alive.nonzero()[0]
-        so_far = prefix.view(np.uint64) << np.uint64(m - 1 - j)
-        if rows is None:
-            vals = so_far
-        else:
-            vals[rows] = so_far
-        if not keep.size:
-            return vals
-        rows = keep if rows is None else rows.take(keep)
-        prefix, base = prefix.take(keep), base.take(keep)
-    if rows is None:
-        return prefix.view(np.uint64)
-    vals[rows] = prefix
-    return vals
 
 
 def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -244,90 +198,71 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _target_bits(base, thr, m, target) -> np.ndarray:
-    """biased_bits' draw against a target over mixed bases.
+def _hits(base, thr, m, live, table, target) -> np.ndarray:
+    """biased_bits' hit test over mixed bases.
 
-    Rows (the positions still matching, None while all are) draw bit j
-    only while their bits so far equal the target's; alive marks the rows
-    still matching since the last compaction and run counts the steps
-    each matched since then (kept from the second step on).  A row that
-    stopped matching at step d stores the target's first d bits, its own bit d
-    and then 0 bits, which is a dead prefix of its true value; a row that
-    matches to the end stores the target.  Rows are compacted once half
-    have stopped, and once at most _FINISH_ROWS remain their other bits
-    come from one 2-D mix, giving their true values.  An array of targets
-    broadcasts over base's shape until the first compaction and is
-    gathered per row from then on.
+    Every pair draws bit 0, tested in base's shape against the rows'
+    target bits as a column.  From then on only the survivors, the pairs
+    that can still hit, draw: they are compacted with nonzero and take
+    after every step, keeping their flat positions pos (a survivor's
+    target is its row's, at pos // width) and, with tables, their bits so
+    far as table indices.  Once at most _FINISH_ROWS survive, their
+    remaining bits come from one 2-D mix and are tested whole, as the
+    target's low bits or through the mask.  Hits are written once, at the
+    end.
     """
     shape = base.shape
-    base = base.reshape(-1)
-    per_row = isinstance(target, np.ndarray)
-    target = target.astype(np.uint64) if per_row else np.uint64(target)
-    view = shape  # the shape targets broadcast over: shape, then (-1,)
-    vals = rows = None
+    width = shape[-1]
+    per_row = live is None and isinstance(target, np.ndarray)
+    if per_row:
+        target = np.broadcast_to(target.astype(np.uint64), shape[:-1] + (1,)).reshape(-1)
+        want = ((target >> _DOWN[64 - m :, None]) & _ONE).astype(bool)  # want[j]: the rows' bit j
     z, tmp = np.empty(base.size, dtype=np.uint64), np.empty(base.size, dtype=np.uint64)
-    alive, match = np.empty(base.size, dtype=bool), np.empty(base.size, dtype=bool)
-    run = np.empty(base.size, dtype=np.uint8)
-    since = 0  # the first step since the last compaction
-    for j in range(m + 1):
+    okb = np.empty(base.size, dtype=bool)
+    pos = prefix = None
+    for j in range(m):
         n = base.size
-        if j == since and (n <= _FINISH_ROWS or j == m):
-            k = np.uint64(m - j)
-            value = (target >> k) << k
-            if j < m:
-                rest = np.empty((n, m - j), dtype=np.uint64)
-                np.bitwise_xor(base[:, None], _LANES[j:m], out=rest)
-                _mix_into(rest, np.empty_like(rest))
-                rest = np.dot((rest < thr).view(np.uint8), _WEIGHTS[64 - m + j :])
-                value = value | rest.reshape(view)
-            return _place(vals, rows, shape, value)
-        bit = np.uint64(1 << (m - 1 - j))
-        zj = z[:n]
-        out = alive[:n] if j == since else match[:n]
+        if j and n <= _FINISH_ROWS:
+            rest = np.empty((n, m - j), dtype=np.uint64)
+            np.bitwise_xor(base[:, None], _LANES[j:m], out=rest)
+            _mix_into(rest, np.empty_like(rest))
+            low = np.dot((rest < thr).view(np.uint8), _WEIGHTS[64 - m + j :])
+            if live is not None:
+                ok = live[-1].take((prefix << (m - j)) | low.view(np.intp))
+            else:
+                ok = low == (target.take(pos // width) if per_row else target) & np.uint64((1 << (m - j)) - 1)
+            pos = pos[ok]
+            break
+        zj, ok = z[:n].reshape(base.shape), okb[:n].reshape(base.shape)
         np.bitwise_xor(base, _LANES[j], out=zj)
-        _mix_into(zj, tmp[:n])
-        if per_row:
-            np.less(zj, thr, out=out)
-            np.equal(out.reshape(view), (target & bit) != 0, out=out.reshape(view))
-        elif target & bit:
-            np.less(zj, thr, out=out)
+        _mix_into(zj, tmp[:n].reshape(base.shape))
+        if live is not None:
+            np.less(zj, thr, out=ok)
+            if j:
+                prefix <<= 1
+                prefix |= ok
+            else:
+                prefix = ok.astype(np.intp)
+                if table is not None:
+                    prefix |= np.asarray(table, dtype=np.intp) << 1
+            ok = live[j].take(prefix)
+        elif per_row:
+            np.less(zj, thr, out=ok)
+            np.equal(ok, want[j].take(pos // width) if j else want[0].reshape(shape[:-1] + (1,)), out=ok)
+        elif (target >> (m - 1 - j)) & 1:
+            np.less(zj, thr, out=ok)
         else:
-            np.greater_equal(zj, thr, out=out)
-        live = alive[:n]
-        if j > since:
-            if j == since + 1:
-                np.copyto(run[:n], live)
-            live &= out
-            run[:n] += live
-        if 2 * np.count_nonzero(live) > n and j < m - 1:
-            continue
-        # Rows that stopped store their values; the last step always
-        # settles, and the j == m pass then stores the survivors'.
-        if j == since:
-            shift = np.uint64(m - 1 - j)
-        else:
-            shift = np.uint64(m - 1 - since) - np.minimum(run[:n], j - since).reshape(view)
-        vals = _place(vals, rows, shape, ((target >> shift) ^ _ONE) << shift)
-        keep = live.nonzero()[0]
+            np.greater_equal(zj, thr, out=ok)
+        keep = np.flatnonzero(ok)
+        pos = keep if pos is None else pos.take(keep)
         if not keep.size:
-            return vals
-        if per_row:
-            target = np.broadcast_to(target, shape).reshape(-1).take(keep) if rows is None else target.take(keep)
-        rows = keep if rows is None else rows.take(keep)
-        base = base.take(keep)
-        view = (-1,)
-        since = j + 1
-
-
-def _place(vals, rows, shape, value) -> np.ndarray:
-    """vals with the rows' entries set to value, which broadcasts over
-    shape while rows is None (vals then is created)."""
-    if rows is None:
-        vals = np.empty(shape, dtype=np.uint64)
-        vals[...] = value
-        return vals.reshape(-1)
-    vals[rows] = value
-    return vals
+            break
+        base = base.reshape(-1).take(keep)
+        if live is not None:
+            prefix = prefix.reshape(-1).take(keep)
+    hits = np.zeros(z.size, dtype=bool)
+    hits[pos] = True
+    return hits.reshape(shape)
 
 
 def geometric_from_uniform(u: np.ndarray, p) -> np.ndarray:

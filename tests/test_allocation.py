@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guesswork_lab import allocation as al
+from guesswork_lab import experiments as ex
 from guesswork_lab import hashmodel as hm
 from guesswork_lab.infotheory import binary_entropy
 
@@ -115,6 +117,37 @@ class TestBackdoorInstall:
         model = hm.KeyedHashModel(m=4, n=12, p=0.3, seed=5)
         with pytest.raises(ValueError):
             al.backdoor_install(model, al.allocate_bins(5, 0.3, 2), 1)
+
+
+class TestResolveCollisions:
+    """First writer wins: every user of a password ends in the bin planned
+    for its first drawer, so every final bin is a planned one; the sampled
+    and scan engines' vectorised map names the same first writers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_first_writer_wins(self, data):
+        m = data.draw(st.integers(1, 6))
+        users = data.draw(st.integers(1, min(1 << m, 12)))
+        plan = al.allocate_bins(m, 0.3, users)
+        planned = [b for _, b in plan.users]
+        pool = data.draw(st.integers(1, 2 * users))  # few passwords: collisions are common
+        drawn = st.lists(st.integers(0, pool - 1), min_size=users, max_size=users)
+        pw = np.array(data.draw(st.lists(drawn, min_size=1, max_size=4)), dtype=np.int64)
+        writer = ex._first_writer(pw)
+        for row, first in zip(pw.tolist(), writer.tolist()):
+            outcome = al.resolve_collisions(plan.users, row)
+            assert [row.index(x) for x in row] == first
+            assert [final for _, _, final in outcome.assignments] == [planned[w] for w in first]
+            assert [(uid, x, planned[row.index(x)]) for (uid, _), x in zip(plan.users, row)] \
+                == outcome.assignments
+            assert all(final in planned for _, _, final in outcome.assignments)
+            assert outcome.planted == [(x, planned[row.index(x)]) for x in dict.fromkeys(row)]
+            assert outcome.reassigned == [
+                (uid, planned[row.index(x)]) for i, ((uid, _), x) in enumerate(zip(plan.users, row))
+                if row.index(x) < i
+            ]
+            assert outcome.collision_count == users - len(set(row))
 
 
 class TestSolveSForUserCount:

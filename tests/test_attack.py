@@ -297,7 +297,7 @@ def test_attack_result_failure_invariant():
 
 class TestPrunedHitTest:
     """Keyed scans draw a bit only while the bits before it can still lead
-    into the target set; the hit test must equal the one on full values."""
+    into the target set; the hit test must equal the mask of full values."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -317,17 +317,10 @@ class TestPrunedHitTest:
         seed = data.draw(st.integers(0, (1 << 64) - 1))
         idx = np.arange(start, start + size, dtype=np.uint64)
         mask = attack._target_mask(m, bins)
-        live = attack._prefix_tables(mask)
-        pruned = rng.biased_bits(seed, p, m, idx, live)
+        hits = rng.biased_bits(seed, p, m, idx, attack._prefix_tables(mask))
         full = rng.biased_bits(seed, p, m, idx)
-        assert (mask[pruned] == mask[full]).all()
-        # each value is the true one, or a dead prefix of it then 0 bits
-        ok = pruned == full
-        for j in range(m):
-            shift = np.uint64(m - 1 - j)
-            head = full >> shift
-            ok |= (pruned == head << shift) & ~live[j][head.astype(np.intp)]
-        assert ok.all()
+        assert hits.dtype == bool and hits.shape == idx.shape
+        assert (hits == mask[full]).all()
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -344,32 +337,24 @@ class TestPrunedHitTest:
         column = seeds[:, None]
         assert (rng.biased_bits(column, p, m, window) == full).all()
 
-        # one target bin per row: the value is the target exactly when the true one is
+        # one target bin per row
         targets = np.array(data.draw(st.lists(st.integers(0, top), min_size=rows, max_size=rows)),
                            dtype=np.uint64)[:, None]
-        got = rng.biased_bits(column, p, m, window, target=targets.astype(np.int64))
-        assert ((got == targets) == (full == targets)).all()
+        hits = rng.biased_bits(column, p, m, window, target=targets.astype(np.int64))
+        assert (hits == (full == targets)).all()
 
         # one target set per row, from stacked prefix tables
         sets = [data.draw(st.sets(st.integers(0, top), min_size=1, max_size=5)) for _ in range(rows)]
         masks = np.stack([attack._target_mask(m, bins) for bins in sets])
-        live = attack._prefix_tables(masks)
         k = np.arange(rows)[:, None]
-        got = rng.biased_bits(column, p, m, window, live, table=k)
-        assert (masks[k, got.astype(np.intp)] == masks[k, full.astype(np.intp)]).all()
-        ok = got == full
-        for j in range(m):
-            shift = np.uint64(m - 1 - j)
-            head = full >> shift
-            ok |= (got == head << shift) & ~live[j][k, head.astype(np.intp)]
-        assert ok.all()
+        hits = rng.biased_bits(column, p, m, window, attack._prefix_tables(masks), table=k)
+        assert (hits == masks[k, full.astype(np.intp)]).all()
 
 
 class TestTargetBits:
     """biased_bits with a target draws a bit only while the bits before it
-    match the target's, and finishes few rows with one 2-D draw: a value
-    equals the target exactly when the true value does, and is the true
-    value or a dead prefix of it followed by 0 bits."""
+    match the target's, and finishes few survivors with one 2-D draw: a
+    pair is a hit exactly when its full value equals its row's target."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -392,19 +377,68 @@ class TestTargetBits:
 
         if data.draw(st.booleans()):
             t = some_target(0)
-            got = rng.biased_bits(seeds, p, m, window, target=t)
+            hits = rng.biased_bits(seeds, p, m, window, target=t)
             targets = np.full((rows, 1), t, dtype=np.uint64)
         else:
             targets = np.array([[some_target(r)] for r in range(rows)], dtype=np.uint64)
-            got = rng.biased_bits(seeds, p, m, window, target=targets.astype(np.int64))
-        assert got.shape == full.shape
-        assert ((got == targets) == (full == targets)).all()
-        ok = got == full
-        for j in range(m):
-            shift = np.uint64(m - 1 - j)
-            head = full >> shift
-            ok |= (got == head << shift) & (head != targets >> shift)
-        assert ok.all()
+            hits = rng.biased_bits(seeds, p, m, window, target=targets.astype(np.int64))
+        assert hits.dtype == bool and hits.shape == full.shape
+        assert (hits == (full == targets)).all()
+
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_every_row_dies_at_bit_0(self, m):
+        # p = 0 draws only 0 bits: a target with its top bit set matches nowhere
+        seeds = np.array([[3], [5], [7]], dtype=np.uint64)
+        window = np.arange(1000, dtype=np.uint64)
+        top = 1 << (m - 1)
+        for target in (top, np.array([[top], [(1 << m) - 1], [top]])):
+            hits = rng.biased_bits(seeds, 0.0, m, window, target=target)
+            assert hits.shape == (3, 1000) and not hits.any()
+        if m <= 5:  # a mask over every bin
+            mask = np.zeros(1 << m, dtype=bool)
+            mask[top:] = True
+            hits = rng.biased_bits(7, 0.0, m, window, attack._prefix_tables(mask))
+            assert not hits.any()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("m", [2, 9, 40])
+    def test_finish_at_and_above_the_survivor_cap(self, m, extra):
+        """With each row's own target, exactly _FINISH_ROWS survivors after
+        bit 0 take the 2-D finish; one more take another step first.  Either
+        way every hit is found (and with one shared target or masks too)."""
+        seeds = np.array([[11], [12]], dtype=np.uint64)
+        wide = np.arange(1 << 12, dtype=np.uint64)
+        full = rng.biased_bits(seeds, 0.5, m, wide)
+        targets = full[:, :1].copy()  # each row's value at index 0: at least one hit per row
+        alive = (full >> np.uint64(m - 1)) == (targets >> np.uint64(m - 1))
+        # cut the window where the survivors of bit 0, over both rows, number the cap (+ 1)
+        counts = np.cumsum(alive.sum(axis=0))
+        width = int(np.searchsorted(counts, rng._FINISH_ROWS + extra)) + 1
+        assert counts[width - 1] == rng._FINISH_ROWS + extra
+        window, full = wide[:width], full[:, :width]
+        for t in (targets.astype(np.int64), int(targets[0, 0])):
+            hits = rng.biased_bits(seeds, 0.5, m, window, target=t)
+            assert (hits == (full == np.broadcast_to(t, (2, 1)))).all()
+        if m <= 9:  # masks over every bin
+            masks = np.zeros((2, 1 << m), dtype=bool)
+            masks[0, full[0, -3:].astype(np.intp)] = True
+            masks[1, full[1, :2].astype(np.intp)] = True
+            k = np.arange(2)[:, None]
+            hits = rng.biased_bits(seeds, 0.5, m, window, attack._prefix_tables(masks), table=k)
+            assert (hits == masks[k, full.astype(np.intp)]).all()
+
+    @pytest.mark.parametrize("m", [1, 8, 62])
+    def test_width_1_windows_with_row_targets(self, m):
+        seeds = np.arange(1, 41, dtype=np.uint64)[:, None] * np.uint64(rng.GOLDEN)
+        for at in (0, 12345):
+            window = np.array([at], dtype=np.uint64)
+            full = rng.biased_bits(seeds, 0.3, m, window)
+            targets = full.copy()
+            targets[::3] ^= np.uint64(1)  # every third row misses, in its last bit
+            hits = rng.biased_bits(seeds, 0.3, m, window, target=targets.astype(np.int64))
+            assert hits.shape == (40, 1)
+            assert (hits == (full == targets)).all()
+            assert hits.sum() == 40 - len(range(0, 40, 3))
 
     def test_target_out_of_range(self):
         idx = np.arange(10, dtype=np.uint64)

@@ -151,6 +151,22 @@ class TestSimulate:
                 "--n", "14", "--trials", "200", "--budget", "soon"]
         assert runner.invoke(cli.main, args).exit_code == 2
 
+    @pytest.mark.parametrize("engine", ["sampled", "scan"])
+    def test_budget_below_one_exit_2(self, runner, engine):
+        args = ["simulate", "--mode", "no-allocation-keyed", "--m", "6", "--p", "0.3",
+                "--n", "14", "--trials", "200", "--engine", engine, "--budget"]
+        for budget in ("0", "-5"):
+            result = runner.invoke(cli.main, args + [budget])
+            assert result.exit_code == 2
+            assert "budget must be >= 1" in result.output
+        result = runner.invoke(cli.main, args + ["1", "--output", "json"])
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["config"]["budget"] == 1
+        # one guess: every success took exactly one, so the mean is the success share
+        res = doc["result"]
+        assert res["mean"] * res["trials"] == pytest.approx(res["trials"] - res["failures"])
+
 
 class TestSweep:
     def test_unbiased_slope_one(self, runner):

@@ -55,6 +55,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg("allocated-online", m=20, n=63)
 
+    @pytest.mark.parametrize("engine", ["sampled", "scan"])
+    def test_budget_below_one(self, engine):
+        make_cfg("no-allocation-keyed", engine=engine, budget=1)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget"):
+                make_cfg("no-allocation-keyed", engine=engine, budget=budget)
+
 
 class TestDeterminism:
     def test_same_config_bit_identical(self):
