@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import rng
-from .hashmodel import BinLabel, KeyedHashModel, iter_bins_by_likelihood
+from .hashmodel import BinLabel, KeyedHashModel, weight_layer_order
 from .infotheory import binary_entropy, check_bias
 
 
@@ -77,17 +79,16 @@ def solve_s_for_user_count(m: int, user_count: int) -> float:
 
 
 def allocate_bins(m: int, p: float, user_count: int) -> AllocationPlan:
-    """Assign the user_count least likely bins, user 1 first.
+    """Assign the user_count least likely bins, user 1 first: the
+    weight-layer order, heaviest layer first (ascending inside a layer).
 
     For p < 1/2 user 1 always receives the all-ones bin.
     """
     check_bias(p)
     if not 1 <= user_count <= (1 << m):
         raise ValueError(f"user_count must lie in [1, 2^{m}], got {user_count}")
-    it = iter_bins_by_likelihood(m, p)
-    users = tuple(
-        (uid, BinLabel(next(it), m)) for uid in range(1, user_count + 1)
-    )
+    bins = weight_layer_order(m, True, np.arange(user_count)).tolist()
+    users = tuple((uid, BinLabel(b, m)) for uid, b in enumerate(bins, 1))
     return AllocationPlan(
         m=m, p=p, users=users, s_effective=solve_s_for_user_count(m, user_count)
     )

@@ -19,7 +19,7 @@ from .hashmodel import (
     HashFunction,
     KeyedHashModel,
     ResourceCapError,
-    same_weight_ascending,
+    weight_layer_order,
 )
 from .infotheory import check_probability
 
@@ -186,27 +186,11 @@ def _fresh_draws(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return fresh
 
 
-def _weight_layer_walk(n: int, light_first: bool, after: Optional[int] = None) -> Iterator[int]:
-    """Every n-bit index by weight layer, the lightest layer first when
-    light_first, ascending inside a layer; resumes past `after` if given."""
-    weights = list(range(n + 1) if light_first else range(n, -1, -1))
-    if after is not None:
-        weights = weights[weights.index(after.bit_count()):]
-    for w in weights:
-        members = same_weight_ascending(n, w, after)
-        if after is not None:
-            next(members)  # `after` itself was served
-            after = None
-        yield from members
-
-
 @functools.lru_cache(maxsize=4)
-def _descending_prefix(n: int, light_first: bool) -> np.ndarray:
-    """The walk's first min(2^n, _ORDER_PREFIX) indices, read-only; every
-    trial at the same (n, direction) shares them."""
-    order = np.fromiter(
-        _weight_layer_walk(n, light_first), dtype=np.uint64, count=min(1 << n, _ORDER_PREFIX)
-    )
+def _descending_prefix(n: int, heavy_first: bool) -> np.ndarray:
+    """The weight-layer order's first min(2^n, _ORDER_PREFIX) indices,
+    read-only; every trial at the same (n, direction) shares them."""
+    order = weight_layer_order(n, heavy_first, np.arange(min(1 << n, _ORDER_PREFIX))).astype(np.uint64)
     order.flags.writeable = False
     return order
 
@@ -218,23 +202,19 @@ def _weight_layer_chunks(n: int, theta: float, budget: int) -> Iterator[np.ndarr
     order is weight layers 0..n, ascending numeric inside each layer;
     theta > 1/2 walks the layers from n down.  theta = 1/2 degenerates to
     ascending index.  Chunks hold _CHUNK0 indices, served from the cached
-    prefix and past it from a walk resumed at the prefix's last index.
+    prefix and past it unranked (the prefix holds whole chunks).
     """
     if theta == 0.5:
         yield from _ascending_chunks(1 << n, budget)
         return
-    light_first = theta < 0.5
-    prefix = _descending_prefix(n, light_first)
-    for start in range(0, min(budget, prefix.size), _CHUNK0):
-        yield prefix[start : min(start + _CHUNK0, budget)]
-    served = prefix.size
-    if served >= budget:
-        return
-    walk = _weight_layer_walk(n, light_first, after=int(prefix[-1]))
-    while served < budget:
-        chunk = np.fromiter(walk, dtype=np.uint64, count=min(_CHUNK0, budget - served))
-        yield chunk
-        served += chunk.size
+    heavy_first = theta > 0.5
+    prefix = _descending_prefix(n, heavy_first)
+    for start in range(0, budget, _CHUNK0):
+        stop = min(start + _CHUNK0, budget)
+        if stop <= prefix.size:
+            yield prefix[start:stop]
+        else:
+            yield weight_layer_order(n, heavy_first, np.arange(start, stop)).astype(np.uint64)
 
 
 def strategy_chunks(strat: GuessStrategy, n: int, budget: int) -> Iterator[np.ndarray]:
@@ -420,7 +400,7 @@ def offline_attack_any(
     bit_set = sorted({_bits_of(b) for b in bins})
     if not bit_set:
         raise ValueError("bin set must be nonempty")
-    if bit_set[-1] >= (1 << h.m):
+    if bit_set[0] < 0 or bit_set[-1] >= (1 << h.m):
         raise ValueError("bin out of range for m")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
     guesses, _ = _scan(h, _target_mask(h.m, bit_set), strat, budget)

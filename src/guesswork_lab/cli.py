@@ -67,18 +67,11 @@ def _parse_seed(text: str) -> int:
         raise click.UsageError(f"--seed must be an integer or 'random', got {text!r}")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise click.UsageError(f"{flag} must be a comma-separated integer list")
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise click.UsageError(f"{flag} must be a comma-separated number list")
+        raise click.UsageError(f"{flag} must be a comma-separated {'integer' if kind is int else 'number'} list")
 
 
 def _default_workers() -> int:
@@ -395,7 +388,7 @@ def cmd_sweep(mode, m_list, p, s, theta, trials, engine, rho, assert_text,
     """Fit the guesswork growth rate from a sweep over bin widths."""
     from . import experiments
 
-    steps = _parse_int_list(m_list, "--m")
+    steps = _parse_list(m_list, "--m", int)
     if len(steps) < 3:
         raise click.UsageError("--m needs at least 3 sweep points")
     cfg = _experiment_config(
@@ -448,9 +441,9 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
     )
     full = math.log2(1.0 / p)  # all-ones bin exponent H(1) + D(1||p)
     if l_list is not None:
-        ls = _parse_float_list(l_list, "--l")
+        ls = _parse_list(l_list, "--l")
     else:
-        ls = [f * full for f in _parse_float_list(l_frac, "--l-frac")]
+        ls = [f * full for f in _parse_list(l_frac, "--l-frac")]
     try:
         rows = experiments.concentration_report(cfg, ls)
     except ValueError as err:
@@ -482,7 +475,7 @@ def cmd_keysize(alpha_list, output):
     """Biased-versus-uniform key sizing at equal average guesswork."""
     from . import experiments
 
-    alphas = _parse_float_list(alpha_list, "--alpha")
+    alphas = _parse_list(alpha_list, "--alpha")
     try:
         rows = experiments.keysize_panel(alphas)
     except ValueError as err:

@@ -54,15 +54,19 @@ MIN_TRIALS = 100
 MAX_INPUT_WIDTH = 62
 
 
-def input_width_need(m: int, p: float, s: float, margin: float = 1.25) -> int:
+#: Factor by which a default input width exceeds the guesswork exponent.
+WIDTH_MARGIN = 1.25
+
+
+def input_width_need(m: int, p: float, s: float) -> int:
     """Input width comfortably above the guesswork exponent:
-    margin * m * (log2(1/p) + H(s)), rounded up."""
-    return math.ceil(margin * m * (math.log2(1.0 / p) + binary_entropy(s)))
+    WIDTH_MARGIN * m * (log2(1/p) + H(s)), rounded up."""
+    return math.ceil(WIDTH_MARGIN * m * (math.log2(1.0 / p) + binary_entropy(s)))
 
 
-def default_input_width(m: int, p: float, s: float, margin: float = 1.25) -> int:
+def default_input_width(m: int, p: float, s: float) -> int:
     """input_width_need capped at the 62-bit index limit, and at least m + 2."""
-    return max(m + 2, min(MAX_INPUT_WIDTH, input_width_need(m, p, s, margin)))
+    return max(m + 2, min(MAX_INPUT_WIDTH, input_width_need(m, p, s)))
 
 
 @dataclass(frozen=True)

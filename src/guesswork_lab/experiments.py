@@ -18,7 +18,6 @@ counter-keyed block functions.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -37,7 +36,7 @@ from .config import (  # noqa: F401  (re-exported)
     default_input_width,
     input_width_need,
 )
-from .hashmodel import exact_bernoulli_distribution
+from .hashmodel import BINOMIAL, exact_bernoulli_distribution, weight_layer_order, weight_layer_starts
 from .infotheory import (
     binary_entropy,
     cross_entropy_identity,
@@ -193,9 +192,10 @@ def _p_any(pk: np.ndarray, bins) -> float:
     return total
 
 
-def _plan_for(cfg: ExperimentConfig) -> alloc.AllocationPlan:
+def _plan_bits(cfg: ExperimentConfig) -> np.ndarray:
+    """The allocated bin of each user, in plan order."""
     sc = cfg.scenario
-    return alloc.allocate_bins(sc.m, sc.p, sc.user_count())
+    return np.array([b.bits for b in alloc.allocate_bins(sc.m, sc.p, sc.user_count()).bins()], dtype=np.int64)
 
 
 def _user_count(cfg: ExperimentConfig) -> int:
@@ -311,7 +311,7 @@ def _users_kernel(cfg: ExperimentConfig):
     users = _user_count(cfg)
     pk = _pk_table(sc)
     if kind.allocated:
-        plan_bits = np.array([b.bits for b in _plan_for(cfg).bins()], dtype=np.int64)
+        plan_bits = _plan_bits(cfg)
         p_user = pk[np.bitwise_count(plan_bits)]
         p_all = _p_any(pk, plan_bits.tolist())
 
@@ -360,42 +360,19 @@ def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray):
 
     The weight is an inverse-CDF Binomial(n, theta) draw and the offset a
     uniform position inside its layer of C(n, weight) passwords; rank is
-    the 0-based guess position, the layers lying in the order
-    attack._weight_layer_walk serves them: lightest first below theta =
-    1/2, heaviest first above it.  At theta = 1/2 the guess order is
-    ascending index, and rank, uniform over 2^n, is the password itself.
+    the 0-based guess position in the weight-layer order the descending
+    strategy serves: lightest layer first below theta = 1/2, heaviest
+    first above it.  At theta = 1/2 the guess order is ascending index,
+    and rank, uniform over 2^n, is the password itself.
     """
     n, theta = cfg.scenario.n, cfg.scenario.theta
-    layers = [math.comb(n, k) for k in range(n + 1)]
-    walk = range(n + 1) if theta <= 0.5 else range(n, -1, -1)
-    below = np.zeros(n + 1, dtype=np.int64)
-    below[list(walk)] = list(itertools.accumulate((layers[k] for k in walk), initial=0))[:-1]
+    layers = BINOMIAL[n, : n + 1].tolist()
     cdf = np.cumsum([layers[k] * theta ** k * (1.0 - theta) ** (n - k) for k in range(n + 1)])
     u = rng.uniforms(cfg.seed, trials, _LANE_WEIGHT)
     weight = np.minimum(np.searchsorted(cdf, u, side="right"), n)
     size = np.array(layers, dtype=np.uint64)[weight]
     offset = rng.integers_below(cfg.seed, trials, _LANE_RANK, size)
-    return weight, offset, below[weight] + offset
-
-
-def _nth_of_weight(n: int, weight: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """The offset-th n-bit value, ascending, with `weight` one-bits, per row.
-
-    Combinatorial number system: values of one weight ascend in the colex
-    order of their bit sets, so scanning bits from the top, bit c is set
-    exactly when C(c, k) <= the offset left, k being the bits left to set.
-    """
-    comb = np.array([[math.comb(c, k) for k in range(n + 1)] for c in range(n)], dtype=np.int64)
-    left = np.array(weight, dtype=np.int64)
-    rest = np.array(offset, dtype=np.int64)
-    value = np.zeros(left.shape, dtype=np.int64)
-    for c in range(n - 1, -1, -1):
-        step = comb[c, left]
-        take = (left > 0) & (step <= rest)
-        value[take] |= 1 << c
-        rest -= np.where(take, step, 0)
-        left -= take
-    return value
+    return weight, offset, weight_layer_starts(n, theta > 0.5)[weight] + offset
 
 
 def _biased_password_kernel(cfg: ExperimentConfig):
@@ -445,7 +422,7 @@ def _scan_kernel(cfg: ExperimentConfig):
     sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
     if kind.allocated:
-        plan_bits = np.array([b.bits for b in _plan_for(cfg).bins()], dtype=np.int64)
+        plan_bits = _plan_bits(cfg)
     strat = attack.descending_probability(sc.theta) if kind.biased else attack.ascending()
     budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
@@ -455,8 +432,8 @@ def _scan_kernel(cfg: ExperimentConfig):
         pick = np.zeros(trials.size, dtype=np.int64)
         specials = None
         if kind.biased:
-            weight, offset, rank = _draw_biased(cfg, trials)
-            true_pw = (rank if sc.theta == 0.5 else _nth_of_weight(sc.n, weight, offset)).astype(np.uint64)
+            _, _, rank = _draw_biased(cfg, trials)
+            true_pw = (rank if sc.theta == 0.5 else weight_layer_order(sc.n, sc.theta > 0.5, rank)).astype(np.uint64)
             target = np.full(trials.size, (1 << sc.m) - 1)
             specials = (true_pw, rows, np.ones(trials.size, dtype=bool))
         else:
@@ -785,7 +762,7 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
     # Every password is a hit, so only the smallest of the forced_users
     # uniform passwords matters: drawn directly by inverting
     # P(min >= x) = (1 - x/2^n)^forced_users.
-    shell = math.comb(sc.m, nearest)
+    shell = int(BINOMIAL[sc.m, nearest])
     forced_users = min(users, shell)
     p_any = forced_users * _pk(sc.m, sc.p, nearest)
     v = rng.uniforms(cfg.seed, trials, 0x0FF1)

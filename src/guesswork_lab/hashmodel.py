@@ -1,4 +1,4 @@
-"""Hash-function models: the lazily keyed segmented family and explicit tables.
+"""Hash models: lazily keyed segments, explicit tables, the weight-layer order.
 
 The keyed model realizes a hash whose value on input i is the i-th m-bit
 segment of a Bernoulli(p) key.  The key is never materialized: segments
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -131,9 +131,7 @@ def sample_table_hash(m: int, n: int, p: float, seed: int) -> TableHash:
     chunk = 1 << 20
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
-        bits = gen.random((stop - start, m)) < p
-        weights = (1 << np.arange(m - 1, -1, -1)).astype(np.uint32)
-        table[start:stop] = bits @ weights
+        table[start:stop] = (gen.random((stop - start, m)) < p) @ rng.BIT_WEIGHTS[64 - m :]
     return TableHash(m=m, n=n, table=table)
 
 
@@ -146,26 +144,42 @@ def exact_bernoulli_distribution(m: int, p: float) -> np.ndarray:
     return np.exp(w * math.log(p) + (m - w) * math.log1p(-p))
 
 
-def iter_bins_by_likelihood(m: int, p: float) -> Iterator[int]:
-    """Lazy least-likely-first bin enumeration, usable for any m.
+#: C(c, k) for c, k <= 62, zero where k > c: every count of the weight-layer
+#: order, exact in int64 (C(62, 31) < 2^59).
+BINOMIAL = np.array([[math.comb(c, k) for k in range(63)] for c in range(63)], dtype=np.int64)
 
-    Walks type classes from popcount m down to 0, each in ascending
-    numeric order.
+
+def weight_layer_starts(width: int, heavy_first: bool) -> np.ndarray:
+    """First rank of each weight's layer in weight_layer_order, by weight."""
+    if not 0 <= width < BINOMIAL.shape[0]:
+        raise ValueError(f"weight-layer order needs 0 <= width <= 62, got {width}")
+    sizes = BINOMIAL[width, : width + 1]
+    return (np.cumsum(sizes[::-1])[::-1] if heavy_first else np.cumsum(sizes)) - sizes
+
+
+def weight_layer_order(width: int, heavy_first: bool, rank: np.ndarray) -> np.ndarray:
+    """The width-bit value at each rank of the weight-layer order, as int64.
+
+    Values are listed by weight, the heaviest layer first when heavy_first,
+    ascending inside a layer: least-likely-first bin allocation (heavy
+    first, for p < 1/2) and the probability-descending order of
+    Bernoulli(theta) passwords.  Values of one weight ascend in the colex
+    order of their bit sets, so scanning bits from the top, bit c is set
+    exactly when C(c, k) <= the offset left, k being the bits left to set.
     """
-    check_bias(p)
-    for w in range(m, -1, -1):
-        yield from same_weight_ascending(m, w)
-
-
-def same_weight_ascending(width: int, weight: int, start: Optional[int] = None) -> Iterator[int]:
-    """Values below 2^width with `weight` one-bits in ascending order,
-    from start (a member) when given (Gosper's hack)."""
-    limit = 1 << width
-    v = (1 << weight) - 1 if start is None else start
-    while v < limit:
-        yield v
-        if v == 0:
-            return
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
+    starts = weight_layer_starts(width, heavy_first)
+    rank = np.asarray(rank, dtype=np.int64)
+    if rank.size and (rank.min() < 0 or rank.max() >> width):
+        raise ValueError(f"rank out of range for width={width}")
+    weights = np.arange(width, -1, -1) if heavy_first else np.arange(width + 1)
+    left = weights[np.searchsorted(starts[weights], rank, side="right") - 1]
+    rest = rank - starts[left]
+    value = np.zeros(rank.shape, dtype=np.int64)
+    for c in range(width - 1, -1, -1):
+        step = BINOMIAL[c].take(left)
+        take = step <= rest
+        value <<= 1
+        value |= take
+        rest -= step * take
+        left -= take
+    return value

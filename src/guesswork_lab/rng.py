@@ -177,8 +177,8 @@ _LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.ui
 #: Shifts of k bits drawn first to last, the last one lowest: _DOWN[64 - k:].
 _DOWN = np.arange(63, -1, -1, dtype=np.uint64)
 
-#: Weights of k bits drawn first to last: _WEIGHTS[64 - k:].
-_WEIGHTS = _ONE << _DOWN
+#: Weights that pack rows of k bits, first bit highest: BIT_WEIGHTS[64 - k:].
+BIT_WEIGHTS = _ONE << _DOWN
 
 #: Survivors at or below which a hit test takes all their remaining bits
 #: in one 2-D mix: numpy's fixed cost per call then outweighs the bits
@@ -226,7 +226,7 @@ def _hits(base, thr, m, live, table, target) -> np.ndarray:
             rest = np.empty((n, m - j), dtype=np.uint64)
             np.bitwise_xor(base[:, None], _LANES[j:m], out=rest)
             _mix_into(rest, np.empty_like(rest))
-            low = np.dot((rest < thr).view(np.uint8), _WEIGHTS[64 - m + j :])
+            low = np.dot((rest < thr).view(np.uint8), BIT_WEIGHTS[64 - m + j :])
             if live is not None:
                 ok = live[-1].take((prefix << (m - j)) | low.view(np.intp))
             else:

@@ -83,6 +83,15 @@ class TestOfflineAttackAny:
         with pytest.raises(ValueError):
             attack.offline_attack_any(t, [], attack.ascending())
 
+    @pytest.mark.parametrize("bins", [[-1], [2, -1], [8], [0, 8]])
+    def test_bins_outside_the_range_rejected(self, bins):
+        # -1 used to wrap around to bin 2^m - 1 of the target mask
+        for h in (hm.sample_table_hash(3, 8, 0.3, seed=2), hm.KeyedHashModel(m=3, n=8, p=0.3, seed=2)):
+            with pytest.raises(ValueError):
+                attack.offline_attack_any(h, bins, attack.ascending())
+            with pytest.raises(ValueError):
+                attack.online_attack(h, bins[-1], attack.ascending())
+
 
 class TestPermutationAverageExact:
     def test_enumeration_n3_l1(self):

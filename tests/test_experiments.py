@@ -171,7 +171,7 @@ class TestKernelsMatchScalarPath:
         u = rng.uniforms(cfg.seed, trials, ex._LANE_GEOM)
         online = not cfg.kind.offline
         if mode.startswith("allocated"):
-            plan = ex._plan_for(cfg)
+            plan = al.allocate_bins(sc.m, sc.p, sc.user_count())
             expect = [
                 ex._allocated_row(sc, plan, pw[r].tolist(), int(pick[r]), u[r], online, budget)
                 for r in range(trials.size)
@@ -240,22 +240,27 @@ class TestBiasedDraws:
         else:
             assert np.array_equal(np.bitwise_count(order[rank]), weight)
 
+    # The scan's true password is the value at rank layer start + offset:
+    # the offset-th n-bit value of the drawn weight, ascending.
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_nth_of_weight_enumerates_each_layer(self, n):
         for w in range(n + 1):
-            layer = list(hm.same_weight_ascending(n, w))
-            got = ex._nth_of_weight(n, np.full(len(layer), w), np.arange(len(layer)))
-            assert got.tolist() == layer
+            layer = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), w))
+            for heavy_first in (False, True):
+                rank = hm.weight_layer_starts(n, heavy_first)[w] + np.arange(len(layer))
+                assert hm.weight_layer_order(n, heavy_first, rank).tolist() == layer
 
     def test_nth_of_weight_layer_ends_at_62_bits(self):
         n = 62
         for w in (0, 1, 2, 17, 31, 45, 61, 62):
-            want = list(itertools.islice(hm.same_weight_ascending(n, w), 2))  # one if the layer has one
-            offsets = list(range(len(want))) + [math.comb(n, w) - 1]
-            last = ((1 << w) - 1) << (n - w)  # the top w bits
-            assert list(hm.same_weight_ascending(n, w, last)) == [last]  # nothing follows it
-            got = ex._nth_of_weight(n, np.full(len(offsets), w), np.array(offsets))
-            assert got.tolist() == want + [last]
+            first = (1 << w) - 1  # the low w bits
+            second = [first ^ (3 << (w - 1))] if 0 < w < n else []  # top low bit moved up one
+            last = first << (n - w)  # the top w bits
+            offsets = [0] + [1] * len(second) + [math.comb(n, w) - 1]
+            for heavy_first in (False, True):
+                rank = hm.weight_layer_starts(n, heavy_first)[w] + np.array(offsets)
+                assert hm.weight_layer_order(n, heavy_first, rank).tolist() == [first] + second + [last]
 
 
 class TestEnginesShareDraws:
@@ -386,8 +391,9 @@ def _literal_trial(cfg, plan, trial):
     model = hm.KeyedHashModel(sc.m, sc.n, sc.p, int(rng.words(cfg.seed, at, ex._LANE_KEY)[0]))
     if cfg.mode == "biased-password":
         weight, offset, rank = (int(v[0]) for v in ex._draw_biased(cfg, at))
-        layer = hm.same_weight_ascending(sc.n, weight)
-        true_pw = rank if sc.theta == 0.5 else next(itertools.islice(layer, offset, None))
+        values = np.arange(1 << sc.n)
+        layer = values[np.bitwise_count(values) == weight]  # the weight's passwords, ascending
+        true_pw = rank if sc.theta == 0.5 else int(layer[offset])
         target = (1 << sc.m) - 1
         model.overrides[true_pw] = target
         res = attack.biased_password_race(model, target, sc.theta, true_pw, cfg.budget)
@@ -421,7 +427,8 @@ class TestScanKernelMatchesAttacks:
         cfg = make_cfg(mode, theta=theta, trials=100, seed=41, engine="scan", budget=budget, **shape)
         trials = np.arange(20, 120, dtype=np.uint64)
         block = ex._scan_kernel(cfg)(trials)
-        plan = ex._plan_for(cfg) if mode.startswith("allocated") else None
+        sc = cfg.scenario
+        plan = al.allocate_bins(sc.m, sc.p, sc.user_count()) if mode.startswith("allocated") else None
         expect = [_literal_trial(cfg, plan, t) for t in trials.tolist()]
         arms = block.arm.tolist() if block.arm is not None else [""] * trials.size
         got = list(zip(block.guesses.tolist(), block.success.tolist(), block.user.tolist(), block.bins.tolist(), arms))

@@ -1,10 +1,13 @@
 """Hash model tests: keyed segments, tables, rankings."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from guesswork_lab import allocation as al
 from guesswork_lab import hashmodel as hm
 from guesswork_lab import rng
 
@@ -136,7 +139,17 @@ class TestEffectiveDistribution:
 
 
 def ranking(m, p):
-    return list(hm.iter_bins_by_likelihood(m, p))
+    """Every m-bit bin, least likely first: the full allocation plan."""
+    return [b.bits for b in al.allocate_bins(m, p, 1 << m).bins()]
+
+
+def layer_listing(width, heavy_first):
+    """Brute force: the weight layers in order, each listed ascending."""
+    weights = range(width, -1, -1) if heavy_first else range(width + 1)
+    return [
+        v for k in weights
+        for v in sorted(sum(1 << i for i in c) for c in itertools.combinations(range(width), k))
+    ]
 
 
 class TestRankBins:
@@ -147,7 +160,7 @@ class TestRankBins:
     def test_first_is_all_ones(self):
         for m in (1, 2, 5, 8):
             for p in (0.1, 0.3, 0.49):
-                assert next(hm.iter_bins_by_likelihood(m, p)) == (1 << m) - 1
+                assert al.allocate_bins(m, p, 1).bins()[0].bits == (1 << m) - 1
 
     def test_m3_leading_classes(self):
         assert ranking(3, 0.4)[:4] == [7, 3, 5, 6]
@@ -168,6 +181,41 @@ class TestRankBins:
         for m in (1, 3, 6, 10):
             expect = sorted(range(1 << m), key=lambda v: (-v.bit_count(), v))
             assert ranking(m, 0.3) == expect
+
+
+class TestWeightLayerOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_listing(self, data):
+        width = data.draw(st.integers(0, 12))
+        heavy_first = data.draw(st.booleans())
+        listing = layer_listing(width, heavy_first)
+        starts = hm.weight_layer_starts(width, heavy_first)
+        # each layer's first and last rank, and ranks anywhere
+        edges = [r for s in starts.tolist() for r in (s - 1, s) if r >= 0] + [len(listing) - 1]
+        ranks = data.draw(st.lists(st.integers(0, len(listing) - 1), max_size=20)) + edges
+        got = hm.weight_layer_order(width, heavy_first, np.array(ranks))
+        assert got.tolist() == [listing[r] for r in ranks]
+        weights = [v.bit_count() for v in listing]
+        assert starts.tolist() == [weights.index(w) for w in range(width + 1)]
+
+    @pytest.mark.parametrize("heavy_first", [False, True])
+    def test_ends_of_the_width_62_order(self, heavy_first):
+        full = (1 << 62) - 1
+        got = hm.weight_layer_order(62, heavy_first, np.array([0, 1, 62, 63, full - 1, full]))
+        light = [0, 1, 1 << 61, 3, full ^ 1, full]  # lightest: 0, then 1, 2, ..., 2^61, then 3
+        heavy = [full, full ^ (1 << 61), full ^ 1, full ^ (3 << 60), 1 << 61, 0]
+        assert got.tolist() == (heavy if heavy_first else light)
+
+    def test_width_above_62_and_ranks_out_of_range_fail_loudly(self):
+        with pytest.raises(ValueError):
+            hm.weight_layer_order(63, False, np.arange(4))
+        with pytest.raises(ValueError):
+            hm.weight_layer_starts(63, True)
+        with pytest.raises(ValueError):
+            hm.weight_layer_order(4, True, np.array([16]))
+        with pytest.raises(ValueError):
+            hm.weight_layer_order(4, False, np.array([-1]))
 
 
 class TestPreimageCount:
