@@ -94,11 +94,6 @@ def allocate_bins(m: int, p: float, user_count: int) -> AllocationPlan:
     )
 
 
-def _draw_passwords(plan: AllocationPlan, n: int, password_seed: int) -> list[int]:
-    gen = rng.generator(password_seed, rng.LANE_PASSWORDS)
-    return [int(x) for x in gen.integers(0, 1 << n, size=plan.user_count)]
-
-
 def resolve_collisions(
     users: tuple[tuple[int, BinLabel], ...], passwords: list[int]
 ) -> BackdoorOutcome:
@@ -128,13 +123,16 @@ def backdoor_install(
 ) -> BackdoorOutcome:
     """Plant each user's password into their allocated bin via overrides.
 
-    Each planted index is written exactly once; a user whose password was
-    already claimed keeps no override and is reassigned to the earlier
-    (less likely) claimant's bin.
+    User i draws rng.passwords at counter i - 1: the passwords of trial 0
+    of an allocated experiment seeded with password_seed.  Each planted
+    index is written exactly once; a user whose password was already
+    claimed keeps no override and is reassigned to the earlier (less
+    likely) claimant's bin.
     """
     if plan.m != model.m:
         raise ValueError(f"plan m={plan.m} does not match model m={model.m}")
-    outcome = resolve_collisions(plan.users, _draw_passwords(plan, model.n, password_seed))
+    drawn = rng.passwords(password_seed, np.arange(plan.user_count), model.n).tolist()
+    outcome = resolve_collisions(plan.users, drawn)
     for pw, bin_label in outcome.planted:
         model.overrides[pw] = bin_label.bits
     return outcome

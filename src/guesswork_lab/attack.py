@@ -91,7 +91,6 @@ class AttackResult:
 
     guesses: int
     success: bool
-    target: object
     arm: Optional[str] = None
 
     def __post_init__(self):
@@ -99,29 +98,29 @@ class AttackResult:
             raise ValueError("failed attacks must report zero guesses")
 
 
-def _ascending_chunks(n_candidates: int, budget: int) -> Iterator[np.ndarray]:
-    chunk = _CHUNK0
-    start = 0
-    while start < budget:
-        stop = min(start + chunk, budget)
+def _chunk_bounds(size: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of chunks of _CHUNK0 * 4^k indices, at most
+    _CHUNK_CAP, that cover [0, size)."""
+    chunk, start = _CHUNK0, 0
+    while start < size:
+        stop = min(start + chunk, size)
+        yield start, stop
+        start, chunk = stop, min(chunk * 4, _CHUNK_CAP)
+
+
+def _ascending_chunks(budget: int) -> Iterator[np.ndarray]:
+    for start, stop in _chunk_bounds(budget):
         yield np.arange(start, stop, dtype=np.uint64)
-        start = stop
-        chunk = min(chunk * 4, _CHUNK_CAP)
 
 
 def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[np.ndarray]:
     if n_candidates > _PERM_MASK_CAP:
         raise ResourceCapError(f"seeded permutation capped at {_PERM_MASK_CAP} candidates")
-    gen = rng.generator(seed, 0x9E12)
+    gen = rng.generator(seed, rng.LANE_PERMUTATION)
     if n_candidates <= _PERM_MATERIALIZE_CAP:
         perm = gen.permutation(n_candidates)[:budget].astype(np.uint64)
-        chunk = _CHUNK0
-        start = 0
-        while start < perm.size:
-            stop = min(start + chunk, perm.size)
+        for start, stop in _chunk_bounds(perm.size):
             yield perm[start:stop]
-            start = stop
-            chunk = min(chunk * 4, _CHUNK_CAP)
         return
     # Lazy prefix of a uniform permutation: i.i.d. uniform draws filtered
     # to first occurrences are exactly such a prefix.
@@ -205,7 +204,7 @@ def _weight_layer_chunks(n: int, theta: float, budget: int) -> Iterator[np.ndarr
     prefix and past it unranked (the prefix holds whole chunks).
     """
     if theta == 0.5:
-        yield from _ascending_chunks(1 << n, budget)
+        yield from _ascending_chunks(budget)
         return
     heavy_first = theta > 0.5
     prefix = _descending_prefix(n, heavy_first)
@@ -222,7 +221,7 @@ def strategy_chunks(strat: GuessStrategy, n: int, budget: int) -> Iterator[np.nd
     n_candidates = 1 << n
     budget = min(budget, n_candidates)
     if strat.kind == "ascending-index":
-        yield from _ascending_chunks(n_candidates, budget)
+        yield from _ascending_chunks(budget)
     elif strat.kind == "seeded-permutation":
         yield from _permutation_chunks(n_candidates, budget, strat.seed)
     else:
@@ -283,13 +282,15 @@ def lockstep_scan(
     indices.  specials = (index, row, hit) arrays: at a special index of
     its row only `hit` decides (a planted override, or a password that
     ends the scan).  Each round hashes one window of the order for every
-    active row.  The strategy serves chunks of _CHUNK0 * 4^k indices (at
-    most _CHUNK_CAP); a window is the rest of the current chunk, cut to
-    _ROUND_PAIRS // active indices while more than one row scans.  One
-    row thus keeps the chunk schedule, and many rows take narrow windows
-    that overshoot their first hits by little.  Returns each row's 1-based
-    guess count (0 when no hit came within the budget) and the index of
-    its first hit.
+    active row.  strategy_chunks serves the order in chunks: _CHUNK0 * 4^k
+    indices, at most _CHUNK_CAP, in ascending and permutation order (a
+    lazy permutation's near-exhaustion tail comes as one chunk), and
+    _CHUNK0 indices each in descending order.  A window is the rest of
+    the current chunk, cut to _ROUND_PAIRS // active indices while more
+    than one row scans.  One row thus keeps the chunk schedule, and many
+    rows take narrow windows that overshoot their first hits by little.
+    Returns each row's 1-based guess count (0 when no hit came within the
+    budget) and the index of its first hit.
     """
     guesses = np.zeros(rows, dtype=np.int64)
     first = np.zeros(rows, dtype=np.uint64)
@@ -387,7 +388,7 @@ def online_attack(
         raise ValueError(f"bin {bits} out of range for m={h.m}")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
     guesses, _ = _scan(h, bits, strat, budget)
-    return AttackResult(guesses, guesses > 0, BinLabel(bits, h.m))
+    return AttackResult(guesses, guesses > 0)
 
 
 def offline_attack_any(
@@ -404,7 +405,7 @@ def offline_attack_any(
         raise ValueError("bin out of range for m")
     budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
     guesses, _ = _scan(h, _target_mask(h.m, bit_set), strat, budget)
-    return AttackResult(guesses, guesses > 0, frozenset(bit_set))
+    return AttackResult(guesses, guesses > 0)
 
 
 def fast_budget(m: int, q_b: float, p: float) -> int:
@@ -471,9 +472,8 @@ def biased_password_race(
     strat = descending_probability(theta)
     guesses, first = _scan(h, bits, strat, budget, true_pw)
     if not guesses:
-        return AttackResult(0, False, BinLabel(bits, h.m))
-    arm = ARM_PASSWORD if first == true_pw else ARM_HASH
-    return AttackResult(guesses, True, BinLabel(bits, h.m), arm=arm)
+        return AttackResult(0, False)
+    return AttackResult(guesses, True, ARM_PASSWORD if first == true_pw else ARM_HASH)
 
 
 @dataclass

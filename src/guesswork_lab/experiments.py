@@ -49,13 +49,6 @@ from .rates import (
     key_size_ratio,
 )
 
-_LANE_KEY = 0x4E1
-_LANE_GEOM = 0x6E0
-_LANE_PICK = 0x05E7
-_LANE_BINS = 0xB175
-_LANE_WEIGHT = 0x3E16
-_LANE_RANK = 0x3A4C
-
 #: Most (trial, user) pairs a kernel draws at once.  It bounds a block's
 #: memory: at 2^16 a 10^5-trial single-user run peaked 6 MB higher than
 #: the per-trial engine did, at 2^14 it stays below it.
@@ -232,22 +225,20 @@ def _trial_users(trials: np.ndarray, count: int) -> np.ndarray:
 
 
 def _draw_passwords(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
-    """Each user's uniform n-bit password: the top n bits of a word."""
-    shift = np.uint64(64 - cfg.scenario.n)
-    words = rng.words(cfg.seed, _trial_users(trials, count), rng.LANE_PASSWORDS)
-    return (words >> shift).astype(np.int64)
+    """Each user's uniform n-bit password."""
+    return rng.passwords(cfg.seed, _trial_users(trials, count), cfg.scenario.n)
 
 
 def _draw_user_bins(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
     """Each user's keyed-hash bin: m i.i.d. Bernoulli(p) bits."""
     sc = cfg.scenario
-    seed = rng.derive_seed(cfg.seed, _LANE_BINS)
+    seed = rng.derive_seed(cfg.seed, rng.LANE_BINS)
     return rng.biased_bits(seed, sc.p, sc.m, _trial_users(trials, count)).astype(np.int64)
 
 
 def _draw_pick(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
     """0-based index of the attacked user."""
-    return (rng.uniforms(cfg.seed, trials, _LANE_PICK) * count).astype(np.int64)
+    return (rng.uniforms(cfg.seed, trials, rng.LANE_PICK) * count).astype(np.int64)
 
 
 def _collision_rows(ordered: np.ndarray) -> np.ndarray:
@@ -329,7 +320,7 @@ def _users_kernel(cfg: ExperimentConfig):
     def run(trials: np.ndarray) -> _Block:
         pw = _draw_passwords(cfg, trials, users)
         pick = _draw_pick(cfg, trials, users)
-        u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
+        u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
         ordered = np.sort(pw, axis=1)
         clash = _collision_rows(ordered)
         if kind.allocated:
@@ -355,24 +346,23 @@ def _users_kernel(cfg: ExperimentConfig):
     return run
 
 
-def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray):
-    """(weight, offset, rank) of each trial's true biased password.
+def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray) -> np.ndarray:
+    """Rank of each trial's true biased password: its 0-based guess
+    position in the weight-layer order the descending strategy serves,
+    lightest layer first below theta = 1/2, heaviest first above it.
 
-    The weight is an inverse-CDF Binomial(n, theta) draw and the offset a
-    uniform position inside its layer of C(n, weight) passwords; rank is
-    the 0-based guess position in the weight-layer order the descending
-    strategy serves: lightest layer first below theta = 1/2, heaviest
-    first above it.  At theta = 1/2 the guess order is ascending index,
-    and rank, uniform over 2^n, is the password itself.
+    The weight is an inverse-CDF Binomial(n, theta) draw and the rank a
+    uniform position inside its layer of C(n, weight) passwords.  At
+    theta = 1/2 the guess order is ascending index, and the rank, uniform
+    over 2^n, is the password itself.
     """
     n, theta = cfg.scenario.n, cfg.scenario.theta
     layers = BINOMIAL[n, : n + 1].tolist()
     cdf = np.cumsum([layers[k] * theta ** k * (1.0 - theta) ** (n - k) for k in range(n + 1)])
-    u = rng.uniforms(cfg.seed, trials, _LANE_WEIGHT)
+    u = rng.uniforms(cfg.seed, trials, rng.LANE_WEIGHT)
     weight = np.minimum(np.searchsorted(cdf, u, side="right"), n)
-    size = np.array(layers, dtype=np.uint64)[weight]
-    offset = rng.integers_below(cfg.seed, trials, _LANE_RANK, size)
-    return weight, offset, weight_layer_starts(n, theta > 0.5)[weight] + offset
+    offset = rng.integers_below(cfg.seed, trials, rng.LANE_RANK, np.array(layers, dtype=np.uint64)[weight])
+    return weight_layer_starts(n, theta > 0.5)[weight] + offset
 
 
 def _biased_password_kernel(cfg: ExperimentConfig):
@@ -382,8 +372,8 @@ def _biased_password_kernel(cfg: ExperimentConfig):
     p_hit = _pk(sc.m, sc.p, sc.m)  # all-ones target bin
 
     def run(trials: np.ndarray) -> _Block:
-        _, _, rank = _draw_biased(cfg, trials)
-        u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
+        rank = _draw_biased(cfg, trials)
+        u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
         guesses, success = _first_hits(
             u, np.full(trials.size, p_hit), rank[:, None], rank, sc.n, cfg.budget
         )
@@ -427,12 +417,12 @@ def _scan_kernel(cfg: ExperimentConfig):
     budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
     def run(trials: np.ndarray) -> _Block:
-        keys = rng.words(cfg.seed, trials, _LANE_KEY)
+        keys = rng.words(cfg.seed, trials, rng.LANE_KEY)
         rows = np.arange(trials.size)
         pick = np.zeros(trials.size, dtype=np.int64)
         specials = None
         if kind.biased:
-            _, _, rank = _draw_biased(cfg, trials)
+            rank = _draw_biased(cfg, trials)
             true_pw = (rank if sc.theta == 0.5 else weight_layer_order(sc.n, sc.theta > 0.5, rank)).astype(np.uint64)
             target = np.full(trials.size, (1 << sc.m) - 1)
             specials = (true_pw, rows, np.ones(trials.size, dtype=bool))
@@ -678,7 +668,7 @@ def concentration_report(
     target_weight = sc.m  # all-ones bin
     p_hit = _pk(sc.m, sc.p, target_weight)
     trials = np.arange(cfg.trials, dtype=np.uint64)
-    u = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
+    u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
     g = rng.geometric_from_uniform(u, p_hit)
     success = g <= float(1 << sc.n)
     rows = []
@@ -736,8 +726,8 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
     nearest = round(sc.p * sc.m)
 
     trials = np.arange(cfg.trials, dtype=np.uint64)
-    u_geom = rng.uniforms(cfg.seed, trials, _LANE_GEOM)
-    gen = rng.generator(cfg.seed, 0xB1A5)
+    u_geom = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
+    gen = rng.generator(cfg.seed, rng.LANE_PANEL)
 
     # online: attacked user's type, own password always a hit
     weights = gen.binomial(sc.m, sc.p, size=cfg.trials)
@@ -765,9 +755,9 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
     shell = int(BINOMIAL[sc.m, nearest])
     forced_users = min(users, shell)
     p_any = forced_users * _pk(sc.m, sc.p, nearest)
-    v = rng.uniforms(cfg.seed, trials, 0x0FF1)
+    v = rng.uniforms(cfg.seed, trials, rng.LANE_FORCED_FIRST)
     first = np.floor(float(1 << sc.n) * -np.expm1(np.log1p(-v) / forced_users)).astype(np.int64)
-    u_off = rng.uniforms(cfg.seed, trials, 0x0FF2)
+    u_off = rng.uniforms(cfg.seed, trials, rng.LANE_FORCED_GEOM)
     g_offline, _ = _first_hits(
         u_off, np.full(cfg.trials, p_any), first[:, None], first, sc.n, cfg.budget
     )
@@ -855,7 +845,7 @@ def permutation_mean_guesswork(
     hitmask[target_bits] = True
     preimages = int(np.count_nonzero(table == target_bits))
     acc = GuessAccumulator()
-    gen = rng.generator(seed, 0x9E34)
+    gen = rng.generator(seed, rng.LANE_ORACLE)
     if preimages == 0:
         acc.add_array(np.zeros(samples))
         return acc.estimate()
@@ -910,20 +900,18 @@ def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
 
 
 def _continue_permutation_scan(gen, table, hitmask, prefix_draws) -> tuple[int, bool]:
-    """Finish a permutation scan whose prefix found no hit (exact, rare)."""
+    """Finish a permutation scan whose prefix found no hit (exact, rare):
+    fresh draws of 256-integer batches, the prefix marked served."""
     size = table.shape[0]
-    seen = set(prefix_draws.tolist())
-    count = len(seen)
+    seen = np.zeros(size, dtype=np.int32)
+    seen[prefix_draws] = attack._SEEN
+    count = int(np.count_nonzero(seen))
     while count < size:
-        for v in gen.integers(0, size, size=256).tolist():
-            if v in seen:
-                continue
-            seen.add(v)
-            count += 1
-            if hitmask[table[v]]:
-                return count, True
-            if count >= size:
-                break
+        fresh = attack._fresh_draws(seen, gen.integers(0, size, size=256))
+        hits = np.flatnonzero(hitmask[table[fresh]])
+        if hits.size:
+            return count + int(hits[0]) + 1, True
+        count += fresh.size
     return 0, False
 
 

@@ -101,10 +101,7 @@ class TableHash:
         # m == n tables are allowed for exact small oracles
         if self.m > self.n:
             raise ValueError(f"need m <= n, got m={self.m}, n={self.n}")
-        if self.n > TABLE_N_CAP or self.m > TABLE_M_CAP:
-            raise ResourceCapError(
-                f"explicit table capped at n<={TABLE_N_CAP}, m<={TABLE_M_CAP}"
-            )
+        _check_table_caps(self.m, self.n)
         self.table = np.asarray(self.table, dtype=np.uint32)
         if self.table.shape != (1 << self.n,):
             raise ValueError(f"table must have exactly 2^{self.n} entries")
@@ -118,14 +115,16 @@ class TableHash:
 HashFunction = Union[KeyedHashModel, TableHash]
 
 
+def _check_table_caps(m: int, n: int) -> None:
+    if n > TABLE_N_CAP or m > TABLE_M_CAP:
+        raise ResourceCapError(f"explicit table capped at n<={TABLE_N_CAP}, m<={TABLE_M_CAP}")
+
+
 def sample_table_hash(m: int, n: int, p: float, seed: int) -> TableHash:
     """Explicit table with entries sampled bitwise i.i.d. Bernoulli(p)."""
-    if n > TABLE_N_CAP or m > TABLE_M_CAP:
-        raise ResourceCapError(
-            f"explicit table capped at n<={TABLE_N_CAP}, m<={TABLE_M_CAP}"
-        )
+    _check_table_caps(m, n)
     check_bias(p)
-    gen = rng.generator(seed, 0xAB1E)
+    gen = rng.generator(seed, rng.LANE_TABLE)
     size = 1 << n
     table = np.zeros(size, dtype=np.uint32)
     chunk = 1 << 20

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import math
 
-LOG2 = math.log(2.0)
-
 #: Tolerance for deciding whether q*m is an integer (a realizable type).
 REALIZABLE_TOL = 1e-9
 

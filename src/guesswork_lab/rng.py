@@ -34,10 +34,21 @@ TWO_NEG53 = 2.0 ** -53
 _LOW32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-#: Lane of every password stream: the scan engine's per-trial password
-#: generators, the backdoor installer's draws and the sampled engine's
-#: counter-keyed passwords.
-LANE_PASSWORDS = 0x9A55
+# Lanes: a draw is a pure function of (seed, counter, lane), so the lane
+# names the stream.  Every stream of the package is listed here, once.
+LANE_KEY = 0x4E1  # each scan-engine trial's hash key
+LANE_GEOM = 0x6E0  # uniform behind a trial's first natural hit
+LANE_PICK = 0x05E7  # the attacked user
+LANE_BINS = 0xB175  # sampled users' keyed-hash bins
+LANE_WEIGHT = 0x3E16  # the biased password's weight
+LANE_RANK = 0x3A4C  # its position inside its weight layer
+LANE_PASSWORDS = 0x9A55  # users' uniform passwords: trials and the backdoor alike
+LANE_PANEL = 0xB1A5  # most-likely panel: Generator of weights and own passwords
+LANE_FORCED_FIRST = 0x0FF1  # most-likely panel: smallest forced password
+LANE_FORCED_GEOM = 0x0FF2  # most-likely panel: the forced profile's natural hit
+LANE_ORACLE = 0x9E34  # Generator of the fixed-table permutation oracle
+LANE_PERMUTATION = 0x9E12  # Generator of a seeded-permutation guess order
+LANE_TABLE = 0xAB1E  # Generator of a sampled explicit table
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -93,14 +104,19 @@ def threshold_for(p: float) -> np.uint64:
     return np.uint64(math.ceil(p * 2.0 ** 53) << 11)
 
 
-def words(seed: int, idx: np.ndarray, lane: int = 0) -> np.ndarray:
+def words(seed: int, idx: np.ndarray, lane: int) -> np.ndarray:
     """Uniform 64-bit words, one per index, replayable per index."""
     return mix64(idx.astype(np.uint64) * _U_GOLDEN + np.uint64(derive_seed(seed, lane)))
 
 
-def uniforms(seed: int, idx: np.ndarray, lane: int = 0) -> np.ndarray:
+def uniforms(seed: int, idx: np.ndarray, lane: int) -> np.ndarray:
     """53-bit uniforms in [0, 1), one per index, replayable per index."""
     return (words(seed, idx, lane) >> _S11).astype(np.float64) * TWO_NEG53
+
+
+def passwords(seed: int, counters: np.ndarray, n: int) -> np.ndarray:
+    """Uniform n-bit passwords, one per counter: the top n bits of a word."""
+    return (words(seed, counters, LANE_PASSWORDS) >> np.uint64(64 - n)).astype(np.int64)
 
 
 def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> np.ndarray:

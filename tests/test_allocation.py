@@ -9,6 +9,7 @@ from guesswork_lab import allocation as al
 from guesswork_lab import experiments as ex
 from guesswork_lab import hashmodel as hm
 from guesswork_lab.infotheory import binary_entropy
+from guesswork_lab.rates import ScenarioParams
 
 
 class TestAllocateBins:
@@ -112,6 +113,25 @@ class TestBackdoorInstall:
         expected_per_run = users * (users - 1) / 2 / (1 << n)
         expected = runs * expected_per_run
         assert abs(total - expected) <= 3.0 * math.sqrt(expected)
+
+    def test_plants_trial_zero_of_an_allocated_experiment(self):
+        # The backdoor at seed s draws the passwords of trial 0 of an
+        # allocated experiment at seed s, and every user ends in its first
+        # writer's bin.  28 users over 2^9 passwords: collisions are common.
+        sc = ScenarioParams(s=0.6, p=0.3, m=6, n=9)
+        users = sc.user_count()
+        plan = al.allocate_bins(sc.m, sc.p, users)
+        collided = 0
+        for seed in range(40):
+            cfg = ex.ExperimentConfig(scenario=sc, trials=100, seed=seed, mode="allocated-online")
+            pw = ex._draw_passwords(cfg, np.zeros(1, dtype=np.uint64), users)
+            finals = ex._plan_bits(cfg)[ex._first_writer(pw)][0].tolist()
+            model = hm.KeyedHashModel(sc.m, sc.n, sc.p, seed=1)
+            outcome = al.backdoor_install(model, plan, seed)
+            assert [(x, b.bits) for _, x, b in outcome.assignments] == list(zip(pw[0].tolist(), finals))
+            assert model.overrides == dict(zip(pw[0].tolist(), finals))
+            collided += outcome.collision_count > 0
+        assert collided >= 10
 
     def test_dimension_mismatch(self):
         model = hm.KeyedHashModel(m=4, n=12, p=0.3, seed=5)

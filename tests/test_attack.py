@@ -301,7 +301,7 @@ class TestStrategyIrrelevanceSmall:
 
 def test_attack_result_failure_invariant():
     with pytest.raises(ValueError):
-        attack.AttackResult(guesses=5, success=False, target=None)
+        attack.AttackResult(guesses=5, success=False)
 
 
 class TestPrunedHitTest:

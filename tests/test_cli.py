@@ -287,3 +287,25 @@ def test_light_commands_do_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3", "--seed", "abc"],
+         "--seed must be an integer or 'random', got 'abc'"),
+        (["sweep", "--mode", "allocated-online", "--p", "0.3", "--m", "8,x,12"],
+         "--m must be a comma-separated integer list"),
+        (["concentration", "--m", "10", "--p", "0.3", "--l", "0.5,foo"],
+         "--l must be a comma-separated number list"),
+        (["concentration", "--m", "10", "--p", "0.3", "--l", "9"], "l values must stay below n/m"),
+        (["keysize", "--alpha", "1,x"], "--alpha must be a comma-separated number list"),
+        (["keysize", "--alpha", "0.5"], "alpha must be >= 1, got 0.5"),
+        (["rates", "--p", "0.3", "--s", "0.4"], "s must lie in [1/2, 1], got 0.4"),
+    ],
+    ids=["seed", "int-list", "float-list", "l-range", "alpha-list", "alpha-range", "rates-s"],
+)
+def test_bad_input_exit_2(runner, args, message):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == f"Error: {message}"

@@ -168,7 +168,7 @@ class TestKernelsMatchScalarPath:
         users = ex._user_count(cfg)
         pw = ex._draw_passwords(cfg, trials, users)
         pick = ex._draw_pick(cfg, trials, users)
-        u = rng.uniforms(cfg.seed, trials, ex._LANE_GEOM)
+        u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
         online = not cfg.kind.offline
         if mode.startswith("allocated"):
             plan = al.allocate_bins(sc.m, sc.p, sc.user_count())
@@ -177,7 +177,7 @@ class TestKernelsMatchScalarPath:
                 for r in range(trials.size)
             ]
         elif mode == "biased-password":
-            _, _, rank = ex._draw_biased(cfg, trials)
+            rank = ex._draw_biased(cfg, trials)
             p_hit = ex._pk(sc.m, sc.p, sc.m)
             expect = [
                 (*ex._scan_outcome_sampled(u[r], sc.n, p_hit, [int(rank[r])], [], budget), (1 << sc.m) - 1)
@@ -223,18 +223,31 @@ class TestEngineAgreement:
         assert abs(sampled.mean - scanned.mean) <= 3.5 * combined
 
 
+def _layer_of(n, heavy_first, rank):
+    """(weight, offset) of each rank: the layer of the weight-layer order
+    that holds it, by weight_layer_starts, and its place inside."""
+    starts = hm.weight_layer_starts(n, heavy_first)
+    sizes = np.array([math.comb(n, w) for w in range(n + 1)])
+    inside = (starts <= rank[:, None]) & (rank[:, None] < starts + sizes)
+    assert (inside.sum(axis=1) == 1).all()
+    weight = inside.argmax(axis=1)
+    return weight, rank - starts[weight]
+
+
 class TestBiasedDraws:
     @pytest.mark.parametrize("theta", [0.2, 0.5, 0.7])
     def test_rank_lies_in_the_drawn_weight_layer(self, theta):
         # The descending order serves weight layers lightest first below
         # theta = 1/2 and heaviest first above it; at 1/2 it is ascending
-        # index, so there the rank is the password itself.
-        n = 10
-        cfg = make_cfg("biased-password", m=6, n=n, theta=theta, trials=3000)
-        weight, offset, rank = ex._draw_biased(cfg, np.arange(3000, dtype=np.uint64))
+        # index, so there the rank is the password itself.  The layer
+        # holding a rank is its drawn Binomial(n, theta) weight.
+        n, trials = 10, 3000
+        cfg = make_cfg("biased-password", m=6, n=n, theta=theta, trials=trials)
+        rank = ex._draw_biased(cfg, np.arange(trials, dtype=np.uint64))
+        weight, _ = _layer_of(n, theta > 0.5, rank)
         order = np.concatenate(list(attack.strategy_chunks(attack.descending_probability(theta), n, 1 << n)))
         assert np.unique(weight).size >= 5
-        assert ((0 <= offset) & (offset < np.array([math.comb(n, w) for w in weight]))).all()
+        assert abs(weight.mean() - n * theta) <= 4 * math.sqrt(n * theta * (1 - theta) / trials)
         if theta == 0.5:
             assert np.array_equal(order, np.arange(1 << n))
         else:
@@ -278,7 +291,7 @@ class TestEnginesShareDraws:
         if not mode.startswith("unallocated") and mode != "no-allocation-keyed":
             assert np.array_equal(sampled.bins, scanned.bins)
         if mode == "biased-password":
-            _, _, rank = ex._draw_biased(make_cfg(mode, theta=theta, seed=9, **shape), trials)
+            rank = ex._draw_biased(make_cfg(mode, theta=theta, seed=9, **shape), trials)
             assert (sampled.guesses <= rank + 1).all() and (scanned.guesses <= rank + 1).all()
             both = (sampled.arm == attack.ARM_PASSWORD) & (scanned.arm == attack.ARM_PASSWORD)
             assert both.sum() >= 10
@@ -388,12 +401,13 @@ def _literal_trial(cfg, plan, trial):
     one attack call.  (guesses, success, user, bin, arm)."""
     sc = cfg.scenario
     at = np.array([trial], dtype=np.uint64)
-    model = hm.KeyedHashModel(sc.m, sc.n, sc.p, int(rng.words(cfg.seed, at, ex._LANE_KEY)[0]))
+    model = hm.KeyedHashModel(sc.m, sc.n, sc.p, int(rng.words(cfg.seed, at, rng.LANE_KEY)[0]))
     if cfg.mode == "biased-password":
-        weight, offset, rank = (int(v[0]) for v in ex._draw_biased(cfg, at))
+        rank = ex._draw_biased(cfg, at)
+        weight, offset = (int(v[0]) for v in _layer_of(sc.n, sc.theta > 0.5, rank))
         values = np.arange(1 << sc.n)
         layer = values[np.bitwise_count(values) == weight]  # the weight's passwords, ascending
-        true_pw = rank if sc.theta == 0.5 else int(layer[offset])
+        true_pw = int(rank[0]) if sc.theta == 0.5 else int(layer[offset])
         target = (1 << sc.m) - 1
         model.overrides[true_pw] = target
         res = attack.biased_password_race(model, target, sc.theta, true_pw, cfg.budget)
@@ -457,7 +471,7 @@ class TestFirstHitGuesses:
         assert np.count_nonzero(table.table == target) == 3
         samples, seed = 3000, 31
         # the block permutation_mean_guesswork draws first
-        draws = rng.generator(seed, 0x9E34).integers(0, 16, size=(samples, 48))
+        draws = rng.generator(seed, rng.LANE_ORACLE).integers(0, 16, size=(samples, 48))
         got = ex._first_hit_guesses(draws, table.table[draws] == target)
         expect = []
         for row in draws.tolist():
@@ -507,6 +521,63 @@ class TestFirstOccurrenceMask:
         assert got.tolist() == expect
         if size > 1:
             assert (got == 0).any() and (got < hits.argmax(axis=1) + 1).any()
+
+
+def _continue_by_set(gen, table, hitmask, prefix_draws):
+    """Reference continuation: the same 256-integer batches, filtered to
+    first occurrences one draw at a time."""
+    size = table.shape[0]
+    seen = set(prefix_draws.tolist())
+    count = len(seen)
+    while count < size:
+        for v in gen.integers(0, size, size=256).tolist():
+            if v in seen:
+                continue
+            seen.add(v)
+            count += 1
+            if hitmask[table[v]]:
+                return count, True
+            if count >= size:
+                break
+    return 0, False
+
+
+class TestPermutationContinuation:
+    """A C04 oracle row whose 48-draw prefix finds no hit finishes its
+    permutation with fresh draws from the same generator."""
+
+    @pytest.mark.parametrize("size", [16, 64, 1024])
+    def test_matches_set_reference(self, size):
+        gen = np.random.default_rng(size)
+        table = (gen.random(size) < 4 / size).astype(np.uint32)
+        table[size - 1] = 1
+        hitmask = np.array([False, True])
+        misses = np.flatnonzero(table == 0)
+        for k in range(100):
+            prefix = gen.choice(misses, size=48)  # a prefix that found no hit
+            ours, ref = np.random.default_rng([size, k]), np.random.default_rng([size, k])
+            assert ex._continue_permutation_scan(ours, table, hitmask, prefix) \
+                == _continue_by_set(ref, table, hitmask, prefix)
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_continued_rows_keep_the_closed_form_mean(self, monkeypatch):
+        # 180 of 1,024 entries: (1 - 180/1024)^48 = 9e-5 stays under the
+        # oracle's 1e-4 switch, so prefixes are drawn and a few rows of
+        # 2^16 need the continuation.
+        size, preimages, samples = 1024, 180, 1 << 16
+        table = np.zeros(size, dtype=np.uint32)
+        table[np.arange(preimages) * 5] = 1
+        continued, original = [], ex._continue_permutation_scan
+
+        def counted(*args):
+            continued.append(original(*args))
+            return continued[-1]
+
+        monkeypatch.setattr(ex, "_continue_permutation_scan", counted)
+        est = ex.permutation_mean_guesswork(hm.TableHash(m=1, n=10, table=table), 1, samples, seed=3)
+        assert continued and all(ok and g > 1 for g, ok in continued)
+        exact = attack.permutation_average_exact(size, preimages)
+        assert abs(est.mean - exact) <= 3.5 * est.half_width_95 / 1.96
 
 
 class TestRunExperiment:
