@@ -7,14 +7,13 @@ collisions first-writer-wins toward the less likely bin.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
 from .hashmodel import BinLabel, KeyedHashModel, weight_layer_order
-from .infotheory import binary_entropy, check_bias
+from .infotheory import check_bias
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class AllocationPlan:
     m: int
     p: float
     users: tuple[tuple[int, BinLabel], ...]
-    s_effective: float
 
     @property
     def user_count(self) -> int:
@@ -55,29 +53,6 @@ class BackdoorOutcome:
     collision_count: int = 0
 
 
-def solve_s_for_user_count(m: int, user_count: int) -> float:
-    """s in [1/2, 1] with floor(2^{H(s) m - 1}) matching user_count.
-
-    2^{H(s) m - 1} is continuous and decreasing on [1/2, 1]; bisect it to
-    the target, which pins the floor to within one user.  Counts at or
-    beyond 2^{m-1} clamp to s = 1/2.
-    """
-    if user_count < 1:
-        raise ValueError(f"user_count must be positive, got {user_count}")
-    if user_count >= 2 ** (m - 1):
-        return 0.5
-    target = math.log2(user_count) + 1.0
-
-    lo, hi = 0.5, 1.0  # H(s) m decreasing in s on this interval
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) * m >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def allocate_bins(m: int, p: float, user_count: int) -> AllocationPlan:
     """Assign the user_count least likely bins, user 1 first: the
     weight-layer order, heaviest layer first (ascending inside a layer).
@@ -89,9 +64,7 @@ def allocate_bins(m: int, p: float, user_count: int) -> AllocationPlan:
         raise ValueError(f"user_count must lie in [1, 2^{m}], got {user_count}")
     bins = weight_layer_order(m, True, np.arange(user_count)).tolist()
     users = tuple((uid, BinLabel(b, m)) for uid, b in enumerate(bins, 1))
-    return AllocationPlan(
-        m=m, p=p, users=users, s_effective=solve_s_for_user_count(m, user_count)
-    )
+    return AllocationPlan(m=m, p=p, users=users)
 
 
 def resolve_collisions(

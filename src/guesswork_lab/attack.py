@@ -216,36 +216,35 @@ def _weight_layer_chunks(n: int, theta: float, budget: int) -> Iterator[np.ndarr
             yield weight_layer_order(n, heavy_first, np.arange(start, stop)).astype(np.uint64)
 
 
-def strategy_chunks(strat: GuessStrategy, n: int, budget: int) -> Iterator[np.ndarray]:
-    """Candidate index chunks in strategy order; indices never repeat."""
-    n_candidates = 1 << n
-    budget = min(budget, n_candidates)
+def guess_horizon(n: int, budget: Optional[int]) -> int:
+    """Guesses a scan over the 2^n candidates may spend: all of them when
+    budget is None, else at most budget."""
+    return (1 << n) if budget is None else min(budget, 1 << n)
+
+
+def strategy_chunks(strat: GuessStrategy, n: int, budget: Optional[int]) -> Iterator[np.ndarray]:
+    """Candidate index chunks in strategy order, guess_horizon(n, budget)
+    indices in all; indices never repeat."""
+    budget = guess_horizon(n, budget)
     if strat.kind == "ascending-index":
         yield from _ascending_chunks(budget)
     elif strat.kind == "seeded-permutation":
-        yield from _permutation_chunks(n_candidates, budget, strat.seed)
+        yield from _permutation_chunks(1 << n, budget, strat.seed)
     else:
         yield from _weight_layer_chunks(n, strat.theta, budget)
-
-
-def _target_mask(m: int, bins: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(1 << m, dtype=bool)
-    for b in bins:
-        mask[b] = True
-    return mask
 
 
 def _bits_of(b: Union[BinLabel, int]) -> int:
     return b.bits if isinstance(b, BinLabel) else int(b)
 
 
-def _prefix_tables(mask: np.ndarray) -> list[np.ndarray]:
-    """live[j][..., v]: can a value whose first j + 1 bits are v lie in
-    mask?  The last table is mask itself; a (K, 2^m) stack of masks gives
-    (K, 2^(j+1)) tables."""
-    tables = [mask]
+def _prefix_tables(masks: np.ndarray) -> list[np.ndarray]:
+    """live[j][k, v]: can a value whose first j + 1 bits are v lie in
+    mask k?  From a (K, 2^m) stack of masks, (K, 2^(j+1)) tables, the
+    last one the masks themselves."""
+    tables = [masks]
     while tables[-1].shape[-1] > 2:
-        tables.append(tables[-1][..., 0::2] | tables[-1][..., 1::2])
+        tables.append(tables[-1][:, 0::2] | tables[-1][:, 1::2])
     return tables[::-1]
 
 
@@ -270,7 +269,7 @@ def _window_specials(keys: np.ndarray, window: np.ndarray, ascending_window: boo
 def lockstep_scan(
     strat: GuessStrategy,
     n: int,
-    budget: int,
+    budget: Optional[int],
     natural,
     rows: int,
     specials: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
@@ -335,34 +334,70 @@ def lockstep_scan(
     return guesses, first
 
 
+#: Most bytes of stacked target-set tables one keyed scan holds.
+_STACK_BYTES = 1 << 22
+
+
+def keyed_scan(
+    strat: GuessStrategy,
+    n: int,
+    budget: Optional[int],
+    keys: np.ndarray,
+    p: float,
+    m: int,
+    targets: np.ndarray,
+    specials: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """lockstep_scan of rows that each hash under their own key.
+
+    keys holds each row's key seed (uint64).  targets holds each row's
+    bin, shaped (rows,), or each row's set of bins, shaped (rows, k) with
+    repeats allowed.  A row draws a value's bits only while they can
+    still lead to a hit: they match its bin, or a prefix table of its set
+    says so.  Rows with sets go in groups whose stacked tables, one per
+    distinct set, fit in _STACK_BYTES.  specials are lockstep_scan's.
+    """
+    if targets.ndim == 1:
+        def natural(active, window):
+            return rng.biased_bits(keys[active, None], p, m, window, target=targets[active, None])
+
+        return lockstep_scan(strat, n, budget, natural, keys.size, specials)
+    group = max(1, _STACK_BYTES >> (m + 1))
+    guesses = np.zeros(keys.size, dtype=np.int64)
+    first = np.zeros(keys.size, dtype=np.uint64)
+    for lo in range(0, keys.size, group):
+        part = slice(lo, lo + group)
+        sets, set_of = np.unique(np.sort(targets[part], axis=1), axis=0, return_inverse=True)
+        masks = np.zeros((sets.shape[0], 1 << m), dtype=bool)
+        masks[np.arange(sets.shape[0])[:, None], sets] = True
+        tables, seeds, set_of = _prefix_tables(masks), keys[part], set_of.reshape(-1)
+
+        def natural(active, window):
+            return rng.biased_bits(seeds[active, None], p, m, window, tables, table=set_of[active, None])
+
+        own = None
+        if specials is not None:
+            sel = (specials[1] >= lo) & (specials[1] < lo + group)
+            own = (specials[0][sel], specials[1][sel] - lo, specials[2][sel])
+        guesses[part], first[part] = lockstep_scan(strat, n, budget, natural, seeds.size, own)
+    return guesses, first
+
+
 def _scan(
     h: HashFunction,
-    target: Union[int, np.ndarray],
+    targets: np.ndarray,
     strat: GuessStrategy,
-    budget: int,
+    budget: Optional[int],
     true_pw: Optional[int] = None,
 ) -> tuple[int, int]:
     """One row of lockstep_scan: (guesses, index of the first hit).
 
-    target is one bin, or a boolean mask over the bins.  A keyed model
-    draws each bit only while the bits before it can still lead to a hit.
-    Its overrides, and true_pw as a hit, are the row's specials.
+    targets is the row's bin, shaped (1,), or its set of bins, shaped
+    (1, k), as keyed_scan takes them.  A keyed model's overrides, and
+    true_pw as a hit, are the row's specials.
     """
-    online = not isinstance(target, np.ndarray)
-
-    def hit(vals):
-        return vals == target if online else target[vals]
-
-    forced: dict[int, bool] = {}
-    if isinstance(h, KeyedHashModel):
-        draw = {"target": target} if online else {"live": _prefix_tables(target)}
-        forced = {pw: bool(hit(b)) for pw, b in h.overrides.items()}
-
-        def natural(active, idx):
-            return rng.biased_bits(h.seed, h.p, h.m, idx, **draw)[None, :]
-    else:
-        def natural(active, idx):
-            return hit(h.eval_many(idx))[None, :]
+    keyed = isinstance(h, KeyedHashModel)
+    forced = {pw: b in targets for pw, b in h.overrides.items()} if keyed else {}
     if true_pw is not None:
         forced[true_pw] = True
     specials = None
@@ -372,7 +407,14 @@ def _scan(
             np.zeros(len(forced), dtype=np.intp),
             np.fromiter(forced.values(), dtype=bool, count=len(forced)),
         )
-    guesses, first = lockstep_scan(strat, h.n, budget, natural, 1, specials)
+    if keyed:
+        keys = np.array([h.seed & rng.MASK64], dtype=np.uint64)
+        guesses, first = keyed_scan(strat, h.n, budget, keys, h.p, h.m, targets, specials)
+    else:
+        def natural(active, idx):
+            return np.isin(h.eval_many(idx), targets)[None, :]
+
+        guesses, first = lockstep_scan(strat, h.n, budget, natural, 1, specials)
     return int(guesses[0]), int(first[0])
 
 
@@ -386,8 +428,7 @@ def online_attack(
     bits = _bits_of(b)
     if not 0 <= bits < (1 << h.m):
         raise ValueError(f"bin {bits} out of range for m={h.m}")
-    budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    guesses, _ = _scan(h, bits, strat, budget)
+    guesses, _ = _scan(h, np.array([bits]), strat, budget)
     return AttackResult(guesses, guesses > 0)
 
 
@@ -403,8 +444,7 @@ def offline_attack_any(
         raise ValueError("bin set must be nonempty")
     if bit_set[0] < 0 or bit_set[-1] >= (1 << h.m):
         raise ValueError("bin out of range for m")
-    budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    guesses, _ = _scan(h, _target_mask(h.m, bit_set), strat, budget)
+    guesses, _ = _scan(h, np.array([bit_set]), strat, budget)
     return AttackResult(guesses, guesses > 0)
 
 
@@ -468,9 +508,7 @@ def biased_password_race(
     check_probability(theta, "theta")
     if not 0 <= true_pw < (1 << h.n):
         raise ValueError(f"true password {true_pw} out of range for n={h.n}")
-    budget = (1 << h.n) if budget is None else min(budget, 1 << h.n)
-    strat = descending_probability(theta)
-    guesses, first = _scan(h, bits, strat, budget, true_pw)
+    guesses, first = _scan(h, np.array([bits]), descending_probability(theta), budget, true_pw)
     if not guesses:
         return AttackResult(0, False)
     return AttackResult(guesses, True, ARM_PASSWORD if first == true_pw else ARM_HASH)

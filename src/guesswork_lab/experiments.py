@@ -61,9 +61,6 @@ _NO_HIT = np.iinfo(np.int64).max
 #: An ordinal past every guess position (1.5 * 2^62), with int64 headroom.
 _BEYOND = 3 << 61
 
-#: Most bytes of stacked target-set tables one offline lockstep scan holds.
-_STACK_BYTES = 1 << 22
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -109,7 +106,7 @@ def _scan_outcome_sampled(
     Non-special indices succeed i.i.d. with probability p_hit; special
     positions are forced hits or misses (planted or conditioned values).
     """
-    horizon = (1 << n) if budget is None else min(budget, 1 << n)
+    horizon = attack.guess_horizon(n, budget)
     hits = np.unique(np.asarray(special_hits, dtype=np.int64))
     misses = np.unique(np.asarray(special_misses, dtype=np.int64))
     all_specials = np.union1d(hits, misses)
@@ -145,7 +142,7 @@ def _first_hits(
     a caller passes just the smallest one and the outcome is
     min(geometric - 1, first hit).
     """
-    horizon = (1 << n) if budget is None else min(budget, 1 << n)
+    horizon = attack.guess_horizon(n, budget)
     specials = np.where(_run_heads(specials), specials, _NO_HIT)
     # An ordinal past the 2^n - #specials free indices maps past 2^n, so
     # clamping it (and p_hit = 0) to _BEYOND leaves the outcome unchanged.
@@ -402,9 +399,8 @@ def _scan_kernel(cfg: ExperimentConfig):
     Each trial draws the sampled engine's passwords, attacked user and
     biased password, and a key of its own; every trial scans the same
     guess order (ascending, or probability-descending for the biased
-    password), so one attack.lockstep_scan serves the block.  An online
-    row keeps drawing bits only while they match its target bin; offline
-    rows look their target set up in stacked prefix tables.  Planted
+    password), so one attack.keyed_scan serves the block.  A row's target
+    is its attacked bin online, and its users' final bins offline.  Planted
     passwords are the rows' special positions, decided by their planted
     bin alone; the true biased password is a special hit, and the race is
     the password arm's when it is the first hit.
@@ -414,7 +410,6 @@ def _scan_kernel(cfg: ExperimentConfig):
     if kind.allocated:
         plan_bits = _plan_bits(cfg)
     strat = attack.descending_probability(sc.theta) if kind.biased else attack.ascending()
-    budget = (1 << sc.n) if cfg.budget is None else min(cfg.budget, 1 << sc.n)
 
     def run(trials: np.ndarray) -> _Block:
         keys = rng.words(cfg.seed, trials, rng.LANE_KEY)
@@ -439,15 +434,9 @@ def _scan_kernel(cfg: ExperimentConfig):
             else:
                 finals = rng.biased_bits(keys[:, None], sc.p, sc.m, pw).astype(np.int64)
                 target = finals[rows, pick]
-        if kind.offline:
-            guesses, first = _offline_scans(cfg, strat, budget, keys, finals, specials)
-            bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1)
-        else:
-            def natural(active, window):
-                return rng.biased_bits(keys[active, None], sc.p, sc.m, window, target=target[active, None])
-
-            guesses, first = attack.lockstep_scan(strat, sc.n, budget, natural, trials.size, specials)
-            bins = target
+        targets = finals if kind.offline else target
+        guesses, first = attack.keyed_scan(strat, sc.n, cfg.budget, keys, sc.p, sc.m, targets, specials)
+        bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1) if kind.offline else target
         success = guesses > 0
         arm = None
         if kind.biased:
@@ -456,34 +445,6 @@ def _scan_kernel(cfg: ExperimentConfig):
         return _Block(trials, guesses, success, pick + 1, bins, arm)
 
     return run
-
-
-def _offline_scans(cfg, strat, budget, keys, finals, specials):
-    """lockstep_scan of offline rows, whose target sets are their rows of
-    distinct final bins.  Rows go in groups whose stacked tables, one per
-    distinct set, fit in _STACK_BYTES."""
-    sc = cfg.scenario
-    group = max(1, _STACK_BYTES >> (sc.m + 1))
-    guesses = np.zeros(keys.size, dtype=np.int64)
-    first = np.zeros(keys.size, dtype=np.uint64)
-    for lo in range(0, keys.size, group):
-        part = slice(lo, lo + group)
-        sets, set_of = np.unique(np.sort(finals[part], axis=1), axis=0, return_inverse=True)
-        set_of = set_of.reshape(-1)
-        masks = np.zeros((sets.shape[0], 1 << sc.m), dtype=bool)
-        masks[np.arange(sets.shape[0])[:, None], sets] = True
-        tables = attack._prefix_tables(masks)
-        seeds = keys[part]
-
-        def natural(active, window):
-            return rng.biased_bits(seeds[active, None], sc.p, sc.m, window, tables, table=set_of[active, None])
-
-        own = None
-        if specials is not None:
-            sel = (specials[1] >= lo) & (specials[1] < lo + group)
-            own = (specials[0][sel], specials[1][sel] - lo, specials[2][sel])
-        guesses[part], first[part] = attack.lockstep_scan(strat, sc.n, budget, natural, seeds.size, own)
-    return guesses, first
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +664,8 @@ def exact_geometric_cdf(m: int, l: float, p_hit: float) -> float:
 class MostLikelyPanel:
     """Desk-scale check of the most-probable guesswork behavior.
 
-    The online side conditions on the attacked user's bin landing in the
-    modal type shell; the offline side forces the all-users-on-modal-type
+    The online side is the no-allocation-keyed attack on the trials whose
+    attacked bin lands in the modal type shell; the offline side forces the all-users-on-modal-type
     profile (the conditional law of the characterized event) and attacks
     the whole set.
     """
@@ -713,7 +674,7 @@ class MostLikelyPanel:
     modal_weight: int
     nearest_weight: int
     modal_frequency: float
-    online_conditional: Optional[EstimateWithCI]
+    online_conditional: EstimateWithCI
     offline_forced: EstimateWithCI
     online_theory_log2: float
     offline_theory_log2: float
@@ -725,28 +686,15 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
     users = max(1, int(math.floor(2.0 ** (user_exponent * sc.m))))
     nearest = round(sc.p * sc.m)
 
+    # online: the attacked user's bin and scan are no-allocation-keyed's
     trials = np.arange(cfg.trials, dtype=np.uint64)
-    u_geom = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
-    gen = rng.generator(cfg.seed, rng.LANE_PANEL)
-
-    # online: attacked user's type, own password always a hit
-    weights = gen.binomial(sc.m, sc.p, size=cfg.trials)
-    own_pw = gen.integers(0, 1 << sc.n, size=cfg.trials)
+    block = _users_kernel(replace(cfg, mode="no-allocation-keyed"))(trials)
+    weights = np.bitwise_count(block.bins)
     counts = np.bincount(weights, minlength=sc.m + 1)
     modal_weight = int(counts.argmax())
     modal_freq = float(counts[modal_weight]) / cfg.trials
-
-    p_hits = np.exp(
-        weights * math.log(sc.p) + (sc.m - weights) * math.log1p(-sc.p)
-    )
-    g_online, _ = _first_hits(u_geom, p_hits, own_pw[:, None], own_pw, sc.n)
-
-    sel = weights == modal_weight
-    online_est: Optional[EstimateWithCI] = None
-    if sel.any():
-        acc = GuessAccumulator()
-        acc.add_array(g_online[sel])
-        online_est = acc.estimate()
+    acc = GuessAccumulator()
+    acc.add_array(block.guesses[weights == modal_weight])
 
     # offline: forced modal-type profile, users distinct bins in the shell.
     # Every password is a hit, so only the smallest of the forced_users
@@ -771,7 +719,7 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
         modal_weight=modal_weight,
         nearest_weight=nearest,
         modal_frequency=modal_freq,
-        online_conditional=online_est,
+        online_conditional=acc.estimate(),
         offline_forced=acc_off.estimate(),
         online_theory_log2=online_theory,
         offline_theory_log2=offline_theory,

@@ -43,7 +43,6 @@ LANE_BINS = 0xB175  # sampled users' keyed-hash bins
 LANE_WEIGHT = 0x3E16  # the biased password's weight
 LANE_RANK = 0x3A4C  # its position inside its weight layer
 LANE_PASSWORDS = 0x9A55  # users' uniform passwords: trials and the backdoor alike
-LANE_PANEL = 0xB1A5  # most-likely panel: Generator of weights and own passwords
 LANE_FORCED_FIRST = 0x0FF1  # most-likely panel: smallest forced password
 LANE_FORCED_GEOM = 0x0FF2  # most-likely panel: the forced profile's natural hit
 LANE_ORACLE = 0x9E34  # Generator of the fixed-table permutation oracle
@@ -158,12 +157,13 @@ def biased_bits(
     value can still be one, so a miss costs the bits up to the first that
     rules it out.  target is an int in [0, 2^m), or one per row: an array
     broadcast against the shape's leading axes and 1 (an (R, 1) column
-    over R rows), and a hit is a value equal to its target.  live instead
-    holds m boolean tables: live[j] is indexed by the first j + 1 bits of
-    a value (its top bits), must be False wherever live[j - 1] is False
-    for the shorter prefix, and a hit is a value in the mask live[m - 1].
-    Stacked tables, live[j] of shape (K, 2^(j+1)), serve several masks at
-    once: table (broadcast like seed) names each value's row k.
+    over R rows), and a hit is a value equal to its target.  A one-element
+    target array serves every row, as the int it holds.  live instead
+    holds m stacked boolean tables, one row k per mask, and table
+    (broadcast like seed) names each value's row: live[j], of shape
+    (K, 2^(j+1)), is indexed by k and the first j + 1 bits of a value (its
+    top bits), must be False wherever live[j - 1] is False for the shorter
+    prefix, and a hit is a value in the mask live[m - 1][k].
     """
     idx64 = idx.astype(np.uint64, copy=False)
     thr = threshold_for(p)
@@ -179,9 +179,11 @@ def biased_bits(
             vals = (vals << _ONE) | (h < thr).astype(np.uint64)
         return vals
     if live is None:
+        if isinstance(target, np.ndarray) and target.size == 1:
+            target = target.item()  # one target for every row: the scalar compare
         if np.any(target >> m) if isinstance(target, np.ndarray) else not 0 <= target < 1 << m:
             raise ValueError(f"target out of range for m={m}")
-    elif table is not None:
+    else:
         # Row k's prefixes follow k in the index of its flattened tables.
         live = [t.reshape(-1) for t in live]
     return _hits(base, thr, m, live, table, target)
@@ -259,8 +261,7 @@ def _hits(base, thr, m, live, table, target) -> np.ndarray:
                 prefix |= ok
             else:
                 prefix = ok.astype(np.intp)
-                if table is not None:
-                    prefix |= np.asarray(table, dtype=np.intp) << 1
+                prefix |= np.asarray(table, dtype=np.intp) << 1
             ok = live[j].take(prefix)
         elif per_row:
             np.less(zj, thr, out=ok)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from guesswork_lab import allocation as al
 from guesswork_lab import experiments as ex
 from guesswork_lab import hashmodel as hm
-from guesswork_lab.infotheory import binary_entropy
 from guesswork_lab.rates import ScenarioParams
 
 
@@ -41,14 +40,6 @@ class TestAllocateBins:
         assert len(set(bits)) == 30
         pops = [b.popcount for _, b in plan.users]
         assert pops == sorted(pops, reverse=True)
-
-    @pytest.mark.parametrize("m,count", [(6, 1), (6, 7), (8, 40), (10, 25), (12, 300)])
-    def test_s_effective_inverts_floor_formula(self, m, count):
-        plan = al.allocate_bins(m, 0.3, count)
-        s = plan.s_effective
-        assert 0.5 <= s <= 1.0
-        realized = math.floor(2.0 ** (binary_entropy(s) * m - 1.0))
-        assert abs(realized - count) <= 1
 
 
 def _collision_seed(model_args, plan, start=0):
@@ -168,13 +159,3 @@ class TestResolveCollisions:
                 if row.index(x) < i
             ]
             assert outcome.collision_count == users - len(set(row))
-
-
-class TestSolveSForUserCount:
-    def test_clamps_at_half(self):
-        assert al.solve_s_for_user_count(8, 1 << 7) == 0.5
-        assert al.solve_s_for_user_count(8, 1 << 8) == 0.5
-
-    def test_monotone_in_count(self):
-        values = [al.solve_s_for_user_count(12, c) for c in (1, 4, 16, 64, 512)]
-        assert values == sorted(values, reverse=True)

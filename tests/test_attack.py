@@ -18,6 +18,13 @@ def constant_table(m, n, value):
     return hm.TableHash(m=m, n=n, table=np.full(1 << n, value, dtype=np.uint32))
 
 
+def target_mask(m, bins):
+    """Boolean mask over the 2^m bins, True on the given ones."""
+    mask = np.zeros(1 << m, dtype=bool)
+    mask[list(bins)] = True
+    return mask
+
+
 class TestOnlineAttack:
     def test_constant_table_first_guess(self):
         t = constant_table(3, 6, 5)
@@ -306,7 +313,8 @@ def test_attack_result_failure_invariant():
 
 class TestPrunedHitTest:
     """Keyed scans draw a bit only while the bits before it can still lead
-    into the target set; the hit test must equal the mask of full values."""
+    into the target set, looked up in stacked prefix tables; the hit test
+    must equal the mask of full values."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -325,8 +333,8 @@ class TestPrunedHitTest:
         p = data.draw(st.sampled_from([0.05, 0.3, 0.5]))
         seed = data.draw(st.integers(0, (1 << 64) - 1))
         idx = np.arange(start, start + size, dtype=np.uint64)
-        mask = attack._target_mask(m, bins)
-        hits = rng.biased_bits(seed, p, m, idx, attack._prefix_tables(mask))
+        mask = target_mask(m, bins)
+        hits = rng.biased_bits(seed, p, m, idx, attack._prefix_tables(mask[None]), table=0)
         full = rng.biased_bits(seed, p, m, idx)
         assert hits.dtype == bool and hits.shape == idx.shape
         assert (hits == mask[full]).all()
@@ -354,7 +362,7 @@ class TestPrunedHitTest:
 
         # one target set per row, from stacked prefix tables
         sets = [data.draw(st.sets(st.integers(0, top), min_size=1, max_size=5)) for _ in range(rows)]
-        masks = np.stack([attack._target_mask(m, bins) for bins in sets])
+        masks = np.stack([target_mask(m, bins) for bins in sets])
         k = np.arange(rows)[:, None]
         hits = rng.biased_bits(column, p, m, window, attack._prefix_tables(masks), table=k)
         assert (hits == masks[k, full.astype(np.intp)]).all()
@@ -394,6 +402,18 @@ class TestTargetBits:
         assert hits.dtype == bool and hits.shape == full.shape
         assert (hits == (full == targets)).all()
 
+    @pytest.mark.parametrize("m", [1, 8, 40])
+    def test_one_element_target_is_the_int(self, m):
+        # one target serves every row, whatever the shape of its array
+        seeds = np.arange(1, 6, dtype=np.uint64)[:, None] * np.uint64(rng.GOLDEN)
+        window = np.arange(3000, dtype=np.uint64)
+        full = rng.biased_bits(seeds, 0.3, m, window)
+        t = int(full[2, 17])
+        hits = rng.biased_bits(seeds, 0.3, m, window, target=t)
+        assert hits.any() and (hits == (full == np.uint64(t))).all()
+        for one in (np.array([t]), np.array([[t]]), np.array([t], dtype=np.uint64)):
+            assert (rng.biased_bits(seeds, 0.3, m, window, target=one) == hits).all()
+
     @pytest.mark.parametrize("m", [1, 5, 40])
     def test_every_row_dies_at_bit_0(self, m):
         # p = 0 draws only 0 bits: a target with its top bit set matches nowhere
@@ -404,9 +424,9 @@ class TestTargetBits:
             hits = rng.biased_bits(seeds, 0.0, m, window, target=target)
             assert hits.shape == (3, 1000) and not hits.any()
         if m <= 5:  # a mask over every bin
-            mask = np.zeros(1 << m, dtype=bool)
-            mask[top:] = True
-            hits = rng.biased_bits(7, 0.0, m, window, attack._prefix_tables(mask))
+            mask = np.zeros((1, 1 << m), dtype=bool)
+            mask[0, top:] = True
+            hits = rng.biased_bits(7, 0.0, m, window, attack._prefix_tables(mask), table=0)
             assert not hits.any()
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -455,6 +475,32 @@ class TestTargetBits:
             rng.biased_bits(3, 0.3, 4, idx, target=16)
         with pytest.raises(ValueError):
             rng.biased_bits(3, 0.3, 4, idx, target=np.array([[1], [-1]]))
+        with pytest.raises(ValueError):
+            rng.biased_bits(3, 0.3, 4, idx, target=np.array([16]))
+
+
+class TestKeyedScan:
+    """Rows that each hash under their own key scan as each would alone:
+    the first index whose full value hits the row's bin or set, or whose
+    special decides."""
+
+    @pytest.mark.parametrize("offline", [False, True])
+    def test_rows_match_full_values(self, offline, monkeypatch):
+        m, n, p, rows = 4, 11, 0.3, 9
+        keys = rng.words(5, np.arange(rows, dtype=np.uint64), rng.LANE_KEY)
+        gen = np.random.default_rng(3)
+        targets = gen.integers(0, 1 << m, size=(rows, 3) if offline else rows)
+        specials = (gen.integers(0, 40, size=6).astype(np.uint64), np.array([0, 0, 2, 5, 5, 8]),
+                    np.array([True, False, True, False, True, True]))
+        monkeypatch.setattr(attack, "_STACK_BYTES", 1 << (m + 2))  # offline rows go in pairs
+        guesses, first = attack.keyed_scan(attack.ascending(), n, 1 << n, keys, p, m, targets, specials)
+        for r in range(rows):
+            hits = np.isin(rng.biased_bits(int(keys[r]), p, m, np.arange(1 << n)), targets[r])
+            for at, row, hit in zip(*specials):
+                if row == r:
+                    hits[at] = hit
+            col = int(hits.argmax())
+            assert (guesses[r], first[r]) == ((col + 1, col) if hits[col] else (0, 0))
 
 
 class TestWindowSpecials:

@@ -207,6 +207,19 @@ class TestConcentration:
         assert result.exit_code == 0, result.output
         assert "ASSERT OK" in result.output
 
+    def test_failing_assert_exits_3(self, runner, monkeypatch):
+        from guesswork_lab import experiments
+
+        def above_bound(cfg, l_values):
+            return [experiments.ConcentrationRow(l=l, empirical=0.9, ci=0.01, bound=0.1) for l in l_values]
+
+        monkeypatch.setattr(experiments, "concentration_report", above_bound)
+        result = runner.invoke(
+            cli.main, ["concentration", "--m", "10", "--p", "0.3", "--trials", "200", "--assert"]
+        )
+        assert result.exit_code == 3
+        assert result.stderr.splitlines()[-1] == "ASSERT FAIL: 5 points exceed bound + 3 sigma"
+
     def test_csv_rows(self, runner):
         result = runner.invoke(
             cli.main,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -580,6 +581,13 @@ class TestPermutationContinuation:
         assert abs(est.mean - exact) <= 3.5 * est.half_width_95 / 1.96
 
 
+class TestPermutationOracle:
+    def test_zero_preimages_fail_every_sample(self):
+        table = hm.TableHash(m=2, n=6, table=np.ones(64, dtype=np.uint32))
+        est = ex.permutation_mean_guesswork(table, 0, 500, seed=1)
+        assert (est.mean, est.half_width_95, est.trials, est.failures) == (0.0, 0.0, 500, 500)
+
+
 class TestRunExperiment:
     def test_no_allocation_rate_near_one(self):
         est = ex.run_experiment(make_cfg("no-allocation-keyed", m=8, n=18, trials=4000))
@@ -732,6 +740,20 @@ class TestMostLikelyPanel:
         assert panel.online_theory_log2 == pytest.approx(
             10 * binary_entropy(0.3), abs=1e-12
         )
+
+    def test_online_side_is_the_no_allocation_keyed_run(self):
+        # the same trials, kept where the attacked bin has the modal weight;
+        # the budget cuts some of them short
+        cfg = make_cfg("unallocated-offline", m=8, n=16, trials=1500, budget=300)
+        panel = ex.most_likely_panel(cfg)
+        log = io.StringIO()
+        ex.run_experiment(replace(cfg, mode="no-allocation-keyed"), trial_log=log)
+        rows = [line.split(",") for line in log.getvalue().splitlines()[1:]]
+        assert len(rows) == 1500
+        acc = attack.GuessAccumulator()
+        acc.add_array(np.array([int(r[4]) for r in rows if r[2].count("1") == panel.modal_weight]))
+        assert panel.online_conditional == acc.estimate()
+        assert 0 < panel.online_conditional.failures < panel.online_conditional.trials < 1500
 
 
 class TestKeySizePanel:

@@ -36,7 +36,7 @@ def _lane_name(node):
 
 
 def test_lanes_are_distinct():
-    assert len(LANES) == 13
+    assert len(LANES) == 12
     assert len(set(LANES.values())) == len(LANES)
 
 
@@ -55,7 +55,7 @@ def test_every_draw_outside_rng_names_a_lane():
             lane = _lane_name(call.args[at]) if len(call.args) > at else None
             assert lane in LANES, f"{path.name}:{call.lineno} draws from an unnamed lane"
             named.add(lane)
-    assert calls >= 15
+    assert calls >= 13
     # LANE_PASSWORDS is drawn through rng.passwords; every other lane is named by a caller.
     assert named == set(LANES) - {"LANE_PASSWORDS"}
 
