@@ -30,9 +30,6 @@ _CHUNK_CAP = 1 << 16
 #: Most (row, index) pairs one lockstep round hashes.
 _ROUND_PAIRS = 1 << 16
 
-#: Permutations over at most this many candidates are materialized whole.
-_PERM_MATERIALIZE_CAP = 1 << 14
-
 #: Most candidates a seeded permutation serves (a 256 MiB seen buffer).
 _PERM_MASK_CAP = 1 << 26
 
@@ -98,32 +95,22 @@ class AttackResult:
             raise ValueError("failed attacks must report zero guesses")
 
 
-def _chunk_bounds(size: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of chunks of _CHUNK0 * 4^k indices, at most
-    _CHUNK_CAP, that cover [0, size)."""
+def _ascending_chunks(budget: int) -> Iterator[np.ndarray]:
+    """[0, budget) in chunks of _CHUNK0 * 4^k indices, at most _CHUNK_CAP."""
     chunk, start = _CHUNK0, 0
-    while start < size:
-        stop = min(start + chunk, size)
-        yield start, stop
+    while start < budget:
+        stop = min(start + chunk, budget)
+        yield np.arange(start, stop, dtype=np.uint64)
         start, chunk = stop, min(chunk * 4, _CHUNK_CAP)
 
 
-def _ascending_chunks(budget: int) -> Iterator[np.ndarray]:
-    for start, stop in _chunk_bounds(budget):
-        yield np.arange(start, stop, dtype=np.uint64)
-
-
 def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[np.ndarray]:
+    """A uniform permutation's first budget candidates, served lazily:
+    i.i.d. uniform draws filtered to first occurrences are exactly such a
+    prefix."""
     if n_candidates > _PERM_MASK_CAP:
         raise ResourceCapError(f"seeded permutation capped at {_PERM_MASK_CAP} candidates")
     gen = rng.generator(seed, rng.LANE_PERMUTATION)
-    if n_candidates <= _PERM_MATERIALIZE_CAP:
-        perm = gen.permutation(n_candidates)[:budget].astype(np.uint64)
-        for start, stop in _chunk_bounds(perm.size):
-            yield perm[start:stop]
-        return
-    # Lazy prefix of a uniform permutation: i.i.d. uniform draws filtered
-    # to first occurrences are exactly such a prefix.
     reuse = n_candidates <= _SEEN_FREE_CAP
     seen = _take_seen(n_candidates)
     marked: list[np.ndarray] = []  # draws whose entries of seen were written

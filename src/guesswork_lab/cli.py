@@ -106,27 +106,32 @@ def _check_assert(text: Optional[str], command: str, kind: str, value: Optional[
     click.echo(f"ASSERT OK: {kind} {value:.6f} within {center}±{tol}")
 
 
-def _capped(fn, *args, **kwargs):
-    """fn(*args, **kwargs); exit 4 when it exceeds a resource cap."""
-    from .hashmodel import ResourceCapError
-
-    try:
-        return fn(*args, **kwargs)
-    except ResourceCapError as err:
-        click.echo(f"resource cap: {err}", err=True)
-        sys.exit(4)
-
-
 def _scenario(m: int, n: Optional[int], p: float, s: float, theta: Optional[float]) -> ScenarioParams:
     if n is None:
         n = default_input_width(m, p, s)
-    try:
-        return ScenarioParams(s=s, p=p, m=m, n=n, theta=theta)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    return ScenarioParams(s=s, p=p, m=m, n=n, theta=theta)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one error boundary of its commands: a
+    ValueError is a usage error (exit 2), a ResourceCapError exits 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            name = ctx.invoked_subcommand  # the usage line names the command
+            raise click.UsageError(str(err), click.Context(self.commands[name], ctx, name)) from err
+        except RuntimeError as err:
+            from .hashmodel import ResourceCapError  # loads numpy: only on this path
+
+            if not isinstance(err, ResourceCapError):
+                raise
+            click.echo(f"resource cap: {err}", err=True)
+            sys.exit(4)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="guesswork-lab")
 def main():
     """Closed-form rates and Monte Carlo attack simulations for biased
@@ -164,21 +169,18 @@ workers_option = click.option(
 def cmd_rates(p, s, m, n, theta, q_type, output):
     """All applicable closed-form guesswork growth rates (bits per m)."""
     scenario = _scenario(m, n, p, s, theta)
-    try:
-        reports = {
-            "online_allocated": rates.online_rate_allocated(s, p),
-            "offline_allocated": rates.offline_rate_allocated(s, p),
-            "online_unallocated_bounds": rates.online_rate_bounds_unallocated(s, p),
-            "offline_unallocated_bounds": rates.offline_rate_bounds_unallocated(s, p),
-            "most_likely_offline": rates.most_likely_rate_offline(s, p),
-            "most_likely_online": rates.most_likely_rate_online(p),
-        }
-        key_size = rates.key_size_ratio(s, p)
-        q_star, q_value = rates.guesswork_argmax_type(s, p)
-        if theta is not None:
-            reports["biased_password"] = rates.biased_password_rate(scenario, q_type)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    reports = {
+        "online_allocated": rates.online_rate_allocated(s, p),
+        "offline_allocated": rates.offline_rate_allocated(s, p),
+        "online_unallocated_bounds": rates.online_rate_bounds_unallocated(s, p),
+        "offline_unallocated_bounds": rates.offline_rate_bounds_unallocated(s, p),
+        "most_likely_offline": rates.most_likely_rate_offline(s, p),
+        "most_likely_online": rates.most_likely_rate_online(p),
+    }
+    key_size = rates.key_size_ratio(s, p)
+    q_star, q_value = rates.guesswork_argmax_type(s, p)
+    if theta is not None:
+        reports["biased_password"] = rates.biased_password_rate(scenario, q_type)
     config = {
         "command": "rates", "p": p, "s": s, "m": scenario.m, "n": scenario.n,
         "theta": theta, "q_type": q_type, "output": output,
@@ -266,13 +268,6 @@ def cmd_table1(output):
           {"units": "bits_per_m", "cells": cells}, csv_lines, text_lines)
 
 
-def _experiment_config(**fields) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**fields)
-    except ValueError as err:
-        raise click.UsageError(str(err))
-
-
 def _warn_if_width_capped(cfg: ExperimentConfig, m: int) -> None:
     """Warn on stderr when a defaulted input width for bin width m was cut
     to the cap below the width its margin asks for, in a mode that draws
@@ -336,7 +331,7 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
                 budget = int(budget)
             except ValueError:
                 raise click.UsageError("--budget must be an integer or 'fast'")
-    cfg = _experiment_config(
+    cfg = ExperimentConfig(
         seed=_parse_seed(seed), scenario=_scenario(m, n, p, s, theta), trials=trials,
         mode=mode, engine=engine, budget=budget, rho=rho,
     )
@@ -344,7 +339,7 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
         _warn_if_width_capped(cfg, m)
     workers = workers or _default_workers()
     with open(trial_log, "w", encoding="ascii") if trial_log is not None else nullcontext() as fh:
-        est = _capped(experiments.run_experiment, cfg, workers=workers, trial_log=fh)
+        est = experiments.run_experiment(cfg, workers=workers, trial_log=fh)
     rate = math.log2(est.mean) / cfg.scenario.m if est.mean > 0 else None
     result = {
         "mean": est.mean, "units": "guesses",
@@ -391,13 +386,13 @@ def cmd_sweep(mode, m_list, p, s, theta, trials, engine, rho, assert_text,
     steps = _parse_list(m_list, "--m", int)
     if len(steps) < 3:
         raise click.UsageError("--m needs at least 3 sweep points")
-    cfg = _experiment_config(
+    cfg = ExperimentConfig(
         scenario=_scenario(steps[0], None, p, s, theta), trials=trials, seed=_parse_seed(seed),
         mode=mode, m_sweep=tuple(steps), engine=engine, rho=rho,
     )
     _warn_if_width_capped(cfg, steps[-1])
     workers = workers or _default_workers()
-    result = _capped(experiments.sweep_rate, cfg, workers=workers)
+    result = experiments.sweep_rate(cfg, workers=workers)
     points = [(m, y, ci) for (m, y), ci in zip(result.points, result.cis)]
     _emit(
         output, _config_dict(cfg, "sweep", m_sweep=list(steps), workers=workers, output=output),
@@ -435,7 +430,7 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
     """Empirical P(G <= 2^{m l}) for the least likely bin against the bound."""
     from . import experiments
 
-    cfg = _experiment_config(
+    cfg = ExperimentConfig(
         scenario=_scenario(m, n, p, s, None), trials=trials, seed=_parse_seed(seed),
         mode="allocated-online",
     )
@@ -444,10 +439,7 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
         ls = _parse_list(l_list, "--l")
     else:
         ls = [f * full for f in _parse_list(l_frac, "--l-frac")]
-    try:
-        rows = experiments.concentration_report(cfg, ls)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    rows = experiments.concentration_report(cfg, ls)
     if n is None:
         _warn_if_width_capped(cfg, m)
     _emit(
@@ -476,10 +468,7 @@ def cmd_keysize(alpha_list, output):
     from . import experiments
 
     alphas = _parse_list(alpha_list, "--alpha")
-    try:
-        rows = experiments.keysize_panel(alphas)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    rows = experiments.keysize_panel(alphas)
     _emit(
         output, {"command": "keysize", "alpha": alphas, "output": output},
         {"rows": [asdict(r) for r in rows]},

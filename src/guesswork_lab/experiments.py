@@ -73,10 +73,6 @@ class SweepResult:
     r_squared: float
 
 
-def _pk(m: int, p: float, weight: int) -> float:
-    return 2.0 ** (weight * math.log2(p) + (m - weight) * math.log2(1.0 - p))
-
-
 def _map_past_specials(ordinal: int, specials: np.ndarray) -> int:
     """Raw 0-based position of the ordinal-th non-special index.
 
@@ -170,7 +166,8 @@ def _run_heads(ranked: np.ndarray) -> np.ndarray:
 
 def _pk_table(sc: ScenarioParams) -> np.ndarray:
     """Probability of one bin of each popcount 0..m."""
-    return np.array([_pk(sc.m, sc.p, w) for w in range(sc.m + 1)])
+    one, zero = math.log2(sc.p), math.log2(1.0 - sc.p)
+    return np.array([2.0 ** (w * one + (sc.m - w) * zero) for w in range(sc.m + 1)])
 
 
 def _p_any(pk: np.ndarray, bins) -> float:
@@ -251,7 +248,7 @@ def _allocated_row(sc, plan, passwords, user_ix, u, online, budget) -> tuple[int
         target = finals[user_ix]
         hits = [pw for pw, b in outcome.planted if b.bits == target.bits]
         misses = [pw for pw, b in outcome.planted if b.bits != target.bits]
-        p_hit, value = _pk(sc.m, sc.p, target.popcount), target.bits
+        p_hit, value = _pk_table(sc)[target.popcount], target.bits
     else:
         hits, misses = [pw for pw, _ in outcome.planted], []
         targets = [b.bits for b in finals]
@@ -269,7 +266,7 @@ def _unallocated_row(sc, passwords, raw_bins, user_ix, u, online, budget) -> tup
         target = bins[user_ix]
         hits = [pw for pw, b in bin_of.items() if b == target]
         misses = [pw for pw, b in bin_of.items() if b != target]
-        p_hit, value = _pk(sc.m, sc.p, target.bit_count()), target
+        p_hit, value = _pk_table(sc)[target.bit_count()], target
     else:
         hits, misses = list(bin_of), []
         p_hit, value = _p_any(_pk_table(sc), bins), len(set(bins))
@@ -366,7 +363,7 @@ def _biased_password_kernel(cfg: ExperimentConfig):
     """Race between the true biased password and any other preimage of the
     least likely bin, in probability-descending guess order."""
     sc = cfg.scenario
-    p_hit = _pk(sc.m, sc.p, sc.m)  # all-ones target bin
+    p_hit = _pk_table(sc)[sc.m]  # all-ones target bin
 
     def run(trials: np.ndarray) -> _Block:
         rank = _draw_biased(cfg, trials)
@@ -505,13 +502,6 @@ def _run_range(
     return acc, "".join(texts)
 
 
-def _broken_hash_estimate(cfg: ExperimentConfig) -> EstimateWithCI:
-    """Exact moment, no sampling: the estimate is deterministic."""
-    dist = exact_bernoulli_distribution(cfg.scenario.m, cfg.scenario.p)
-    moment = attack.broken_hash_moment(dist, cfg.rho)
-    return EstimateWithCI(mean=moment, half_width_95=0.0, trials=cfg.trials, failures=0)
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     workers: int = 1,
@@ -524,8 +514,10 @@ def run_experiment(
     trial is emitted, in trial order for any worker count:
     trial_seed,user,bin,strategy,guesses,success,arm.
     """
-    if cfg.kind.exact:
-        return _broken_hash_estimate(cfg)
+    if cfg.kind.exact:  # the exact moment, no sampling
+        dist = exact_bernoulli_distribution(cfg.scenario.m, cfg.scenario.p)
+        moment = attack.broken_hash_moment(dist, cfg.rho)
+        return EstimateWithCI(mean=moment, half_width_95=0.0, trials=cfg.trials, failures=0)
     log = trial_log is not None
     if workers <= 1:
         parts = [_run_range(cfg, 0, cfg.trials, log)]
@@ -552,26 +544,20 @@ def run_experiment(
     return acc.estimate()
 
 
-def scenario_for_width(cfg: ExperimentConfig, m: int) -> ScenarioParams:
-    """The sweep scenario at width m: n rescaled to keep n/m headroom."""
-    sc = cfg.scenario
-    n = default_input_width(m, sc.p, sc.s)
-    return replace(sc, m=m, n=n)
-
-
 def sweep_rate(cfg: ExperimentConfig, workers: int = 1) -> SweepResult:
     """Ordinary least squares of log2(mean guesswork) against m.
 
     The slope estimates the growth rate; the intercept absorbs
-    sub-exponential factors.
+    sub-exponential factors.  Each point rescales n to keep n/m headroom.
     """
     if cfg.m_sweep is None:
         raise ValueError("sweep_rate requires m_sweep")
+    sc = cfg.scenario
     points: list[tuple[int, float]] = []
     cis: list[float] = []
     for m in cfg.m_sweep:
-        point_cfg = replace(cfg, scenario=scenario_for_width(cfg, m), m_sweep=None)
-        est = run_experiment(point_cfg, workers=workers)
+        scenario = replace(sc, m=m, n=default_input_width(m, sc.p, sc.s))
+        est = run_experiment(replace(cfg, scenario=scenario, m_sweep=None), workers=workers)
         if est.mean <= 0:
             raise ValueError(f"mean guesswork at m={m} is zero; cannot take log2")
         points.append((m, math.log2(est.mean)))
@@ -626,8 +612,7 @@ def concentration_report(
     sc = cfg.scenario
     if any(l >= sc.n / sc.m + 1e-12 for l in l_values):
         raise ValueError("l values must stay below n/m")
-    target_weight = sc.m  # all-ones bin
-    p_hit = _pk(sc.m, sc.p, target_weight)
+    p_hit = _pk_table(sc)[sc.m]  # all-ones bin
     trials = np.arange(cfg.trials, dtype=np.uint64)
     u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
     g = rng.geometric_from_uniform(u, p_hit)
@@ -702,7 +687,7 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
     # P(min >= x) = (1 - x/2^n)^forced_users.
     shell = int(BINOMIAL[sc.m, nearest])
     forced_users = min(users, shell)
-    p_any = forced_users * _pk(sc.m, sc.p, nearest)
+    p_any = forced_users * _pk_table(sc)[nearest]
     v = rng.uniforms(cfg.seed, trials, rng.LANE_FORCED_FIRST)
     first = np.floor(float(1 << sc.n) * -np.expm1(np.log1p(-v) / forced_users)).astype(np.int64)
     u_off = rng.uniforms(cfg.seed, trials, rng.LANE_FORCED_GEOM)
@@ -782,10 +767,10 @@ def permutation_mean_guesswork(
 
     Samples each order's first-success index exactly: the first
     occurrences of an i.i.d. uniform index stream form a uniform
-    permutation prefix, so a short prefix plus an explicit continuation
-    for the rare no-hit rows reproduces the full-permutation attack.
-    Cross-checked against the (N+1)/(L+1) closed form and the literal
-    scanning attack in the test suite.
+    permutation prefix, so a 48-draw prefix plus an explicit continuation
+    for the rows it leaves without a hit reproduces the full-permutation
+    attack.  Cross-checked against the (N+1)/(L+1) closed form and the
+    literal scanning attack in the test suite.
     """
     table = np.asarray(h.table)
     size = table.shape[0]
@@ -798,26 +783,11 @@ def permutation_mean_guesswork(
         acc.add_array(np.zeros(samples))
         return acc.estimate()
 
-    hit_rate = preimages / size
-    prefix = 48
-    if (1.0 - hit_rate) ** prefix > 1e-4:
-        # Sparse target: prefix scanning would leave too many tails, so
-        # materialize whole permutations in batches instead.
-        rows = max(1, min(samples, (1 << 23) // size))
-        done = 0
-        while done < samples:
-            batch = min(rows, samples - done)
-            order = np.argsort(gen.random((batch, size)), axis=1)
-            hits = hitmask[table[order]]
-            acc.add_array(hits.argmax(axis=1) + 1)
-            done += batch
-        return acc.estimate()
-
     rows = 16384
     done = 0
     while done < samples:
         batch = min(rows, samples - done)
-        draws = gen.integers(0, size, size=(batch, prefix))
+        draws = gen.integers(0, size, size=(batch, 48))
         guesses = _first_hit_guesses(draws, hitmask[table[draws]])
         acc.add_array(guesses[guesses > 0])
         for row in np.flatnonzero(guesses == 0):
@@ -848,19 +818,19 @@ def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
 
 
 def _continue_permutation_scan(gen, table, hitmask, prefix_draws) -> tuple[int, bool]:
-    """Finish a permutation scan whose prefix found no hit (exact, rare):
-    fresh draws of 256-integer batches, the prefix marked served."""
+    """Finish a permutation scan whose prefix found no hit: fresh draws of
+    256-integer batches, the prefix marked served, until the first hit
+    (the table holds one, so a full permutation reaches it)."""
     size = table.shape[0]
     seen = np.zeros(size, dtype=np.int32)
     seen[prefix_draws] = attack._SEEN
     count = int(np.count_nonzero(seen))
-    while count < size:
+    while True:
         fresh = attack._fresh_draws(seen, gen.integers(0, size, size=256))
         hits = np.flatnonzero(hitmask[table[fresh]])
         if hits.size:
             return count + int(hits[0]) + 1, True
         count += fresh.size
-    return 0, False
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,12 @@ def _check_sp(s: float, p: float) -> None:
     check_bias(p)
 
 
+def _region(x: float, edge: float, below: str, above: str) -> str:
+    """The region label of x on either side of a piecewise edge, and
+    REGION_BOUNDARY on it."""
+    return REGION_BOUNDARY if x == edge else below if x < edge else above
+
+
 def online_rate_allocated(s: float, p: float) -> RateReport:
     """Growth rate of the mean online guesswork with least-likely-first bins.
 
@@ -92,16 +98,11 @@ def online_rate_allocated(s: float, p: float) -> RateReport:
     branches agree at s = 1-p.
     """
     _check_sp(s, p)
-    boundary = 1.0 - p
-    if s > boundary:
-        region, rate = "s>=1-p", binary_entropy(s) + kl_divergence(s, p)
-    elif s < boundary:
-        region = "s<1-p"
-        rate = 2.0 * binary_entropy(p) + kl_divergence(1.0 - p, p) - binary_entropy(s)
-    else:
-        region = REGION_BOUNDARY
-        rate = binary_entropy(s) + kl_divergence(s, p)
-    return RateReport("online-allocated", rate, region=region)
+    rate = (
+        binary_entropy(s) + kl_divergence(s, p) if s >= 1.0 - p
+        else 2.0 * binary_entropy(p) + kl_divergence(1.0 - p, p) - binary_entropy(s)
+    )
+    return RateReport("online-allocated", rate, region=_region(s, 1.0 - p, "s<1-p", "s>=1-p"))
 
 
 def offline_rate_allocated(s: float, p: float) -> RateReport:
@@ -114,14 +115,10 @@ def offline_rate_bounds_unallocated(s: float, p: float) -> RateReport:
     """[D(1-s||p) or 0, D(s||p)] bounds when bins are not allocated."""
     _check_sp(s, p)
     u = 1.0 - s
-    if u < p:
-        region, lower = "1-s<=p", kl_divergence(u, p)
-    elif u > p:
-        region, lower = "1-s>p", 0.0
-    else:
-        region, lower = REGION_BOUNDARY, 0.0
-    upper = kl_divergence(s, p)
-    return RateReport("offline-unallocated", None, lower=lower, upper=upper, region=region)
+    return RateReport(
+        "offline-unallocated", None, lower=kl_divergence(u, p) if u < p else 0.0,
+        upper=kl_divergence(s, p), region=_region(u, p, "1-s<=p", "1-s>p"),
+    )
 
 
 def online_rate_bounds_unallocated(s: float, p: float) -> RateReport:
@@ -148,13 +145,8 @@ def most_likely_rate_offline(s: float, p: float) -> RateReport:
     """
     _check_sp(s, p)
     u = 1.0 - s
-    if u < p:
-        region, rate = "1-s<=p", binary_entropy(p) - binary_entropy(u)
-    elif u > p:
-        region, rate = "p<=1-s", 0.0
-    else:
-        region, rate = REGION_BOUNDARY, binary_entropy(p) - binary_entropy(u)
-    return RateReport("most-likely-offline", rate, region=region)
+    rate = binary_entropy(p) - binary_entropy(u) if u <= p else 0.0
+    return RateReport("most-likely-offline", rate, region=_region(u, p, "1-s<=p", "p<=1-s"))
 
 
 def most_likely_rate_online(p: float) -> RateReport:

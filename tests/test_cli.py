@@ -322,3 +322,21 @@ def test_bad_input_exit_2(runner, args, message):
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2
     assert result.stderr.splitlines()[-1] == f"Error: {message}"
+
+
+def test_errors_map_to_exit_codes_at_the_group(runner, monkeypatch):
+    # a ValueError from any layer is a usage error of its command, and a
+    # RuntimeError other than a resource cap is not swallowed
+    from guesswork_lab import experiments
+
+    result = runner.invoke(cli.main, ["keysize", "--alpha", "0.5"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[0] == "Usage: main keysize [OPTIONS]"
+
+    def fail(alphas):
+        raise RuntimeError("not a cap")
+
+    monkeypatch.setattr(experiments, "keysize_panel", fail)
+    result = runner.invoke(cli.main, ["keysize"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError) and "resource cap" not in result.stderr

@@ -179,7 +179,7 @@ class TestKernelsMatchScalarPath:
             ]
         elif mode == "biased-password":
             rank = ex._draw_biased(cfg, trials)
-            p_hit = ex._pk(sc.m, sc.p, sc.m)
+            p_hit = ex._pk_table(sc)[sc.m]
             expect = [
                 (*ex._scan_outcome_sampled(u[r], sc.n, p_hit, [int(rank[r])], [], budget), (1 << sc.m) - 1)
                 for r in range(trials.size)
@@ -327,8 +327,8 @@ class TestScanGolden:
 
     @pytest.mark.parametrize("n,m,p,target,samples,expected", [
         (10, 4, 0.25, 0, 20_000, (2.94805, 0.033204326952706316, 0)),
-        (8, 6, 0.3, 0, 20_000, (9.2061, 0.11536659510476377, 0)),
-        (10, 4, 0.25, 15, 3000, (333.07733333333334, 8.683757130704102, 0)),
+        (8, 6, 0.3, 0, 20_000, (9.2493, 0.11821853977713542, 0)),
+        (10, 4, 0.25, 15, 3000, (347.028, 8.756793936341259, 0)),
     ])
     def test_permutation_mean_guesswork(self, n, m, p, target, samples, expected):
         from guesswork_lab import hashmodel as hm
@@ -562,9 +562,9 @@ class TestPermutationContinuation:
             assert ours.bit_generator.state == ref.bit_generator.state
 
     def test_continued_rows_keep_the_closed_form_mean(self, monkeypatch):
-        # 180 of 1,024 entries: (1 - 180/1024)^48 = 9e-5 stays under the
-        # oracle's 1e-4 switch, so prefixes are drawn and a few rows of
-        # 2^16 need the continuation.
+        # 180 of 1,024 entries: a share (1 - 180/1024)^48 = 9e-5 of the
+        # 48-draw prefixes finds no hit, so a few rows of 2^16 need the
+        # continuation.
         size, preimages, samples = 1024, 180, 1 << 16
         table = np.zeros(size, dtype=np.uint32)
         table[np.arange(preimages) * 5] = 1

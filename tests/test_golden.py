@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from guesswork_lab import cli
+from guesswork_lab.config import ExperimentConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -100,7 +101,7 @@ def test_capped_width_warning_cases(argv, warning):
 
 
 def test_exact_mode_does_not_warn(capsys):
-    cfg = cli._experiment_config(
+    cfg = ExperimentConfig(
         scenario=cli._scenario(30, None, 0.3, 0.9, None), trials=100, seed=1, mode="broken-hash",
     )
     cli._warn_if_width_capped(cfg, 30)
