@@ -42,6 +42,9 @@ _SEEN_FREE_CAP = 1 << 22
 #: Indices of each probability-descending order kept in memory (1 MiB).
 _ORDER_PREFIX = 1 << 17
 
+#: Ranks unranked at once while building that prefix.
+_UNRANK_BLOCK = 1 << 14
+
 ARM_HASH = "hash"
 ARM_PASSWORD = "password"
 
@@ -175,8 +178,12 @@ def _fresh_draws(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _descending_prefix(n: int, heavy_first: bool) -> np.ndarray:
     """The weight-layer order's first min(2^n, _ORDER_PREFIX) indices,
-    read-only; every trial at the same (n, direction) shares them."""
-    order = weight_layer_order(n, heavy_first, np.arange(min(1 << n, _ORDER_PREFIX))).astype(np.uint64)
+    read-only; every trial at the same (n, direction) shares them.  They
+    are unranked _UNRANK_BLOCK at a time, so the temporaries stay small."""
+    order = np.empty(min(1 << n, _ORDER_PREFIX), dtype=np.uint64)
+    for lo in range(0, order.size, _UNRANK_BLOCK):
+        block = order[lo : lo + _UNRANK_BLOCK]
+        block[:] = weight_layer_order(n, heavy_first, np.arange(lo, lo + block.size))
     order.flags.writeable = False
     return order
 

@@ -18,6 +18,7 @@ counter-keyed block functions.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -759,6 +760,10 @@ def keysize_panel(alpha_values: Sequence[float]) -> list[KeySizeRow]:
 # ---------------------------------------------------------------------------
 
 
+#: Rows of 48-draw prefixes per oracle batch, and per piece of a batch.
+_ORACLE_BATCH, _ORACLE_PIECE = 16384, 2048
+
+
 def permutation_mean_guesswork(
     h, target_bits: int, samples: int, seed: int
 ) -> EstimateWithCI:
@@ -769,30 +774,37 @@ def permutation_mean_guesswork(
     occurrences of an i.i.d. uniform index stream form a uniform
     permutation prefix, so a 48-draw prefix plus an explicit continuation
     for the rows it leaves without a hit reproduces the full-permutation
-    attack.  Cross-checked against the (N+1)/(L+1) closed form and the
-    literal scanning attack in the test suite.
+    attack.  A batch's prefixes are drawn in pieces of _ORACLE_PIECE rows
+    and its continuations after its last piece: numpy's bounded integers
+    do not depend on how a draw is split, so the generator gives the
+    draws of one (batch, 48) block and then the continuations, in order.
+    Cross-checked against the (N+1)/(L+1) closed form and the literal
+    scanning attack in the test suite.
     """
     table = np.asarray(h.table)
     size = table.shape[0]
     hitmask = np.zeros(1 << h.m, dtype=bool)
     hitmask[target_bits] = True
-    preimages = int(np.count_nonzero(table == target_bits))
+    hit = hitmask[table]  # does each candidate hit?
     acc = GuessAccumulator()
     gen = rng.generator(seed, rng.LANE_ORACLE)
-    if preimages == 0:
+    if not hit.any():
         acc.add_array(np.zeros(samples))
         return acc.estimate()
 
-    rows = 16384
-    done = 0
-    while done < samples:
-        batch = min(rows, samples - done)
-        draws = gen.integers(0, size, size=(batch, 48))
-        guesses = _first_hit_guesses(draws, hitmask[table[draws]])
-        acc.add_array(guesses[guesses > 0])
-        for row in np.flatnonzero(guesses == 0):
-            acc.add(*_continue_permutation_scan(gen, table, hitmask, draws[row]))
-        done += batch
+    seen = None
+    for start in range(0, samples, _ORACLE_BATCH):
+        batch = min(_ORACLE_BATCH, samples - start)
+        missed = []  # prefixes without a hit, continued after the batch
+        for lo in range(0, batch, _ORACLE_PIECE):
+            draws = gen.integers(0, size, size=(min(_ORACLE_PIECE, batch - lo), 48))
+            guesses = _first_hit_guesses(draws, hit[draws])
+            acc.add_array(guesses[guesses > 0])
+            missed.append(draws[guesses == 0])
+        for prefix in itertools.chain.from_iterable(missed):
+            if seen is None:
+                seen = np.zeros(size, dtype=np.int32)
+            acc.add(*_continue_permutation_scan(gen, hit, seen, prefix))
     return acc.estimate()
 
 
@@ -817,20 +829,25 @@ def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
     return guesses
 
 
-def _continue_permutation_scan(gen, table, hitmask, prefix_draws) -> tuple[int, bool]:
+def _continue_permutation_scan(gen, hit, seen, prefix_draws) -> tuple[int, bool]:
     """Finish a permutation scan whose prefix found no hit: fresh draws of
-    256-integer batches, the prefix marked served, until the first hit
-    (the table holds one, so a full permutation reaches it)."""
-    size = table.shape[0]
-    seen = np.zeros(size, dtype=np.int32)
-    seen[prefix_draws] = attack._SEEN
-    count = int(np.count_nonzero(seen))
-    while True:
-        fresh = attack._fresh_draws(seen, gen.integers(0, size, size=256))
-        hits = np.flatnonzero(hitmask[table[fresh]])
-        if hits.size:
-            return count + int(hits[0]) + 1, True
-        count += fresh.size
+    256-integer batches, the prefix marked served, until the first
+    candidate that hits (there is one, so a full permutation reaches it).
+    seen is a zeroed seen buffer over the candidates, handed back zeroed."""
+    size = hit.size
+    marked = [prefix_draws]  # draws whose entries of seen were written
+    try:
+        count = attack._fresh_draws(seen, prefix_draws).size
+        while True:
+            marked.append(gen.integers(0, size, size=256))
+            fresh = attack._fresh_draws(seen, marked[-1])
+            hits = np.flatnonzero(hit.take(fresh))
+            if hits.size:
+                return count + int(hits[0]) + 1, True
+            count += fresh.size
+    finally:
+        for raw in marked:
+            seen[raw] = 0
 
 
 # ---------------------------------------------------------------------------

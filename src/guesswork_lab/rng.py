@@ -7,6 +7,7 @@ count or evaluation order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -157,13 +158,13 @@ def biased_bits(
     value can still be one, so a miss costs the bits up to the first that
     rules it out.  target is an int in [0, 2^m), or one per row: an array
     broadcast against the shape's leading axes and 1 (an (R, 1) column
-    over R rows), and a hit is a value equal to its target.  A one-element
-    target array serves every row, as the int it holds.  live instead
-    holds m stacked boolean tables, one row k per mask, and table
-    (broadcast like seed) names each value's row: live[j], of shape
-    (K, 2^(j+1)), is indexed by k and the first j + 1 bits of a value (its
-    top bits), must be False wherever live[j - 1] is False for the shorter
-    prefix, and a hit is a value in the mask live[m - 1][k].
+    over R rows), and a hit is a value equal to its target.  A target
+    array whose entries are all equal serves every row, as the int it
+    holds.  live instead holds m stacked boolean tables, one row k per
+    mask, and table (broadcast like seed) names each value's row: live[j],
+    of shape (K, 2^(j+1)), is indexed by k and the first j + 1 bits of a
+    value (its top bits), must be False wherever live[j - 1] is False for
+    the shorter prefix, and a hit is a value in the mask live[m - 1][k].
     """
     idx64 = idx.astype(np.uint64, copy=False)
     thr = threshold_for(p)
@@ -171,22 +172,35 @@ def biased_bits(
         seed = seed.astype(np.uint64, copy=False)
     else:
         seed = np.uint64(int(seed) & MASK64)
-    base = mix64(idx64 * _U_GOLDEN + seed)
     if live is None and target is None:
+        base = mix64(idx64 * _U_GOLDEN + seed)
         vals = np.zeros(base.shape, dtype=np.uint64)
         for j in range(m):
             h = mix64(base ^ _LANES[j])
             vals = (vals << _ONE) | (h < thr).astype(np.uint64)
         return vals
     if live is None:
-        if isinstance(target, np.ndarray) and target.size == 1:
-            target = target.item()  # one target for every row: the scalar compare
+        if isinstance(target, np.ndarray) and target.size and (target == target.flat[0]).all():
+            target = target.flat[0].item()  # one target for every row: the scalar compare
         if np.any(target >> m) if isinstance(target, np.ndarray) else not 0 <= target < 1 << m:
             raise ValueError(f"target out of range for m={m}")
     else:
         # Row k's prefixes follow k in the index of its flattened tables.
         live = [t.reshape(-1) for t in live]
-    return _hits(base, thr, m, live, table, target)
+    shape = np.broadcast(idx64, seed).shape
+    size = math.prod(shape)
+    if size <= _FINISH_ROWS:  # the 2-D finish alone, in arrays of its own
+        return _hits(mix64(idx64 * _U_GOLDEN + seed), thr, m, live, table, target, None)
+    s = _take_scratch(size)
+    try:
+        base = s.base[:size].reshape(shape)
+        np.multiply(idx64, _U_GOLDEN, out=base)
+        base += seed
+        _mix_into(base, s.tmp[:size].reshape(shape))
+        return _hits(base, thr, m, live, table, target, s)
+    finally:
+        if s.ok.size == _SCRATCH_CAP:
+            _SCRATCH_FREE.append(s)
 
 
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
@@ -198,10 +212,46 @@ _DOWN = np.arange(63, -1, -1, dtype=np.uint64)
 #: Weights that pack rows of k bits, first bit highest: BIT_WEIGHTS[64 - k:].
 BIT_WEIGHTS = _ONE << _DOWN
 
+#: Below this threshold a bit is 1 less often than 0.
+_HALF = threshold_for(0.5)
+
 #: Survivors at or below which a hit test takes all their remaining bits
 #: in one 2-D mix: numpy's fixed cost per call then outweighs the bits
 #: drawn for survivors that would have been ruled out early.
 _FINISH_ROWS = 256
+
+#: Pairs of kept hit-test scratch: the widest call of a lockstep scan,
+#: whose rounds hash at most 2^16 pairs and whose one-row chunks hold at
+#: most 2^16 indices.  Pages fault in only where calls write, so a small
+#: call costs no more for it.
+_SCRATCH_CAP = 1 << 16
+
+
+class _Scratch:
+    """A hit test's working arrays, size entries each: the mixed bases,
+    the states of the bit being drawn and mix64's shifts (uint64), and the
+    bit's test (bool).  The survivors' bases move between base and z."""
+
+    __slots__ = ("base", "z", "tmp", "ok")
+
+    def __init__(self, size: int):
+        self.base, self.z, self.tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
+        self.ok = np.empty(size, dtype=bool)
+
+
+#: Scratch of finished hit tests: a call takes one and hands it back, even
+#: when it raises, so calls reuse pages instead of faulting in their own.
+_SCRATCH_FREE: list[_Scratch] = []
+
+
+def _take_scratch(size: int) -> _Scratch:
+    """Scratch of at least size pairs; past _SCRATCH_CAP, a call's own."""
+    if size > _SCRATCH_CAP:
+        return _Scratch(size)
+    try:  # one pop, so concurrent calls never share scratch
+        return _SCRATCH_FREE.pop()
+    except IndexError:
+        return _Scratch(_SCRATCH_CAP)
 
 
 def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -216,46 +266,94 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _hits(base, thr, m, live, table, target) -> np.ndarray:
-    """biased_bits' hit test over mixed bases.
+def _draw_order(targets: np.ndarray, m: int, thr: np.uint64) -> tuple[np.ndarray, ...]:
+    """(lanes, want, tails), shaped (m, targets.size): column r holds the
+    lane of each of target r's m draws and the bit it must give, least
+    likely bits first (the target's 1-bits when p < 1/2, its 0-bits when
+    p > 1/2), each kind in positional order; tails[j] packs the bits of
+    draws j and on, the last lowest.  A hit needs every bit, so the order
+    decides only how soon a miss stops drawing."""
+    bits = ((targets >> _DOWN[64 - m :, None]) & _ONE).astype(bool)
+    if thr == _HALF:
+        lanes, want = np.broadcast_to(_LANES[:m, None], bits.shape), bits
+    else:
+        rare_bit = thr < _HALF
+        rare = bits == rare_bit
+        upto = np.cumsum(rare, axis=0)  # rare bits among draws 0..j
+        # each bit's place: the rare ones first, then the others
+        place = np.where(rare, upto - 1, upto[-1] + np.arange(m)[:, None] - upto)
+        lanes = np.empty(bits.shape, dtype=np.uint64)
+        lanes[place, np.arange(targets.size)] = _LANES[:m, None]
+        want = (np.arange(m)[:, None] < upto[-1]) == rare_bit
+    tails = np.cumsum((want * BIT_WEIGHTS[64 - m :, None])[::-1], axis=0)[::-1]
+    return lanes, want, tails
 
-    Every pair draws bit 0, tested in base's shape against the rows'
-    target bits as a column.  From then on only the survivors, the pairs
-    that can still hit, draw: they are compacted with nonzero and take
-    after every step, keeping their flat positions pos (a survivor's
-    target is its row's, at pos // width) and, with tables, their bits so
-    far as table indices.  Once at most _FINISH_ROWS survive, their
-    remaining bits come from one 2-D mix and are tested whole, as the
-    target's low bits or through the mask.  Hits are written once, at the
-    end.
+
+@functools.lru_cache(maxsize=64)
+def _one_target_order(target: int, m: int, thr: np.uint64) -> tuple[np.ndarray, ...]:
+    """_draw_order of one target, as read-only (m,) arrays that every call
+    shares."""
+    order = tuple(a[:, 0].copy() for a in _draw_order(np.array([target], dtype=np.uint64), m, thr))
+    for a in order:
+        a.flags.writeable = False
+    return order
+
+
+def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarray:
+    """biased_bits' hit test over mixed bases, held in s.base (a call of at
+    most _FINISH_ROWS pairs takes no scratch: s is None).
+
+    Every pair draws its first bit, tested in base's shape against the
+    rows' first lanes and bits as columns.  From then on only the
+    survivors, the pairs that can still hit, draw: they are compacted
+    with nonzero and take after every step, keeping their flat positions
+    pos, with per-row targets their rows (pos // width, divided once for
+    the first survivors), and with tables their bits so far as table
+    indices.  Once at most _FINISH_ROWS survive, their
+    remaining bits come from one 2-D mix and are tested whole, against
+    the wanted bits or through the mask; a call that small starts there.
+    Hits are written once, at the end.  Targets draw in _draw_order,
+    tables in bit order.
     """
-    shape = base.shape
-    width = shape[-1]
-    per_row = live is None and isinstance(target, np.ndarray)
-    if per_row:
-        target = np.broadcast_to(target.astype(np.uint64), shape[:-1] + (1,)).reshape(-1)
-        want = ((target >> _DOWN[64 - m :, None]) & _ONE).astype(bool)  # want[j]: the rows' bit j
-    z, tmp = np.empty(base.size, dtype=np.uint64), np.empty(base.size, dtype=np.uint64)
-    okb = np.empty(base.size, dtype=bool)
-    pos = prefix = None
+    shape, size = base.shape, base.size
+    lead = shape[:-1] + (1,)
+    if live is not None:
+        lanes = _LANES[:m]
+    elif isinstance(target, np.ndarray):
+        lanes, want, tails = _draw_order(np.broadcast_to(target.astype(np.uint64), lead).reshape(-1), m, thr)
+    else:
+        lanes, want, tails = _one_target_order(target, m, thr)
+    per_row = lanes.ndim == 2
+    pos = row = prefix = None
     for j in range(m):
         n = base.size
-        if j and n <= _FINISH_ROWS:
-            rest = np.empty((n, m - j), dtype=np.uint64)
-            np.bitwise_xor(base[:, None], _LANES[j:m], out=rest)
+        if n <= _FINISH_ROWS:
+            if pos is None:  # the whole call: every pair is a survivor
+                pos, base = np.arange(n), base.reshape(-1)
+                if live is not None:
+                    prefix = np.broadcast_to(np.asarray(table, dtype=np.intp), shape).reshape(-1)
+                elif per_row:
+                    row = pos // shape[-1]
+            rest = base[:, None] ^ (lanes[j:, row].T if per_row else lanes[j:])
             _mix_into(rest, np.empty_like(rest))
             low = np.dot((rest < thr).view(np.uint8), BIT_WEIGHTS[64 - m + j :])
             if live is not None:
                 ok = live[-1].take((prefix << (m - j)) | low.view(np.intp))
             else:
-                ok = low == (target.take(pos // width) if per_row else target) & np.uint64((1 << (m - j)) - 1)
+                ok = low == (tails[j].take(row) if per_row else tails[j])
             pos = pos[ok]
             break
-        zj, ok = z[:n].reshape(base.shape), okb[:n].reshape(base.shape)
-        np.bitwise_xor(base, _LANES[j], out=zj)
-        _mix_into(zj, tmp[:n].reshape(base.shape))
+        z, ok = s.z[:n].reshape(base.shape), s.ok[:n].reshape(base.shape)
+        if not per_row:
+            np.bitwise_xor(base, lanes[j], out=z)
+        elif pos is None:
+            np.bitwise_xor(base, lanes[0].reshape(lead), out=z)
+        else:
+            lanes[j].take(row, out=z, mode="clip")
+            z ^= base
+        _mix_into(z, s.tmp[:n].reshape(base.shape))
         if live is not None:
-            np.less(zj, thr, out=ok)
+            np.less(z, thr, out=ok)
             if j:
                 prefix <<= 1
                 prefix |= ok
@@ -264,20 +362,24 @@ def _hits(base, thr, m, live, table, target) -> np.ndarray:
                 prefix |= np.asarray(table, dtype=np.intp) << 1
             ok = live[j].take(prefix)
         elif per_row:
-            np.less(zj, thr, out=ok)
-            np.equal(ok, want[j].take(pos // width) if j else want[0].reshape(shape[:-1] + (1,)), out=ok)
-        elif (target >> (m - 1 - j)) & 1:
-            np.less(zj, thr, out=ok)
+            np.less(z, thr, out=ok)
+            np.equal(ok, want[0].reshape(lead) if pos is None else want[j].take(row), out=ok)
+        elif want[j]:
+            np.less(z, thr, out=ok)
         else:
-            np.greater_equal(zj, thr, out=ok)
-        keep = np.flatnonzero(ok)
+            np.greater_equal(z, thr, out=ok)
+        (keep,) = ok.reshape(-1).nonzero()
+        if per_row:
+            row = keep // shape[-1] if pos is None else row.take(keep)
         pos = keep if pos is None else pos.take(keep)
         if not keep.size:
             break
-        base = base.reshape(-1).take(keep)
+        # the survivors' bases move to z's buffer, whose states are spent
+        base = base.reshape(-1).take(keep, out=s.z[: keep.size], mode="clip")
+        s.base, s.z = s.z, s.base
         if live is not None:
             prefix = prefix.reshape(-1).take(keep)
-    hits = np.zeros(z.size, dtype=bool)
+    hits = np.zeros(size, dtype=bool)
     hits[pos] = True
     return hits.reshape(shape)
 

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,17 @@ class TestStrategyOrdering:
                 break
         assert np.concatenate(chunks).tolist() == expect[:budget]
 
+    def test_descending_prefix_memory(self):
+        # the cached 2^17 indices are unranked in blocks into one array
+        tracemalloc.start()
+        try:
+            order = attack._descending_prefix.__wrapped__(23, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order.size == attack._ORDER_PREFIX and not order.flags.writeable
+        assert peak < 3 << 20
+
     def test_permutation_past_cap_fails_loudly(self):
         # 2^27 candidates would need a 512 MiB seen buffer: refused before
         # any buffer is taken
@@ -492,6 +504,60 @@ class TestTargetBits:
             rng.biased_bits(3, 0.3, 4, idx, target=np.array([[1], [-1]]))
         with pytest.raises(ValueError):
             rng.biased_bits(3, 0.3, 4, idx, target=np.array([16]))
+
+
+class TestHitScratch:
+    """Hit tests run in scratch taken from a free list and handed back:
+    calls of any size, one after another, each equal the full draw."""
+
+    #: (rows, width) of calls of 1, 65,536, 3, 70,000 and 5 pairs.  Calls
+    #: of at most _FINISH_ROWS pairs need no scratch, 70,000 is past the
+    #: kept scratch's size, and 65,536 takes the one scratch kept.
+    SHAPES = [(1, 1), (4, 1 << 14), (3, 1), (7, 10_000), (1, 5)]
+
+    @staticmethod
+    def _hits_and_expect(kind, rows, width, at):
+        p = 0.7 if kind == "rows-0.7" else 0.3
+        m = 10
+        seeds = (np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(at)) * np.uint64(rng.GOLDEN)
+        window = np.arange(at, at + width, dtype=np.uint64)
+        full = rng.biased_bits(seeds, p, m, window)
+        if kind == "scalar":
+            t = int(full[0, width // 2])
+            return rng.biased_bits(seeds, p, m, window, target=t), full == np.uint64(t)
+        if kind == "tables":
+            masks = np.zeros((rows, 1 << m), dtype=bool)
+            masks[np.arange(rows), full[:, -1].astype(np.intp)] = True
+            masks[:, 5] = True
+            k = np.arange(rows)[:, None]
+            hits = rng.biased_bits(seeds, p, m, window, attack._prefix_tables(masks), table=k)
+            return hits, masks[k, full.astype(np.intp)]
+        targets = full[:, width // 3, None].copy()  # one hit per row at least
+        targets[1::2] = np.uint64(0b1011001110)
+        return rng.biased_bits(seeds, p, m, window, target=targets.astype(np.int64)), full == targets
+
+    def _run_sizes(self, kind, kept=False):
+        for at, (rows, width) in enumerate(self.SHAPES):
+            hits, expect = self._hits_and_expect(kind, rows, width, 1000 * at)
+            assert hits.dtype == bool and hits.shape == (rows, width)
+            assert (hits == expect).all() and hits.any()
+            assert len(rng._SCRATCH_FREE) == (kept or at >= 1)
+
+    @pytest.mark.parametrize("kind", ["scalar", "rows-0.3", "rows-0.7", "tables"])
+    def test_sizes_in_turn_match_full_draw(self, kind, monkeypatch):
+        monkeypatch.setattr(rng, "_SCRATCH_FREE", [])
+        self._run_sizes(kind)
+        (kept,) = rng._SCRATCH_FREE
+        assert kept.ok.size == rng._SCRATCH_CAP
+
+    def test_raising_call_hands_scratch_back(self, monkeypatch):
+        monkeypatch.setattr(rng, "_SCRATCH_FREE", [])
+        seeds = np.arange(1, 3, dtype=np.uint64)[:, None]
+        window = np.arange(3000, dtype=np.uint64)
+        with pytest.raises(ValueError):  # three targets cannot broadcast over two rows
+            rng.biased_bits(seeds, 0.3, 8, window, target=np.array([[1], [2], [3]]))
+        assert len(rng._SCRATCH_FREE) == 1
+        self._run_sizes("rows-0.3", kept=True)
 
 
 class TestKeyedScan:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -554,12 +555,14 @@ class TestPermutationContinuation:
         table[size - 1] = 1
         hitmask = np.array([False, True])
         misses = np.flatnonzero(table == 0)
+        seen = np.zeros(size, dtype=np.int32)  # one buffer for every row, handed back zeroed
         for k in range(100):
             prefix = gen.choice(misses, size=48)  # a prefix that found no hit
             ours, ref = np.random.default_rng([size, k]), np.random.default_rng([size, k])
-            assert ex._continue_permutation_scan(ours, table, hitmask, prefix) \
+            assert ex._continue_permutation_scan(ours, hitmask[table], seen, prefix) \
                 == _continue_by_set(ref, table, hitmask, prefix)
             assert ours.bit_generator.state == ref.bit_generator.state
+            assert not seen.any()
 
     def test_continued_rows_keep_the_closed_form_mean(self, monkeypatch):
         # 180 of 1,024 entries: a share (1 - 180/1024)^48 = 9e-5 of the
@@ -579,6 +582,79 @@ class TestPermutationContinuation:
         assert continued and all(ok and g > 1 for g, ok in continued)
         exact = attack.permutation_average_exact(size, preimages)
         assert abs(est.mean - exact) <= 3.5 * est.half_width_95 / 1.96
+
+
+def _continue_fresh(gen, table, hitmask, prefix_draws):
+    """A continuation with a seen buffer of its own, zeroed per row."""
+    size = table.shape[0]
+    seen = np.zeros(size, dtype=np.int32)
+    seen[prefix_draws] = attack._SEEN
+    count = int(np.count_nonzero(seen))
+    while True:
+        fresh = attack._fresh_draws(seen, gen.integers(0, size, size=256))
+        hits = np.flatnonzero(hitmask[table[fresh]])
+        if hits.size:
+            return count + int(hits[0]) + 1, True
+        count += fresh.size
+
+
+def _oracle_whole_batches(h, target, samples, seed):
+    """The oracle with each batch's 48-draw prefixes drawn in one call,
+    then its rows without a hit continued one by one."""
+    table = np.asarray(h.table)
+    hitmask = np.zeros(1 << h.m, dtype=bool)
+    hitmask[target] = True
+    acc = attack.GuessAccumulator()
+    gen = rng.generator(seed, rng.LANE_ORACLE)
+    done = 0
+    while done < samples:
+        batch = min(16384, samples - done)
+        draws = gen.integers(0, table.shape[0], size=(batch, 48))
+        guesses = ex._first_hit_guesses(draws, hitmask[table[draws]])
+        acc.add_array(guesses[guesses > 0])
+        for row in np.flatnonzero(guesses == 0):
+            acc.add(*_continue_fresh(gen, table, hitmask, draws[row]))
+        done += batch
+    return acc.estimate()
+
+
+def _sparse_table(preimages):
+    table = np.zeros(1024, dtype=np.uint32)
+    table[np.arange(preimages) * 97 + 13] = 1
+    return hm.TableHash(m=1, n=10, table=table)
+
+
+class TestOraclePieces:
+    """The oracle draws each batch's prefixes in pieces and its
+    continuations after the last piece: the same draws, in the same
+    order, as whole batches."""
+
+    # The 1-of-1,024 table continues about 95% of its rows, at about 0.1 ms
+    # each, so it runs at fewer sample counts: one row, a batch's pieces,
+    # and one row past a whole batch.  Both sparse tables continue rows in
+    # both batches.
+    @pytest.mark.parametrize("preimages,samples", [
+        (preimages, samples)
+        for preimages in (None, 10)
+        for samples in (1, 2047, 2048, 2049, 16384, 16385, 20_000)
+    ] + [(1, 1), (1, 2049), (1, 16385)])
+    def test_matches_whole_batches(self, preimages, samples):
+        if preimages is None:  # dense: about a third of the entries hit
+            table, target = hm.sample_table_hash(4, 10, 0.25, seed=17), 0
+        else:
+            table, target = _sparse_table(preimages), 1
+        est = ex.permutation_mean_guesswork(table, target, samples, seed=29)
+        assert est == _oracle_whole_batches(table, target, samples, seed=29)
+
+    def test_traced_memory_is_bounded(self):
+        table = hm.sample_table_hash(4, 10, 0.25, seed=17)
+        tracemalloc.start()
+        try:
+            ex.permutation_mean_guesswork(table, 0, 20_000, seed=29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
 
 class TestPermutationOracle:
