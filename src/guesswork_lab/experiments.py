@@ -792,19 +792,21 @@ def permutation_mean_guesswork(
         acc.add_array(np.zeros(samples))
         return acc.estimate()
 
-    seen = None
-    for start in range(0, samples, _ORACLE_BATCH):
-        batch = min(_ORACLE_BATCH, samples - start)
-        missed = []  # prefixes without a hit, continued after the batch
-        for lo in range(0, batch, _ORACLE_PIECE):
-            draws = gen.integers(0, size, size=(min(_ORACLE_PIECE, batch - lo), 48))
-            guesses = _first_hit_guesses(draws, hit[draws])
-            acc.add_array(guesses[guesses > 0])
-            missed.append(draws[guesses == 0])
-        for prefix in itertools.chain.from_iterable(missed):
-            if seen is None:
-                seen = np.zeros(size, dtype=np.int32)
-            acc.add(*_continue_permutation_scan(gen, hit, seen, prefix))
+    seen = attack._take_seen(size)
+    try:
+        for start in range(0, samples, _ORACLE_BATCH):
+            batch = min(_ORACLE_BATCH, samples - start)
+            missed = []  # prefixes without a hit, continued after the batch
+            for lo in range(0, batch, _ORACLE_PIECE):
+                draws = gen.integers(0, size, size=(min(_ORACLE_PIECE, batch - lo), 48))
+                guesses = _first_hit_guesses(draws, hit[draws])
+                acc.add_array(guesses[guesses > 0])
+                missed.append(draws[guesses == 0])
+            for prefix in itertools.chain.from_iterable(missed):
+                acc.add(*_continue_permutation_scan(gen, hit, seen, prefix))
+    finally:
+        if size <= attack._SEEN_FREE_CAP:
+            attack._SEEN_FREE.setdefault(size, []).append(seen)
     return acc.estimate()
 
 

@@ -7,7 +7,6 @@ count or evaluation order.
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional, Sequence
 
@@ -212,9 +211,6 @@ _DOWN = np.arange(63, -1, -1, dtype=np.uint64)
 #: Weights that pack rows of k bits, first bit highest: BIT_WEIGHTS[64 - k:].
 BIT_WEIGHTS = _ONE << _DOWN
 
-#: Below this threshold a bit is 1 less often than 0.
-_HALF = threshold_for(0.5)
-
 #: Survivors at or below which a hit test takes all their remaining bits
 #: in one 2-D mix: numpy's fixed cost per call then outweighs the bits
 #: drawn for survivors that would have been ruled out early.
@@ -266,64 +262,27 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _draw_order(targets: np.ndarray, m: int, thr: np.uint64) -> tuple[np.ndarray, ...]:
-    """(lanes, want, tails), shaped (m, targets.size): column r holds the
-    lane of each of target r's m draws and the bit it must give, least
-    likely bits first (the target's 1-bits when p < 1/2, its 0-bits when
-    p > 1/2), each kind in positional order; tails[j] packs the bits of
-    draws j and on, the last lowest.  A hit needs every bit, so the order
-    decides only how soon a miss stops drawing."""
-    bits = ((targets >> _DOWN[64 - m :, None]) & _ONE).astype(bool)
-    if thr == _HALF:
-        lanes, want = np.broadcast_to(_LANES[:m, None], bits.shape), bits
-    else:
-        rare_bit = thr < _HALF
-        rare = bits == rare_bit
-        upto = np.cumsum(rare, axis=0)  # rare bits among draws 0..j
-        # each bit's place: the rare ones first, then the others
-        place = np.where(rare, upto - 1, upto[-1] + np.arange(m)[:, None] - upto)
-        lanes = np.empty(bits.shape, dtype=np.uint64)
-        lanes[place, np.arange(targets.size)] = _LANES[:m, None]
-        want = (np.arange(m)[:, None] < upto[-1]) == rare_bit
-    tails = np.cumsum((want * BIT_WEIGHTS[64 - m :, None])[::-1], axis=0)[::-1]
-    return lanes, want, tails
-
-
-@functools.lru_cache(maxsize=64)
-def _one_target_order(target: int, m: int, thr: np.uint64) -> tuple[np.ndarray, ...]:
-    """_draw_order of one target, as read-only (m,) arrays that every call
-    shares."""
-    order = tuple(a[:, 0].copy() for a in _draw_order(np.array([target], dtype=np.uint64), m, thr))
-    for a in order:
-        a.flags.writeable = False
-    return order
-
-
 def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarray:
     """biased_bits' hit test over mixed bases, held in s.base (a call of at
     most _FINISH_ROWS pairs takes no scratch: s is None).
 
-    Every pair draws its first bit, tested in base's shape against the
-    rows' first lanes and bits as columns.  From then on only the
-    survivors, the pairs that can still hit, draw: they are compacted
-    with nonzero and take after every step, keeping their flat positions
-    pos, with per-row targets their rows (pos // width, divided once for
-    the first survivors), and with tables their bits so far as table
-    indices.  Once at most _FINISH_ROWS survive, their
-    remaining bits come from one 2-D mix and are tested whole, against
-    the wanted bits or through the mask; a call that small starts there.
-    Hits are written once, at the end.  Targets draw in _draw_order,
-    tables in bit order.
+    Every pair draws bit 0, tested in base's shape against the rows'
+    target bits as a column.  From then on only the survivors, the pairs
+    that can still hit, draw: they are compacted with nonzero and take
+    after every step, keeping their flat positions pos, with per-row
+    targets their rows (pos // width, divided once for the first
+    survivors), and with tables their bits so far as table indices.  Once
+    at most _FINISH_ROWS survive, their remaining bits come from one 2-D
+    mix and are tested whole, as the target's low bits or through the
+    mask; a call that small starts there.  Hits are written once, at the
+    end.
     """
     shape, size = base.shape, base.size
     lead = shape[:-1] + (1,)
-    if live is not None:
-        lanes = _LANES[:m]
-    elif isinstance(target, np.ndarray):
-        lanes, want, tails = _draw_order(np.broadcast_to(target.astype(np.uint64), lead).reshape(-1), m, thr)
-    else:
-        lanes, want, tails = _one_target_order(target, m, thr)
-    per_row = lanes.ndim == 2
+    per_row = live is None and isinstance(target, np.ndarray)
+    if per_row:
+        target = np.broadcast_to(target.astype(np.uint64), lead).reshape(-1)
+        want = ((target >> _DOWN[64 - m :, None]) & _ONE).astype(bool)  # want[j]: the rows' bit j
     pos = row = prefix = None
     for j in range(m):
         n = base.size
@@ -334,23 +293,17 @@ def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarra
                     prefix = np.broadcast_to(np.asarray(table, dtype=np.intp), shape).reshape(-1)
                 elif per_row:
                     row = pos // shape[-1]
-            rest = base[:, None] ^ (lanes[j:, row].T if per_row else lanes[j:])
+            rest = base[:, None] ^ _LANES[j:m]
             _mix_into(rest, np.empty_like(rest))
             low = np.dot((rest < thr).view(np.uint8), BIT_WEIGHTS[64 - m + j :])
             if live is not None:
                 ok = live[-1].take((prefix << (m - j)) | low.view(np.intp))
             else:
-                ok = low == (tails[j].take(row) if per_row else tails[j])
+                ok = low == (target.take(row) if per_row else target) & np.uint64((1 << (m - j)) - 1)
             pos = pos[ok]
             break
         z, ok = s.z[:n].reshape(base.shape), s.ok[:n].reshape(base.shape)
-        if not per_row:
-            np.bitwise_xor(base, lanes[j], out=z)
-        elif pos is None:
-            np.bitwise_xor(base, lanes[0].reshape(lead), out=z)
-        else:
-            lanes[j].take(row, out=z, mode="clip")
-            z ^= base
+        np.bitwise_xor(base, _LANES[j], out=z)
         _mix_into(z, s.tmp[:n].reshape(base.shape))
         if live is not None:
             np.less(z, thr, out=ok)
@@ -363,14 +316,14 @@ def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarra
             ok = live[j].take(prefix)
         elif per_row:
             np.less(z, thr, out=ok)
-            np.equal(ok, want[0].reshape(lead) if pos is None else want[j].take(row), out=ok)
-        elif want[j]:
+            np.equal(ok, want[j].take(row) if j else want[0].reshape(lead), out=ok)
+        elif (target >> (m - 1 - j)) & 1:
             np.less(z, thr, out=ok)
         else:
             np.greater_equal(z, thr, out=ok)
         (keep,) = ok.reshape(-1).nonzero()
         if per_row:
-            row = keep // shape[-1] if pos is None else row.take(keep)
+            row = row.take(keep) if j else keep // shape[-1]
         pos = keep if pos is None else pos.take(keep)
         if not keep.size:
             break

@@ -646,6 +646,18 @@ class TestOraclePieces:
         est = ex.permutation_mean_guesswork(table, target, samples, seed=29)
         assert est == _oracle_whole_batches(table, target, samples, seed=29)
 
+    def test_seen_buffer_comes_back_clean(self, monkeypatch):
+        # the continuations of both calls share one seen buffer through
+        # the free list, handed back zeroed
+        monkeypatch.setattr(attack, "_SEEN_FREE", {})
+        table = _sparse_table(10)
+        first = ex.permutation_mean_guesswork(table, 1, 2049, seed=29)
+        (buf,) = attack._SEEN_FREE[1024]
+        assert not buf.any()
+        assert ex.permutation_mean_guesswork(table, 1, 2049, seed=29) == first
+        (again,) = attack._SEEN_FREE[1024]
+        assert again is buf and not buf.any()
+
     def test_traced_memory_is_bounded(self):
         table = hm.sample_table_hash(4, 10, 0.25, seed=17)
         tracemalloc.start()
