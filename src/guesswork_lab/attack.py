@@ -108,41 +108,55 @@ def _ascending_chunks(budget: int) -> Iterator[np.ndarray]:
 
 
 def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[np.ndarray]:
-    """A uniform permutation's first budget candidates, served lazily:
-    i.i.d. uniform draws filtered to first occurrences are exactly such a
-    prefix."""
+    """A uniform permutation's first budget candidates, served lazily.
+
+    Draw k is the top n bits of rng.words(seed, k, LANE_PERMUTATION), for
+    n_candidates = 2^n, and the first occurrences of these i.i.d. uniform
+    draws are exactly a uniform permutation's prefix.  Draws come
+    min(chunk, candidates left to serve) at a time, chunk growing from
+    _CHUNK0 by 4x to _CHUNK_CAP, and each batch's fresh candidates are
+    served before the next is drawn, so a scan that stops at its first hit
+    draws little.  Rejection stalls near exhaustion, so after the first
+    9/10 of the candidates (rounded down) the rest come as one chunk, in
+    the order of their own words, rng.words(key, i, LANE_PERMUTATION) for
+    candidate i with key the draws' key, ties by index.  Given the served
+    prefix that order is uniform but for ties among the R <= n_candidates
+    / 10 words, which occur with probability below R^2 / 2^65.  Every
+    draw and word is a pure function of its counter and the switch comes
+    at a fixed count, so batch sizes never change the order.
+    """
     if n_candidates > _PERM_MASK_CAP:
         raise ResourceCapError(f"seeded permutation capped at {_PERM_MASK_CAP} candidates")
-    gen = rng.generator(seed, rng.LANE_PERMUTATION)
-    reuse = n_candidates <= _SEEN_FREE_CAP
+    n = n_candidates.bit_length() - 1
+    key = rng.derive_seed(seed, rng.LANE_PERMUTATION)
+    head = n_candidates * 9 // 10
     seen = _take_seen(n_candidates)
-    marked: list[np.ndarray] = []  # draws whose entries of seen were written
-    served = 0
+    marked: list[np.ndarray] = []  # served candidates, the entries of seen written
+    served = drawn = 0
     chunk = _CHUNK0
     try:
-        while served < budget:
-            if served > 0.9 * n_candidates:
-                # Near exhaustion rejection stalls; finish with a shuffle of
-                # the leftovers, which is the same conditional distribution.
-                rest = np.flatnonzero(seen != _SEEN).astype(np.uint64)
-                rest = rest[gen.permutation(rest.size)][: budget - served]
-                if rest.size:
-                    yield rest
-                return
-            overdraw = int(chunk / max(1e-9, 1.0 - served / n_candidates) * 1.1) + 8
-            raw = gen.integers(0, n_candidates, size=min(overdraw, 4 * chunk + 8))
-            if reuse:
-                marked.append(raw)
-            raw = _fresh_draws(seen, raw)
-            if raw.size:
-                take = raw[: budget - served].astype(np.uint64)
+        while served < min(head, budget):
+            raw = rng.key_draws(key, drawn, min(chunk, 4 * (n_candidates - served)), n)
+            drawn += raw.size
+            fresh = raw[_fresh_mask(seen, raw)]
+            if served + fresh.size > head:  # past the switch: back to the tail
+                seen[fresh[head - served :]] = 0
+                fresh = fresh[: head - served]
+            marked.append(fresh)
+            if fresh.size:
+                take = fresh[: budget - served].view(np.uint64)
                 yield take
                 served += take.size
             chunk = min(chunk * 4, _CHUNK_CAP)
+        if served < budget:
+            rest = np.flatnonzero(seen != _SEEN)
+            if rest.size > 1:
+                rest = rest.take(np.argsort(rng.words(key, rest, rng.LANE_PERMUTATION), kind="stable"))
+            yield rest[: budget - served].view(np.uint64)
     finally:
-        if reuse:
-            for raw in marked:
-                seen[raw] = 0
+        if n_candidates <= _SEEN_FREE_CAP:
+            for fresh in marked:
+                seen[fresh] = 0
             _SEEN_FREE.setdefault(n_candidates, []).append(seen)
 
 
@@ -159,19 +173,21 @@ def _take_seen(n_candidates: int) -> np.ndarray:
         return np.zeros(n_candidates, dtype=np.int32)
 
 
-def _fresh_draws(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """The first occurrence of each draw not served before, in draw order.
+def _fresh_mask(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Which draws of raw (any shape, read in C order) are the first
+    occurrence of a candidate not served before; those are then marked
+    served.
 
-    seen holds _SEEN for served candidates and 0 otherwise.  Each draw's
-    chunk position (shifted below 0) goes in with np.minimum.at, so a
-    candidate keeps its earliest position whatever order numpy writes
-    in; the fresh draws are those that find their own position there,
-    and are then marked served.
+    seen holds _SEEN for served candidates and 0 otherwise, and does so
+    again on return.  Each draw's position (shifted below 0) goes in with
+    np.minimum.at, so a candidate keeps its earliest position whatever
+    order numpy writes in; the fresh draws are those that find their own
+    position there.
     """
-    pos = np.arange(-raw.size, 0, dtype=np.int32)
+    pos = np.arange(-raw.size, 0, dtype=np.int32).reshape(raw.shape)
     np.minimum.at(seen, raw, pos)
-    fresh = raw.take(np.flatnonzero(seen[raw] == pos))
-    seen[fresh] = _SEEN
+    fresh = seen[raw] == pos
+    seen[raw[fresh]] = _SEEN
     return fresh
 
 
@@ -276,9 +292,10 @@ def lockstep_scan(
     its row only `hit` decides (a planted override, or a password that
     ends the scan).  Each round hashes one window of the order for every
     active row.  strategy_chunks serves the order in chunks: _CHUNK0 * 4^k
-    indices, at most _CHUNK_CAP, in ascending and permutation order (a
-    lazy permutation's near-exhaustion tail comes as one chunk), and
-    _CHUNK0 indices each in descending order.  A window is the rest of
+    indices, at most _CHUNK_CAP, in ascending order, the fresh candidates
+    of as many draws in permutation order (a lazy permutation's
+    near-exhaustion tail comes as one chunk), and _CHUNK0 indices each in
+    descending order.  A window is the rest of
     the current chunk, cut to _ROUND_PAIRS // active indices while more
     than one row scans.  One row thus keeps the chunk schedule, and many
     rows take narrow windows that overshoot their first hits by little.

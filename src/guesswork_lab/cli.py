@@ -108,6 +108,7 @@ def _check_assert(text: Optional[str], command: str, kind: str, value: Optional[
 
 def _scenario(m: int, n: Optional[int], p: float, s: float, theta: Optional[float]) -> ScenarioParams:
     if n is None:
+        ScenarioParams(s=s, p=p, m=m, n=m + 1, theta=theta)  # p and s checked before the width reads them
         n = default_input_width(m, p, s)
     return ScenarioParams(s=s, p=p, m=m, n=n, theta=theta)
 
@@ -147,7 +148,7 @@ seed_option = click.option(
     help="64-bit experiment seed, or 'random' for a fresh one (echoed).",
 )
 workers_option = click.option(
-    "--workers", type=int, default=None,
+    "--workers", type=click.IntRange(min=1), default=None,
     help="Worker processes; defaults to $GUESSWORK_LAB_WORKERS or 1. "
     "Results are identical for any worker count.",
 )
@@ -321,6 +322,7 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
     """Monte Carlo estimate of the mean guesswork for one scenario."""
     from . import experiments
 
+    scenario = _scenario(m, n, p, s, theta)
     if budget is not None:
         if budget == "fast":
             from .attack import fast_budget
@@ -332,7 +334,7 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
             except ValueError:
                 raise click.UsageError("--budget must be an integer or 'fast'")
     cfg = ExperimentConfig(
-        seed=_parse_seed(seed), scenario=_scenario(m, n, p, s, theta), trials=trials,
+        seed=_parse_seed(seed), scenario=scenario, trials=trials,
         mode=mode, engine=engine, budget=budget, rho=rho,
     )
     if n is None:

@@ -18,7 +18,6 @@ counter-keyed block functions.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -760,8 +759,14 @@ def keysize_panel(alpha_values: Sequence[float]) -> list[KeySizeRow]:
 # ---------------------------------------------------------------------------
 
 
-#: Rows of 48-draw prefixes per oracle batch, and per piece of a batch.
-_ORACLE_BATCH, _ORACLE_PIECE = 16384, 2048
+#: Samples whose prefixes the oracle draws together, and the columns of
+#: each prefix.
+_ORACLE_PIECE, _ORACLE_PREFIX = 2048, 16
+
+#: Most (row, draw) pairs of one continuation step, and most entries of
+#: the continuation's seen buffer, which holds one slice per row of the
+#: table's size.
+_ORACLE_STEP, _ORACLE_SEEN = 1 << 13, 1 << 16
 
 
 def permutation_mean_guesswork(
@@ -770,44 +775,39 @@ def permutation_mean_guesswork(
     """Mean guess count of online attacks on a fixed table over uniformly
     random guessing orders.
 
-    Samples each order's first-success index exactly: the first
-    occurrences of an i.i.d. uniform index stream form a uniform
-    permutation prefix, so a 48-draw prefix plus an explicit continuation
-    for the rows it leaves without a hit reproduces the full-permutation
-    attack.  A batch's prefixes are drawn in pieces of _ORACLE_PIECE rows
-    and its continuations after its last piece: numpy's bounded integers
-    do not depend on how a draw is split, so the generator gives the
-    draws of one (batch, 48) block and then the continuations, in order.
-    Cross-checked against the (N+1)/(L+1) closed form and the literal
-    scanning attack in the test suite.
+    Samples each order's first-success index exactly: sample s draws
+    candidates from its own stream, rng.key_draws with the key
+    rng.words(seed, s, LANE_ORACLE), and the first occurrences of those
+    i.i.d. uniform draws are a uniform permutation.  Samples go in pieces
+    of _ORACLE_PIECE, each finished before the next is drawn.  Every draw
+    is a pure function of its sample and counter, so the sizes of pieces
+    and steps never change an estimate.  Cross-checked against the
+    (N+1)/(L+1) closed form and the literal scanning attack in the test
+    suite.
     """
     table = np.asarray(h.table)
-    size = table.shape[0]
     hitmask = np.zeros(1 << h.m, dtype=bool)
     hitmask[target_bits] = True
     hit = hitmask[table]  # does each candidate hit?
     acc = GuessAccumulator()
-    gen = rng.generator(seed, rng.LANE_ORACLE)
     if not hit.any():
         acc.add_array(np.zeros(samples))
         return acc.estimate()
-
-    seen = attack._take_seen(size)
-    try:
-        for start in range(0, samples, _ORACLE_BATCH):
-            batch = min(_ORACLE_BATCH, samples - start)
-            missed = []  # prefixes without a hit, continued after the batch
-            for lo in range(0, batch, _ORACLE_PIECE):
-                draws = gen.integers(0, size, size=(min(_ORACLE_PIECE, batch - lo), 48))
-                guesses = _first_hit_guesses(draws, hit[draws])
-                acc.add_array(guesses[guesses > 0])
-                missed.append(draws[guesses == 0])
-            for prefix in itertools.chain.from_iterable(missed):
-                acc.add(*_continue_permutation_scan(gen, hit, seen, prefix))
-    finally:
-        if size <= attack._SEEN_FREE_CAP:
-            attack._SEEN_FREE.setdefault(size, []).append(seen)
+    for lo in range(0, samples, _ORACLE_PIECE):
+        keys = rng.words(seed, np.arange(lo, min(lo + _ORACLE_PIECE, samples)), rng.LANE_ORACLE)
+        acc.add_array(_oracle_guesses(keys, hit))
     return acc.estimate()
+
+
+def _oracle_guesses(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """The guess count of the oracle sample with each key: a row with a
+    hit among its first _ORACLE_PREFIX draws is counted from those, the
+    others are continued."""
+    draws = rng.key_draws(keys, 0, _ORACLE_PREFIX, hit.size.bit_length() - 1)
+    guesses = _first_hit_guesses(draws, hit[draws])
+    missed = guesses == 0
+    guesses[missed] = _continue_permutation_scans(keys[missed], hit)
+    return guesses
 
 
 def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -831,25 +831,55 @@ def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
     return guesses
 
 
-def _continue_permutation_scan(gen, hit, seen, prefix_draws) -> tuple[int, bool]:
-    """Finish a permutation scan whose prefix found no hit: fresh draws of
-    256-integer batches, the prefix marked served, until the first
-    candidate that hits (there is one, so a full permutation reaches it).
-    seen is a zeroed seen buffer over the candidates, handed back zeroed."""
+def _continue_permutation_scans(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Guess counts of the oracle samples with these keys, found by
+    following each one's draws from counter 0 to its first hit (there is
+    one, so a full permutation reaches it).
+
+    Rows scan side by side in slots of one seen buffer, one slice of
+    hit.size entries each.  A step draws, for every busy slot, the mean
+    draws per hit (rounded up) or _ORACLE_STEP // busy slots, whichever
+    is fewer.  A row that hits zeroes its slice and hands its slot to the
+    next row.  The buffer comes from the free list of seen buffers and
+    goes back zeroed.
+    """
     size = hit.size
-    marked = [prefix_draws]  # draws whose entries of seen were written
-    try:
-        count = attack._fresh_draws(seen, prefix_draws).size
-        while True:
-            marked.append(gen.integers(0, size, size=256))
-            fresh = attack._fresh_draws(seen, marked[-1])
-            hits = np.flatnonzero(hit.take(fresh))
-            if hits.size:
-                return count + int(hits[0]) + 1, True
-            count += fresh.size
-    finally:
-        for raw in marked:
-            seen[raw] = 0
+    n = size.bit_length() - 1
+    guesses = np.empty(keys.size, dtype=np.int64)
+    if not keys.size:
+        return guesses
+    reach = -(-size // int(np.count_nonzero(hit)))  # draws per hit, rounded up
+    slots = max(1, _ORACLE_SEEN // size)
+    seen = attack._take_seen(slots * size)
+    table = seen.reshape(slots, size)
+    row = np.arange(min(slots, keys.size))  # the sample in each busy slot
+    slot = np.arange(row.size)
+    start = np.zeros(row.size, dtype=np.uint64)  # its next counter
+    count = np.zeros(row.size, dtype=np.int64)  # its guesses so far
+    waiting = row.size  # the next sample to take a slot
+    while row.size:
+        width = max(1, min(reach, _ORACLE_STEP // row.size))
+        draws = rng.key_draws(keys[row], start, width, n)
+        fresh = attack._fresh_mask(seen, draws + (slot * size)[:, None])
+        guessed = np.cumsum(fresh, axis=1)
+        first_hit = fresh & hit[draws]
+        col = first_hit.argmax(axis=1)
+        done = first_hit[np.arange(row.size), col]
+        guesses[row[done]] = count[done] + guessed[done, col[done]]
+        count += guessed[:, -1]
+        start += np.uint64(width)
+        if done.any():
+            table[slot[done]] = 0
+            (free,) = done.nonzero()
+            new = np.arange(waiting, min(waiting + free.size, keys.size))
+            waiting += new.size
+            row[free[: new.size]], start[free[: new.size]], count[free[: new.size]] = new, 0, 0
+            keep = np.ones(row.size, dtype=bool)
+            keep[free[new.size :]] = False
+            row, slot, start, count = row[keep], slot[keep], start[keep], count[keep]
+    if seen.size <= attack._SEEN_FREE_CAP:
+        attack._SEEN_FREE.setdefault(seen.size, []).append(seen)
+    return guesses
 
 
 # ---------------------------------------------------------------------------

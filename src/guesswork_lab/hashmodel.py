@@ -120,17 +120,21 @@ def _check_table_caps(m: int, n: int) -> None:
         raise ResourceCapError(f"explicit table capped at n<={TABLE_N_CAP}, m<={TABLE_M_CAP}")
 
 
+#: Entries of a sampled table drawn at once.
+_TABLE_PIECE = 1 << 16
+
+
 def sample_table_hash(m: int, n: int, p: float, seed: int) -> TableHash:
-    """Explicit table with entries sampled bitwise i.i.d. Bernoulli(p)."""
+    """Explicit table with entries sampled bitwise i.i.d. Bernoulli(p): the
+    keyed model's values under the key derive_seed(seed, LANE_TABLE) at
+    every index, drawn _TABLE_PIECE at a time."""
     _check_table_caps(m, n)
     check_bias(p)
-    gen = rng.generator(seed, rng.LANE_TABLE)
-    size = 1 << n
-    table = np.zeros(size, dtype=np.uint32)
-    chunk = 1 << 20
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        table[start:stop] = (gen.random((stop - start, m)) < p) @ rng.BIT_WEIGHTS[64 - m :]
+    key = rng.derive_seed(seed, rng.LANE_TABLE)
+    table = np.empty(1 << n, dtype=np.uint32)
+    for start in range(0, table.size, _TABLE_PIECE):
+        piece = table[start : start + _TABLE_PIECE]
+        piece[:] = rng.biased_bits(key, p, m, np.arange(start, start + piece.size))
     return TableHash(m=m, n=n, table=table)
 
 

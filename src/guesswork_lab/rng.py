@@ -45,9 +45,9 @@ LANE_RANK = 0x3A4C  # its position inside its weight layer
 LANE_PASSWORDS = 0x9A55  # users' uniform passwords: trials and the backdoor alike
 LANE_FORCED_FIRST = 0x0FF1  # most-likely panel: smallest forced password
 LANE_FORCED_GEOM = 0x0FF2  # most-likely panel: the forced profile's natural hit
-LANE_ORACLE = 0x9E34  # Generator of the fixed-table permutation oracle
-LANE_PERMUTATION = 0x9E12  # Generator of a seeded-permutation guess order
-LANE_TABLE = 0xAB1E  # Generator of a sampled explicit table
+LANE_ORACLE = 0x9E34  # the key of each fixed-table permutation oracle sample
+LANE_PERMUTATION = 0x9E12  # a seeded-permutation guess order's draws and tail
+LANE_TABLE = 0xAB1E  # the key of a sampled explicit table
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -86,9 +86,12 @@ def derive_seeds(root: int, parts: np.ndarray) -> np.ndarray:
     return mix64(np.uint64(_mix64_int(root)) ^ ((t + _ONE) * _U_GOLDEN))
 
 
-def generator(root: int, *path: int) -> np.random.Generator:
-    """A numpy Generator seeded from the derived path seed."""
-    return np.random.default_rng(derive_seed(root, *path))
+def generator(root: int, *path: int):
+    """Retired: no stream of the package draws from a numpy Generator, so
+    numpy.random is never loaded.  The name stays bound because the
+    benchmark's span tracer (perfbench/spans.py) wraps it by name; a call
+    raises."""
+    raise NotImplementedError("rng.generator is retired: draw with rng.words or rng.key_draws")
 
 
 def threshold_for(p: float) -> np.uint64:
@@ -106,6 +109,35 @@ def threshold_for(p: float) -> np.uint64:
 def words(seed: int, idx: np.ndarray, lane: int) -> np.ndarray:
     """Uniform 64-bit words, one per index, replayable per index."""
     return mix64(idx.astype(np.uint64) * _U_GOLDEN + np.uint64(derive_seed(seed, lane)))
+
+
+def key_draws(key, start, count: int, n: int) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of a counter-keyed stream, each
+    uniform on [0, 2^n) for 0 <= n <= 63: the top n bits of
+    mix64(k * GOLDEN + key) at counter k, as int64.
+
+    key is one uint64 key, giving shape (count,), or an array of R keys,
+    giving (R, count) with row r from key r; start is one counter or one
+    per key.  A draw is a pure function of (key, k), so a stream read in
+    pieces of any size is the same stream.  words(seed, k, lane) is
+    counter k of key derive_seed(seed, lane).  The words are mixed in
+    place in hit-test scratch; only the result is allocated.
+    """
+    keys = np.asarray(key, dtype=np.uint64)
+    shape = keys.shape + (count,)
+    size = math.prod(shape)
+    out = np.empty(shape, dtype=np.int64)
+    s = _take_scratch(size)
+    try:
+        base = s.base[:size].reshape(shape)
+        np.add(np.asarray(start, dtype=np.uint64)[..., None], np.arange(count, dtype=np.uint64), out=base)
+        base *= _U_GOLDEN
+        base += keys[..., None]
+        _mix_into(base, s.tmp[:size].reshape(shape))
+        np.right_shift(base, np.uint64(64 - n), out=out.view(np.uint64))
+    finally:
+        _give_back(s)
+    return out
 
 
 def uniforms(seed: int, idx: np.ndarray, lane: int) -> np.ndarray:
@@ -198,8 +230,7 @@ def biased_bits(
         _mix_into(base, s.tmp[:size].reshape(shape))
         return _hits(base, thr, m, live, table, target, s)
     finally:
-        if s.ok.size == _SCRATCH_CAP:
-            _SCRATCH_FREE.append(s)
+        _give_back(s)
 
 
 #: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
@@ -248,6 +279,12 @@ def _take_scratch(size: int) -> _Scratch:
         return _SCRATCH_FREE.pop()
     except IndexError:
         return _Scratch(_SCRATCH_CAP)
+
+
+def _give_back(s: _Scratch) -> None:
+    """Hand scratch back to the free list, unless it was a call's own."""
+    if s.ok.size == _SCRATCH_CAP:
+        _SCRATCH_FREE.append(s)
 
 
 def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:

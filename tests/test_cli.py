@@ -324,6 +324,43 @@ def test_bad_input_exit_2(runner, args, message):
     assert result.stderr.splitlines()[-1] == f"Error: {message}"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3", "--trials", "100"],
+        ["sweep", "--mode", "allocated-online", "--p", "0.3", "--m", "6,8,10", "--trials", "100"],
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_workers_below_one_exit_2(runner, args, workers):
+    result = runner.invoke(cli.main, args + ["--workers", workers])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == (
+        f"Error: Invalid value for '--workers': {workers} is not in the range x>=1."
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--mode", "allocated-online", "--m", "8"],
+        ["simulate", "--mode", "allocated-online", "--m", "8", "--budget", "fast"],
+        ["sweep", "--mode", "allocated-online", "--m", "6,8,10"],
+        ["concentration", "--m", "8"],
+    ],
+    ids=["simulate", "simulate-fast-budget", "sweep", "concentration"],
+)
+def test_nan_bias_without_width_exit_2(runner, args):
+    # the default width reads p, so p is checked before it
+    result = runner.invoke(cli.main, args + ["--p", "nan"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == "Error: p must lie in (0, 1/2], got nan"
+    result = runner.invoke(cli.main, args + ["--p", "0.3", "--s", "nan"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == "Error: s must lie in [1/2, 1], got nan"
+
+
 def test_errors_map_to_exit_codes_at_the_group(runner, monkeypatch):
     # a ValueError from any layer is a usage error of its command, and a
     # RuntimeError other than a resource cap is not swallowed

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from guesswork_lab import allocation as al
 from guesswork_lab import attack
@@ -327,9 +328,9 @@ class TestScanGolden:
         assert (capped.mean, capped.half_width_95, capped.failures) == (62.675, 10.629972173862237, 43)
 
     @pytest.mark.parametrize("n,m,p,target,samples,expected", [
-        (10, 4, 0.25, 0, 20_000, (2.94805, 0.033204326952706316, 0)),
-        (8, 6, 0.3, 0, 20_000, (9.2493, 0.11821853977713542, 0)),
-        (10, 4, 0.25, 15, 3000, (347.028, 8.756793936341259, 0)),
+        (10, 4, 0.25, 0, 20_000, (3.20945, 0.03702049705549497, 0)),
+        (8, 6, 0.3, 0, 20_000, (7.7679, 0.09795297536530652, 0)),
+        (10, 4, 0.25, 15, 3000, (259.20366666666666, 7.055834993330578, 0)),
     ])
     def test_permutation_mean_guesswork(self, n, m, p, target, samples, expected):
         from guesswork_lab import hashmodel as hm
@@ -463,17 +464,20 @@ class TestScanKernelMatchesAttacks:
         assert got == expect
 
 
+def _oracle_keys(seed, samples):
+    """The stream keys of an oracle's first samples."""
+    return rng.words(seed, np.arange(samples), rng.LANE_ORACLE)
+
+
 class TestFirstHitGuesses:
     """The C04 oracle counts repeats only up to each row's first hit."""
 
     def test_replay_matches_brute_force(self):
         # a dense 16-entry table: repeats before the first hit are common
-        table = hm.sample_table_hash(2, 4, 0.3, seed=1)
-        target = 1  # 3 of 16 entries: just dense enough for the 48-draw prefix
-        assert np.count_nonzero(table.table == target) == 3
+        table = hm.TableHash(m=2, n=4, table=np.array([1, 0, 2, 1, 0, 3, 0, 0, 2, 0, 1, 3, 0, 2, 0, 0]))
+        target = 1  # 3 of 16 entries: just dense enough for 48 draws a row
         samples, seed = 3000, 31
-        # the block permutation_mean_guesswork draws first
-        draws = rng.generator(seed, rng.LANE_ORACLE).integers(0, 16, size=(samples, 48))
+        draws = rng.key_draws(_oracle_keys(seed, samples), 0, 48, 4)
         got = ex._first_hit_guesses(draws, table.table[draws] == target)
         expect = []
         for row in draws.tolist():
@@ -488,7 +492,7 @@ class TestFirstHitGuesses:
         assert got.tolist() == expect
         first_col = (table.table[draws] == target).argmax(axis=1)
         assert np.count_nonzero(got < first_col + 1) > samples // 4
-        assert (got > 0).all()  # so the estimate is the replay's alone
+        assert (got > 0).all()  # so every sample's count is the replay's
         acc = attack.GuessAccumulator()
         acc.add_array(got)
         assert ex.permutation_mean_guesswork(table, target, samples, seed) == acc.estimate()
@@ -525,97 +529,73 @@ class TestFirstOccurrenceMask:
             assert (got == 0).any() and (got < hits.argmax(axis=1) + 1).any()
 
 
-def _continue_by_set(gen, table, hitmask, prefix_draws):
-    """Reference continuation: the same 256-integer batches, filtered to
-    first occurrences one draw at a time."""
-    size = table.shape[0]
-    seen = set(prefix_draws.tolist())
-    count = len(seen)
-    while count < size:
-        for v in gen.integers(0, size, size=256).tolist():
-            if v in seen:
-                continue
-            seen.add(v)
-            count += 1
-            if hitmask[table[v]]:
-                return count, True
-            if count >= size:
-                break
-    return 0, False
+def _scan_by_set(key, hit):
+    """Reference scan of one oracle sample: its stream read 256 draws at
+    a time, filtered to first occurrences one draw at a time."""
+    n = hit.size.bit_length() - 1
+    seen, start = set(), 0
+    while True:
+        for v in rng.key_draws(key, start, 256, n).tolist():
+            if v not in seen:
+                seen.add(v)
+                if hit[v]:
+                    return len(seen)
+        start += 256
 
 
 class TestPermutationContinuation:
-    """A C04 oracle row whose 48-draw prefix finds no hit finishes its
-    permutation with fresh draws from the same generator."""
+    """A C04 oracle row whose prefix finds no hit is followed through its
+    own stream until its first hit."""
 
     @pytest.mark.parametrize("size", [16, 64, 1024])
-    def test_matches_set_reference(self, size):
-        gen = np.random.default_rng(size)
-        table = (gen.random(size) < 4 / size).astype(np.uint32)
-        table[size - 1] = 1
-        hitmask = np.array([False, True])
-        misses = np.flatnonzero(table == 0)
-        seen = np.zeros(size, dtype=np.int32)  # one buffer for every row, handed back zeroed
-        for k in range(100):
-            prefix = gen.choice(misses, size=48)  # a prefix that found no hit
-            ours, ref = np.random.default_rng([size, k]), np.random.default_rng([size, k])
-            assert ex._continue_permutation_scan(ours, hitmask[table], seen, prefix) \
-                == _continue_by_set(ref, table, hitmask, prefix)
-            assert ours.bit_generator.state == ref.bit_generator.state
-            assert not seen.any()
+    def test_matches_set_reference(self, size, monkeypatch):
+        monkeypatch.setattr(attack, "_SEEN_FREE", {})
+        hit = np.random.default_rng(size).random(size) < 4 / size
+        hit[size - 1] = True
+        keys = _oracle_keys(size, 100)
+        got = ex._continue_permutation_scans(keys, hit)
+        assert got.tolist() == [_scan_by_set(key, hit) for key in keys.tolist()]
+        (buf,) = attack._SEEN_FREE[ex._ORACLE_SEEN]  # one buffer for every row, handed back zeroed
+        assert not buf.any()
 
     def test_continued_rows_keep_the_closed_form_mean(self, monkeypatch):
-        # 180 of 1,024 entries: a share (1 - 180/1024)^48 = 9e-5 of the
-        # 48-draw prefixes finds no hit, so a few rows of 2^16 need the
-        # continuation.
+        # 180 of 1,024 entries: a share (1 - 180/1024)^16 = 4.5% of the
+        # 16-draw prefixes finds no hit, and those rows are continued
         size, preimages, samples = 1024, 180, 1 << 16
         table = np.zeros(size, dtype=np.uint32)
         table[np.arange(preimages) * 5] = 1
-        continued, original = [], ex._continue_permutation_scan
+        continued, original = [], ex._continue_permutation_scans
 
-        def counted(*args):
-            continued.append(original(*args))
+        def counted(keys, hit):
+            continued.append(original(keys, hit))
             return continued[-1]
 
-        monkeypatch.setattr(ex, "_continue_permutation_scan", counted)
+        monkeypatch.setattr(ex, "_continue_permutation_scans", counted)
         est = ex.permutation_mean_guesswork(hm.TableHash(m=1, n=10, table=table), 1, samples, seed=3)
-        assert continued and all(ok and g > 1 for g, ok in continued)
+        rows = np.concatenate(continued)
+        assert rows.size > samples // 40 and (rows > 1).all()
         exact = attack.permutation_average_exact(size, preimages)
         assert abs(est.mean - exact) <= 3.5 * est.half_width_95 / 1.96
 
 
-def _continue_fresh(gen, table, hitmask, prefix_draws):
-    """A continuation with a seen buffer of its own, zeroed per row."""
-    size = table.shape[0]
-    seen = np.zeros(size, dtype=np.int32)
-    seen[prefix_draws] = attack._SEEN
-    count = int(np.count_nonzero(seen))
-    while True:
-        fresh = attack._fresh_draws(seen, gen.integers(0, size, size=256))
-        hits = np.flatnonzero(hitmask[table[fresh]])
-        if hits.size:
-            return count + int(hits[0]) + 1, True
-        count += fresh.size
-
-
-def _oracle_whole_batches(h, target, samples, seed):
-    """The oracle with each batch's 48-draw prefixes drawn in one call,
-    then its rows without a hit continued one by one."""
-    table = np.asarray(h.table)
-    hitmask = np.zeros(1 << h.m, dtype=bool)
-    hitmask[target] = True
-    acc = attack.GuessAccumulator()
-    gen = rng.generator(seed, rng.LANE_ORACLE)
-    done = 0
-    while done < samples:
-        batch = min(16384, samples - done)
-        draws = gen.integers(0, table.shape[0], size=(batch, 48))
-        guesses = ex._first_hit_guesses(draws, hitmask[table[draws]])
-        acc.add_array(guesses[guesses > 0])
-        for row in np.flatnonzero(guesses == 0):
-            acc.add(*_continue_fresh(gen, table, hitmask, draws[row]))
-        done += batch
-    return acc.estimate()
+def _guesses_by_sorting(keys, hit):
+    """Reference oracle: each sample's guess count is the number of
+    distinct draws up to its first hit, found by sorting the first w draws
+    of its stream, w growing 4x until they hit; 256 samples at a time."""
+    n = hit.size.bit_length() - 1
+    guesses = np.zeros(keys.size, dtype=np.int64)
+    for lo in range(0, keys.size, 256):
+        rows, width = np.arange(lo, min(lo + 256, keys.size)), 64
+        while rows.size:
+            draws = rng.key_draws(keys[rows], 0, width, n)
+            hits = hit[draws]
+            done = hits.any(axis=1)
+            first = hits.argmax(axis=1)[done, None]
+            before = np.sort(np.where(np.arange(width) < first, draws[done], -1), axis=1)
+            distinct = (before[:, 0] >= 0) + ((before[:, 1:] != before[:, :-1]) & (before[:, 1:] >= 0)).sum(axis=1)
+            guesses[rows[done]] = distinct + 1
+            rows, width = rows[~done], width * 4
+    return guesses
 
 
 def _sparse_table(preimages):
@@ -625,14 +605,12 @@ def _sparse_table(preimages):
 
 
 class TestOraclePieces:
-    """The oracle draws each batch's prefixes in pieces and its
-    continuations after the last piece: the same draws, in the same
-    order, as whole batches."""
+    """Pieces, prefixes and continuations give every sample the guess count
+    of its whole stream: the oracle matches a reference that reads each
+    sample's stream at once, at sample counts around the piece size."""
 
-    # The 1-of-1,024 table continues about 95% of its rows, at about 0.1 ms
-    # each, so it runs at fewer sample counts: one row, a batch's pieces,
-    # and one row past a whole batch.  Both sparse tables continue rows in
-    # both batches.
+    # The 1-of-1,024 table continues nearly every row, so it runs at
+    # fewer sample counts: one row, past one piece and past eight.
     @pytest.mark.parametrize("preimages,samples", [
         (preimages, samples)
         for preimages in (None, 10)
@@ -644,7 +622,16 @@ class TestOraclePieces:
         else:
             table, target = _sparse_table(preimages), 1
         est = ex.permutation_mean_guesswork(table, target, samples, seed=29)
-        assert est == _oracle_whole_batches(table, target, samples, seed=29)
+        acc = attack.GuessAccumulator()
+        acc.add_array(_guesses_by_sorting(_oracle_keys(29, samples), table.table == target))
+        assert est == acc.estimate()
+
+    def test_estimate_ignores_piece_and_step_sizes(self, monkeypatch):
+        cases = [(hm.sample_table_hash(4, 10, 0.25, seed=17), 0), (_sparse_table(10), 1), (_sparse_table(1), 1)]
+        before = [ex.permutation_mean_guesswork(table, target, 300, seed=8) for table, target in cases]
+        for name, value in (("_ORACLE_PIECE", 7), ("_ORACLE_PREFIX", 2), ("_ORACLE_STEP", 37), ("_ORACLE_SEEN", 1)):
+            monkeypatch.setattr(ex, name, value)
+        assert [ex.permutation_mean_guesswork(table, target, 300, seed=8) for table, target in cases] == before
 
     def test_seen_buffer_comes_back_clean(self, monkeypatch):
         # the continuations of both calls share one seen buffer through
@@ -652,10 +639,10 @@ class TestOraclePieces:
         monkeypatch.setattr(attack, "_SEEN_FREE", {})
         table = _sparse_table(10)
         first = ex.permutation_mean_guesswork(table, 1, 2049, seed=29)
-        (buf,) = attack._SEEN_FREE[1024]
+        (buf,) = attack._SEEN_FREE[ex._ORACLE_SEEN]
         assert not buf.any()
         assert ex.permutation_mean_guesswork(table, 1, 2049, seed=29) == first
-        (again,) = attack._SEEN_FREE[1024]
+        (again,) = attack._SEEN_FREE[ex._ORACLE_SEEN]
         assert again is buf and not buf.any()
 
     def test_traced_memory_is_bounded(self):
@@ -667,6 +654,62 @@ class TestOraclePieces:
         finally:
             tracemalloc.stop()
         assert peak < 3 << 20
+
+    def test_sparse_traced_memory_is_bounded(self):
+        # nearly every row of the 1-of-1,024 table is continued, and each
+        # piece's rows finish before the next piece is drawn
+        tracemalloc.start()
+        try:
+            ex.permutation_mean_guesswork(_sparse_table(1), 1, 20_000, seed=29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+
+
+def _first_hit_law(size, preimages):
+    """P(G = k), k = 1 .. size - preimages + 1, of a uniform order's first
+    hit with preimages of size candidates: P(G > k) = C(N-L, k) / C(N, k)."""
+    above = [math.comb(size - preimages, k) / math.comb(size, k) for k in range(size - preimages + 2)]
+    return -np.diff(above)
+
+
+def _decile_pvalue(guesses, size, preimages):
+    """Chi-square p-value of guess counts against the exact first-hit law,
+    each count binned by the decile its CDF below it falls in."""
+    pmf = _first_hit_law(size, preimages)
+    below = np.concatenate([[0.0], np.cumsum(pmf)[:-1]])
+    decile = np.minimum((below * 10).astype(int), 9)
+    mass = np.bincount(decile, weights=pmf, minlength=10)
+    observed = np.bincount(decile[np.asarray(guesses) - 1], minlength=10)
+    used = mass > 0
+    expected = mass[used] / mass[used].sum() * observed.sum()
+    return stats.chisquare(observed[used], expected).pvalue
+
+
+def _law_table(size, preimages):
+    table = np.zeros(size, dtype=np.uint32)
+    table[np.linspace(0, size - 1, preimages).astype(int)] = 1
+    return hm.TableHash(m=1, n=size.bit_length() - 1, table=table)
+
+
+class TestFirstHitLaw:
+    """The first hit of a seeded permutation, and each oracle sample's
+    guess count, follow P(G > k) = C(N-L, k) / C(N, k): one chi-square
+    test over deciles each, at seeds and counts fixed before the first run."""
+
+    @pytest.mark.parametrize("size,preimages,orders", [(16, 3, 4000), (1024, 10, 2000)])
+    def test_permutation_first_hit(self, size, preimages, orders):
+        table = _law_table(size, preimages)
+        guesses = [attack.online_attack(table, 1, attack.permutation(rng.derive_seed(71, k))).guesses
+                   for k in range(orders)]
+        assert _decile_pvalue(guesses, size, preimages) > 1e-3
+
+    @pytest.mark.parametrize("size,preimages", [(16, 3), (1024, 10)])
+    def test_oracle_guesses(self, size, preimages):
+        table = _law_table(size, preimages)
+        guesses = ex._oracle_guesses(_oracle_keys(72, 20_000), table.table == 1)
+        assert _decile_pvalue(guesses, size, preimages) > 1e-3
 
 
 class TestPermutationOracle:

@@ -93,6 +93,14 @@ class TestSampleTableHash:
             b = hm.sample_table_hash(3, 8, 0.3, seed=seed + 1000)
             assert (a.table != b.table).any()
 
+    def test_entries_are_the_keyed_models_values(self):
+        # drawn in pieces; the keyed model (m < n) reads the same values
+        t = hm.sample_table_hash(5, 17, 0.3, seed=12)
+        key = rng.derive_seed(12, rng.LANE_TABLE)
+        idx = np.arange(1 << 17, dtype=np.uint64)
+        assert np.array_equal(t.table, rng.biased_bits(key, 0.3, 5, idx))
+        assert np.array_equal(t.table, hm.KeyedHashModel(m=5, n=17, p=0.3, seed=key).eval_many(idx))
+
     def test_caps(self):
         with pytest.raises(hm.ResourceCapError):
             hm.sample_table_hash(4, 25, 0.3, seed=0)
