@@ -113,40 +113,40 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
     Draw k is the top n bits of rng.words(seed, k, LANE_PERMUTATION), for
     n_candidates = 2^n, and the first occurrences of these i.i.d. uniform
     draws are exactly a uniform permutation's prefix.  Draws come
-    min(chunk, candidates left to serve) at a time, chunk growing from
-    _CHUNK0 by 4x to _CHUNK_CAP, and each batch's fresh candidates are
-    served before the next is drawn, so a scan that stops at its first hit
-    draws little.  Rejection stalls near exhaustion, so after the first
-    9/10 of the candidates (rounded down) the rest come as one chunk, in
-    the order of their own words, rng.words(key, i, LANE_PERMUTATION) for
-    candidate i with key the draws' key, ties by index.  Given the served
-    prefix that order is uniform but for ties among the R <= n_candidates
-    / 10 words, which occur with probability below R^2 / 2^65.  Every
-    draw and word is a pure function of its counter and the switch comes
-    at a fixed count, so batch sizes never change the order.
+    min(chunk, 4x the candidates not yet served) at a time, chunk growing
+    from _CHUNK0 by 4x to _CHUNK_CAP, and each batch's fresh candidates
+    are served before the next is drawn, so a scan that stops at its
+    first hit draws little.  Rejection stalls near exhaustion, so after
+    the first 9/10 of the candidates (rounded down) the rest come as one
+    chunk, in the order of their own words, rng.words(key, i,
+    LANE_PERMUTATION) for candidate i with key the draws' key, ties by
+    index.  Given the served prefix that order is uniform but for ties
+    among the R <= n_candidates / 10 words, which occur with probability
+    below R^2 / 2^65.  Every draw and word is a pure function of its
+    counter and the switch comes at a fixed count, so batch sizes never
+    change the order.
     """
     if n_candidates > _PERM_MASK_CAP:
         raise ResourceCapError(f"seeded permutation capped at {_PERM_MASK_CAP} candidates")
     n = n_candidates.bit_length() - 1
     key = rng.derive_seed(seed, rng.LANE_PERMUTATION)
     head = n_candidates * 9 // 10
+    stop = min(head, budget)
     seen = _take_seen(n_candidates)
     marked: list[np.ndarray] = []  # served candidates, the entries of seen written
     served = drawn = 0
     chunk = _CHUNK0
     try:
-        while served < min(head, budget):
+        while served < stop:
             raw = rng.key_draws(key, drawn, min(chunk, 4 * (n_candidates - served)), n)
             drawn += raw.size
             fresh = raw[_fresh_mask(seen, raw)]
-            if served + fresh.size > head:  # past the switch: back to the tail
-                seen[fresh[head - served :]] = 0
-                fresh = fresh[: head - served]
+            seen[fresh[stop - served :]] = 0  # past the switch or the budget: not served
+            fresh = fresh[: stop - served]
             marked.append(fresh)
             if fresh.size:
-                take = fresh[: budget - served].view(np.uint64)
-                yield take
-                served += take.size
+                yield fresh.view(np.uint64)
+                served += fresh.size
             chunk = min(chunk * 4, _CHUNK_CAP)
         if served < budget:
             rest = np.flatnonzero(seen != _SEEN)

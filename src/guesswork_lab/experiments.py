@@ -836,47 +836,36 @@ def _continue_permutation_scans(keys: np.ndarray, hit: np.ndarray) -> np.ndarray
     following each one's draws from counter 0 to its first hit (there is
     one, so a full permutation reaches it).
 
-    Rows scan side by side in slots of one seen buffer, one slice of
-    hit.size entries each.  A step draws, for every busy slot, the mean
-    draws per hit (rounded up) or _ORACLE_STEP // busy slots, whichever
-    is fewer.  A row that hits zeroes its slice and hands its slot to the
-    next row.  The buffer comes from the free list of seen buffers and
-    goes back zeroed.
+    Rows scan side by side, as many as fit one seen buffer of
+    _ORACLE_SEEN entries (at least one) with a slice of hit.size entries
+    each.  A step draws, for every row still scanning, the mean draws per
+    hit (rounded up) or _ORACLE_STEP // those rows, whichever is fewer.
+    The buffer comes from the free list of seen buffers and goes back
+    zeroed.
     """
     size = hit.size
     n = size.bit_length() - 1
-    guesses = np.empty(keys.size, dtype=np.int64)
-    if not keys.size:
-        return guesses
     reach = -(-size // int(np.count_nonzero(hit)))  # draws per hit, rounded up
     slots = max(1, _ORACLE_SEEN // size)
     seen = attack._take_seen(slots * size)
-    table = seen.reshape(slots, size)
-    row = np.arange(min(slots, keys.size))  # the sample in each busy slot
-    slot = np.arange(row.size)
-    start = np.zeros(row.size, dtype=np.uint64)  # its next counter
-    count = np.zeros(row.size, dtype=np.int64)  # its guesses so far
-    waiting = row.size  # the next sample to take a slot
-    while row.size:
-        width = max(1, min(reach, _ORACLE_STEP // row.size))
-        draws = rng.key_draws(keys[row], start, width, n)
-        fresh = attack._fresh_mask(seen, draws + (slot * size)[:, None])
-        guessed = np.cumsum(fresh, axis=1)
-        first_hit = fresh & hit[draws]
-        col = first_hit.argmax(axis=1)
-        done = first_hit[np.arange(row.size), col]
-        guesses[row[done]] = count[done] + guessed[done, col[done]]
-        count += guessed[:, -1]
-        start += np.uint64(width)
-        if done.any():
-            table[slot[done]] = 0
-            (free,) = done.nonzero()
-            new = np.arange(waiting, min(waiting + free.size, keys.size))
-            waiting += new.size
-            row[free[: new.size]], start[free[: new.size]], count[free[: new.size]] = new, 0, 0
-            keep = np.ones(row.size, dtype=bool)
-            keep[free[new.size :]] = False
-            row, slot, start, count = row[keep], slot[keep], start[keep], count[keep]
+    guesses = np.empty(keys.size, dtype=np.int64)
+    for lo in range(0, keys.size, slots):
+        row = np.arange(lo, min(lo + slots, keys.size))
+        used = row.size * size
+        count = np.zeros(row.size, dtype=np.int64)  # each row's guesses so far
+        start = 0
+        while row.size:
+            width = max(1, min(reach, _ORACLE_STEP // row.size))
+            draws = rng.key_draws(keys[row], start, width, n)
+            fresh = attack._fresh_mask(seen, draws + ((row - lo) * size)[:, None])
+            guessed = np.cumsum(fresh, axis=1)
+            first_hit = fresh & hit[draws]
+            col = first_hit.argmax(axis=1)
+            done = first_hit[np.arange(row.size), col]
+            guesses[row[done]] = count[done] + guessed[done, col[done]]
+            row, count = row[~done], count[~done] + guessed[~done, -1]
+            start += width
+        seen[:used] = 0
     if seen.size <= attack._SEEN_FREE_CAP:
         attack._SEEN_FREE.setdefault(seen.size, []).append(seen)
     return guesses

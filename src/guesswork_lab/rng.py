@@ -111,17 +111,17 @@ def words(seed: int, idx: np.ndarray, lane: int) -> np.ndarray:
     return mix64(idx.astype(np.uint64) * _U_GOLDEN + np.uint64(derive_seed(seed, lane)))
 
 
-def key_draws(key, start, count: int, n: int) -> np.ndarray:
+def key_draws(key, start: int, count: int, n: int) -> np.ndarray:
     """Draws start, ..., start + count - 1 of a counter-keyed stream, each
     uniform on [0, 2^n) for 0 <= n <= 63: the top n bits of
     mix64(k * GOLDEN + key) at counter k, as int64.
 
     key is one uint64 key, giving shape (count,), or an array of R keys,
-    giving (R, count) with row r from key r; start is one counter or one
-    per key.  A draw is a pure function of (key, k), so a stream read in
-    pieces of any size is the same stream.  words(seed, k, lane) is
-    counter k of key derive_seed(seed, lane).  The words are mixed in
-    place in hit-test scratch; only the result is allocated.
+    giving (R, count) with row r from key r.  A draw is a pure function
+    of (key, k), so a stream read in pieces of any size is the same
+    stream.  words(seed, k, lane) is counter k of key
+    derive_seed(seed, lane).  The words are mixed in place in hit-test
+    scratch; only the result is allocated.
     """
     keys = np.asarray(key, dtype=np.uint64)
     shape = keys.shape + (count,)
@@ -130,9 +130,9 @@ def key_draws(key, start, count: int, n: int) -> np.ndarray:
     s = _take_scratch(size)
     try:
         base = s.base[:size].reshape(shape)
-        np.add(np.asarray(start, dtype=np.uint64)[..., None], np.arange(count, dtype=np.uint64), out=base)
-        base *= _U_GOLDEN
-        base += keys[..., None]
+        steps = np.arange(start, start + count, dtype=np.uint64)
+        steps *= _U_GOLDEN
+        np.add(keys[..., None], steps, out=base)
         _mix_into(base, s.tmp[:size].reshape(shape))
         np.right_shift(base, np.uint64(64 - n), out=out.view(np.uint64))
     finally:

@@ -144,8 +144,5 @@ def test_key_draws_rows_and_pieces():
         assert np.array_equal(whole[r], rng.key_draws(key, 0, 300, 12))
     pieces = np.concatenate([rng.key_draws(keys, lo, 100, 12) for lo in (0, 100, 200)], axis=1)
     assert np.array_equal(pieces, whole)
-    starts = np.array([0, 5, 17, 100, 299, 1, 2], dtype=np.uint64)
-    tails = rng.key_draws(keys, starts, 1, 12)[:, 0]
-    assert tails.tolist() == [whole[r, c] for r, c in enumerate(starts.tolist())]
     wide = rng.key_draws(keys[:1], 0, (1 << 16) + 3, 12)  # past the kept scratch
     assert np.array_equal(wide[0, :300], whole[0])
