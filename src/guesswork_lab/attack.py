@@ -292,10 +292,10 @@ def lockstep_scan(
     its row only `hit` decides (a planted override, or a password that
     ends the scan).  Each round hashes one window of the order for every
     active row.  strategy_chunks serves the order in chunks: _CHUNK0 * 4^k
-    indices, at most _CHUNK_CAP, in ascending order, the fresh candidates
-    of as many draws in permutation order (a lazy permutation's
-    near-exhaustion tail comes as one chunk), and _CHUNK0 indices each in
-    descending order.  A window is the rest of
+    indices, at most _CHUNK_CAP, in ascending order; the fresh candidates
+    of batches of at most that many draws in permutation order (a lazy
+    permutation's near-exhaustion tail comes as one chunk); and _CHUNK0
+    indices each in descending order.  A window is the rest of
     the current chunk, cut to _ROUND_PAIRS // active indices while more
     than one row scans.  One row thus keeps the chunk schedule, and many
     rows take narrow windows that overshoot their first hits by little.
