@@ -598,10 +598,11 @@ def _guesses_by_sorting(keys, hit):
     return guesses
 
 
-def _sparse_table(preimages):
-    table = np.zeros(1024, dtype=np.uint32)
-    table[np.arange(preimages) * 97 + 13] = 1
-    return hm.TableHash(m=1, n=10, table=table)
+def _sparse_table(preimages, size=1024):
+    """A table whose target bin 1 has preimages of size entries, spread out."""
+    table = np.zeros(size, dtype=np.uint32)
+    table[np.linspace(0, size - 1, preimages).astype(int)] = 1
+    return hm.TableHash(m=1, n=size.bit_length() - 1, table=table)
 
 
 class TestOraclePieces:
@@ -687,27 +688,23 @@ def _decile_pvalue(guesses, size, preimages):
     return stats.chisquare(observed[used], expected).pvalue
 
 
-def _law_table(size, preimages):
-    table = np.zeros(size, dtype=np.uint32)
-    table[np.linspace(0, size - 1, preimages).astype(int)] = 1
-    return hm.TableHash(m=1, n=size.bit_length() - 1, table=table)
-
-
 class TestFirstHitLaw:
     """The first hit of a seeded permutation, and each oracle sample's
     guess count, follow P(G > k) = C(N-L, k) / C(N, k): one chi-square
     test over deciles each, at seeds and counts fixed before the first run."""
 
-    @pytest.mark.parametrize("size,preimages,orders", [(16, 3, 4000), (1024, 10, 2000)])
+    # one preimage of 16 puts the first hit in the tail (past 14 drawn
+    # candidates) an eighth of the time
+    @pytest.mark.parametrize("size,preimages,orders", [(16, 3, 4000), (16, 1, 4000), (1024, 10, 2000)])
     def test_permutation_first_hit(self, size, preimages, orders):
-        table = _law_table(size, preimages)
+        table = _sparse_table(preimages, size)
         guesses = [attack.online_attack(table, 1, attack.permutation(rng.derive_seed(71, k))).guesses
                    for k in range(orders)]
         assert _decile_pvalue(guesses, size, preimages) > 1e-3
 
     @pytest.mark.parametrize("size,preimages", [(16, 3), (1024, 10)])
     def test_oracle_guesses(self, size, preimages):
-        table = _law_table(size, preimages)
+        table = _sparse_table(preimages, size)
         guesses = ex._oracle_guesses(_oracle_keys(72, 20_000), table.table == 1)
         assert _decile_pvalue(guesses, size, preimages) > 1e-3
 
