@@ -133,17 +133,18 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
     head = n_candidates * 9 // 10
     stop = min(head, budget)
     seen = _take_seen(n_candidates)
-    marked: list[np.ndarray] = []  # served candidates, the entries of seen written
+    marked: list[np.ndarray] = []  # entries of seen written: each batch's served candidates
     served = drawn = 0
     chunk = _CHUNK0
     try:
         while served < stop:
             raw = rng.key_draws(key, drawn, min(chunk, 4 * (n_candidates - served)), n)
             drawn += raw.size
+            marked.append(raw)  # in flight, any of its entries may be written
             fresh = raw[_fresh_mask(seen, raw)]
             seen[fresh[stop - served :]] = 0  # past the switch or the budget: not served
             fresh = fresh[: stop - served]
-            marked.append(fresh)
+            marked[-1] = fresh
             if fresh.size:
                 yield fresh.view(np.uint64)
                 served += fresh.size

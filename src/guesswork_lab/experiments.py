@@ -759,14 +759,12 @@ def keysize_panel(alpha_values: Sequence[float]) -> list[KeySizeRow]:
 # ---------------------------------------------------------------------------
 
 
-#: Samples whose prefixes the oracle draws together, and the columns of
-#: each prefix.
+#: Samples whose guess counts the oracle finds together, and the draws
+#: every sample starts with.
 _ORACLE_PIECE, _ORACLE_PREFIX = 2048, 16
 
-#: Most (row, draw) pairs of one continuation step, and most entries of
-#: the continuation's seen buffer, which holds one slice per row of the
-#: table's size.
-_ORACLE_STEP, _ORACLE_SEEN = 1 << 13, 1 << 16
+#: Most (row, draw) pairs of one oracle step, unless one row is wider.
+_ORACLE_STEP = 1 << 14
 
 
 def permutation_mean_guesswork(
@@ -778,12 +776,13 @@ def permutation_mean_guesswork(
     Samples each order's first-success index exactly: sample s draws
     candidates from its own stream, rng.key_draws with the key
     rng.words(seed, s, LANE_ORACLE), and the first occurrences of those
-    i.i.d. uniform draws are a uniform permutation.  Samples go in pieces
-    of _ORACLE_PIECE, each finished before the next is drawn.  Every draw
-    is a pure function of its sample and counter, so the sizes of pieces
-    and steps never change an estimate.  Cross-checked against the
-    (N+1)/(L+1) closed form and the literal scanning attack in the test
-    suite.
+    i.i.d. uniform draws are a uniform permutation, so a sample's guess
+    count is the number of distinct draws up to its first hit
+    (_oracle_guesses).  Samples go in pieces of _ORACLE_PIECE, each
+    finished before the next is drawn.  Every draw is a pure function of
+    its sample and counter, so the sizes of pieces and steps never change
+    an estimate.  Cross-checked against the (N+1)/(L+1) closed form and
+    the literal scanning attack in the test suite.
     """
     table = np.asarray(h.table)
     hitmask = np.zeros(1 << h.m, dtype=bool)
@@ -800,13 +799,26 @@ def permutation_mean_guesswork(
 
 
 def _oracle_guesses(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """The guess count of the oracle sample with each key: a row with a
-    hit among its first _ORACLE_PREFIX draws is counted from those, the
-    others are continued."""
-    draws = rng.key_draws(keys, 0, _ORACLE_PREFIX, hit.size.bit_length() - 1)
-    guesses = _first_hit_guesses(draws, hit[draws])
-    missed = guesses == 0
-    guesses[missed] = _continue_permutation_scans(keys[missed], hit)
+    """The guess count of the oracle sample with each key, for a table
+    with at least one hit.
+
+    Each row's first w draws are drawn again from counter 0, w starting
+    at _ORACLE_PREFIX and growing 4x for the rows with no hit among them,
+    in steps of at most _ORACLE_STEP draws, or one row once w is wider.
+    So time and memory grow with the draws up to a sample's first hit,
+    about (N/L) ln(samples) for the slowest of many samples on N
+    candidates with L hits, where a seen buffer would bound memory by N.
+    """
+    n = hit.size.bit_length() - 1
+    guesses = np.zeros(keys.size, dtype=np.int64)
+    rows, width = np.arange(keys.size), _ORACLE_PREFIX
+    while rows.size:
+        step = max(1, _ORACLE_STEP // width)
+        for lo in range(0, rows.size, step):
+            part = rows[lo : lo + step]
+            draws = rng.key_draws(keys[part], 0, width, n)
+            guesses[part] = _first_hit_guesses(draws, hit[draws])
+        rows, width = rows[guesses[rows] == 0], width * 4
     return guesses
 
 
@@ -815,59 +827,16 @@ def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
     it has none), repeat draws being skipped guesses.
 
     A row's first hit is a first occurrence, since an earlier copy would
-    have hit earlier, so its guess count is its column plus 1 less the
-    repeats before it.  Column c is checked for a repeat only in the rows
-    whose first hit lies further right.
+    have hit earlier, so its guess count is the number of distinct draws
+    up to it: the draws after it are set to -1 and the runs of the values
+    >= 0 are counted in the sorted row.
     """
     first = hits.argmax(axis=1)
-    guesses = np.where(hits[np.arange(first.size), first], first + 1, 0)
-    rows = np.flatnonzero(first > 1)
-    for c in range(1, draws.shape[1]):
-        rows = rows[first[rows] > c]
-        if not rows.size:
-            break
-        repeat = (draws[rows, :c] == draws[rows, c, None]).any(axis=1)
-        guesses[rows] -= repeat
-    return guesses
-
-
-def _continue_permutation_scans(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Guess counts of the oracle samples with these keys, found by
-    following each one's draws from counter 0 to its first hit (there is
-    one, so a full permutation reaches it).
-
-    Rows scan side by side, as many as fit one seen buffer of
-    _ORACLE_SEEN entries (at least one) with a slice of hit.size entries
-    each.  A step draws, for every row still scanning, the mean draws per
-    hit (rounded up) or _ORACLE_STEP // those rows, whichever is fewer.
-    The buffer comes from the free list of seen buffers and goes back
-    zeroed.
-    """
-    size = hit.size
-    n = size.bit_length() - 1
-    reach = -(-size // int(np.count_nonzero(hit)))  # draws per hit, rounded up
-    slots = max(1, _ORACLE_SEEN // size)
-    seen = attack._take_seen(slots * size)
-    guesses = np.empty(keys.size, dtype=np.int64)
-    for lo in range(0, keys.size, slots):
-        row = np.arange(lo, min(lo + slots, keys.size))
-        used = row.size * size
-        count = np.zeros(row.size, dtype=np.int64)  # each row's guesses so far
-        start = 0
-        while row.size:
-            width = max(1, min(reach, _ORACLE_STEP // row.size))
-            draws = rng.key_draws(keys[row], start, width, n)
-            fresh = attack._fresh_mask(seen, draws + ((row - lo) * size)[:, None])
-            guessed = np.cumsum(fresh, axis=1)
-            first_hit = fresh & hit[draws]
-            col = first_hit.argmax(axis=1)
-            done = first_hit[np.arange(row.size), col]
-            guesses[row[done]] = count[done] + guessed[done, col[done]]
-            row, count = row[~done], count[~done] + guessed[~done, -1]
-            start += width
-        seen[:used] = 0
-    if seen.size <= attack._SEEN_FREE_CAP:
-        attack._SEEN_FREE.setdefault(seen.size, []).append(seen)
+    found = hits[np.arange(first.size), first]
+    before = np.where(np.arange(draws.shape[1]) <= first[found, None], draws[found], -1)
+    before.sort(axis=1)
+    guesses = np.zeros(first.size, dtype=np.int64)
+    guesses[found] = (_run_heads(before) & (before >= 0)).sum(axis=1)
     return guesses
 
 

@@ -21,7 +21,6 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 _U_GOLDEN = np.uint64(GOLDEN)
-_U_GOLDEN2 = np.uint64(GOLDEN2)
 _UM1 = np.uint64(_M1)
 _UM2 = np.uint64(_M2)
 _S30 = np.uint64(30)

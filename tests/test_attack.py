@@ -689,6 +689,30 @@ class TestScanGolden:
         )
 
 
+    def test_interrupted_batch_returns_a_clean_seen_buffer(self, monkeypatch):
+        # the scan stops inside its second batch, after the batch's
+        # positions are written and before they are marked served
+        monkeypatch.setattr(attack, "_SEEN_FREE", {})
+        calls, fresh_mask = [], attack._fresh_mask
+
+        def interrupted(seen, raw):
+            calls.append(raw.size)
+            if len(calls) == 2:
+                np.minimum.at(seen, raw, np.arange(-raw.size, 0, dtype=np.int32))
+                raise KeyboardInterrupt
+            return fresh_mask(seen, raw)
+
+        monkeypatch.setattr(attack, "_fresh_mask", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            list(attack.strategy_chunks(attack.permutation(1), 18, 1 << 18))
+        monkeypatch.setattr(attack, "_fresh_mask", fresh_mask)
+        (buf,) = attack._SEEN_FREE[1 << 18]
+        assert not buf.any()
+        self.test_permutation_stream(
+            18, 300_000, 6, "eb38acfb8f5325c41cf376474a0855dbaffef7f3b209d2935365cd8df4ac1a5e"
+        )
+
+
 class TestGuessAccumulatorSums:
     @pytest.mark.parametrize("values", [
         [0, 1, 2, 1 << 20, 0],

@@ -544,35 +544,34 @@ def _scan_by_set(key, hit):
 
 
 class TestPermutationContinuation:
-    """A C04 oracle row whose prefix finds no hit is followed through its
-    own stream until its first hit."""
+    """A C04 oracle row whose prefix finds no hit is widened until its
+    first hit."""
 
     @pytest.mark.parametrize("size", [16, 64, 1024])
-    def test_matches_set_reference(self, size, monkeypatch):
-        monkeypatch.setattr(attack, "_SEEN_FREE", {})
+    def test_matches_set_reference(self, size):
         hit = np.random.default_rng(size).random(size) < 4 / size
         hit[size - 1] = True
         keys = _oracle_keys(size, 100)
-        got = ex._continue_permutation_scans(keys, hit)
+        got = ex._oracle_guesses(keys, hit)
         assert got.tolist() == [_scan_by_set(key, hit) for key in keys.tolist()]
-        (buf,) = attack._SEEN_FREE[ex._ORACLE_SEEN]  # one buffer for every row, handed back zeroed
-        assert not buf.any()
 
     def test_continued_rows_keep_the_closed_form_mean(self, monkeypatch):
         # 180 of 1,024 entries: a share (1 - 180/1024)^16 = 4.5% of the
-        # 16-draw prefixes finds no hit, and those rows are continued
+        # 16-draw prefixes finds no hit, and those rows are widened
         size, preimages, samples = 1024, 180, 1 << 16
         table = np.zeros(size, dtype=np.uint32)
         table[np.arange(preimages) * 5] = 1
-        continued, original = [], ex._continue_permutation_scans
+        widened, original = [], ex._first_hit_guesses
 
-        def counted(keys, hit):
-            continued.append(original(keys, hit))
-            return continued[-1]
+        def counted(draws, hits):
+            guesses = original(draws, hits)
+            if draws.shape[1] > ex._ORACLE_PREFIX:
+                widened.append(guesses[guesses > 0])
+            return guesses
 
-        monkeypatch.setattr(ex, "_continue_permutation_scans", counted)
+        monkeypatch.setattr(ex, "_first_hit_guesses", counted)
         est = ex.permutation_mean_guesswork(hm.TableHash(m=1, n=10, table=table), 1, samples, seed=3)
-        rows = np.concatenate(continued)
+        rows = np.concatenate(widened)
         assert rows.size > samples // 40 and (rows > 1).all()
         exact = attack.permutation_average_exact(size, preimages)
         assert abs(est.mean - exact) <= 3.5 * est.half_width_95 / 1.96
@@ -606,7 +605,7 @@ def _sparse_table(preimages, size=1024):
 
 
 class TestOraclePieces:
-    """Pieces, prefixes and continuations give every sample the guess count
+    """Pieces, prefixes and widened steps give every sample the guess count
     of its whole stream: the oracle matches a reference that reads each
     sample's stream at once, at sample counts around the piece size."""
 
@@ -630,21 +629,9 @@ class TestOraclePieces:
     def test_estimate_ignores_piece_and_step_sizes(self, monkeypatch):
         cases = [(hm.sample_table_hash(4, 10, 0.25, seed=17), 0), (_sparse_table(10), 1), (_sparse_table(1), 1)]
         before = [ex.permutation_mean_guesswork(table, target, 300, seed=8) for table, target in cases]
-        for name, value in (("_ORACLE_PIECE", 7), ("_ORACLE_PREFIX", 2), ("_ORACLE_STEP", 37), ("_ORACLE_SEEN", 1)):
+        for name, value in (("_ORACLE_PIECE", 7), ("_ORACLE_PREFIX", 2), ("_ORACLE_STEP", 1)):  # one-row steps
             monkeypatch.setattr(ex, name, value)
         assert [ex.permutation_mean_guesswork(table, target, 300, seed=8) for table, target in cases] == before
-
-    def test_seen_buffer_comes_back_clean(self, monkeypatch):
-        # the continuations of both calls share one seen buffer through
-        # the free list, handed back zeroed
-        monkeypatch.setattr(attack, "_SEEN_FREE", {})
-        table = _sparse_table(10)
-        first = ex.permutation_mean_guesswork(table, 1, 2049, seed=29)
-        (buf,) = attack._SEEN_FREE[ex._ORACLE_SEEN]
-        assert not buf.any()
-        assert ex.permutation_mean_guesswork(table, 1, 2049, seed=29) == first
-        (again,) = attack._SEEN_FREE[ex._ORACLE_SEEN]
-        assert again is buf and not buf.any()
 
     def test_traced_memory_is_bounded(self):
         table = hm.sample_table_hash(4, 10, 0.25, seed=17)

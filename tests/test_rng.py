@@ -1,5 +1,6 @@
 """The lane table: every random stream of the package is named once in rng,
-and every one is counter-keyed: numpy.random is never loaded."""
+and every one is counter-keyed: numpy.random is never loaded.  Also the
+module boundary: no module reads another's underscore-prefixed names."""
 import ast
 import os
 import pathlib
@@ -99,6 +100,41 @@ def test_the_reference_check_sees_numpy_random():
                  "from numpy.random import default_rng"):
         assert list(_numpy_random_references(ast.parse(code))), code
 
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(tree):
+    """Line numbers where a module reads another package module's
+    underscore-prefixed name: m._x for an m bound by `from . import m`,
+    or `from .m import _x`."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules |= {a.asname or a.name for a in node.names}
+            elif any(_private(a.name) for a in node.names):
+                yield node.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and _private(node.attr):
+            yield node.lineno
+
+
+def test_no_module_reads_another_modules_private_names():
+    for path in sorted(SRC.glob("*.py")):
+        lines = list(_private_reads(ast.parse(path.read_text())))
+        assert not lines, f"{path.name}:{lines} reads another module's private name"
+
+
+def test_the_private_read_check_sees_them():
+    for code in ("from . import attack\nattack._take_seen(4)", "from . import allocation as alloc\nx = alloc._CAP",
+                 "from .attack import _fresh_mask", "def f():\n    from . import rng\n    return rng._LANES"):
+        assert list(_private_reads(ast.parse(code))), code
+    for code in ("from . import attack\nattack.permutation(1)", "from . import __version__",
+                 "import numpy as np\nnp._x", "_SEEN = 1\nx = _SEEN"):
+        assert not list(_private_reads(ast.parse(code))), code
 
 def test_numpy_random_is_never_loaded():
     # a C03-style permutation attack, the C04 oracle, a sampled table and
