@@ -3,7 +3,7 @@
 Library layout:
 
 * infotheory: entropy, divergence, Renyi entropy, type-class machinery
-* rates: closed-form growth rates and finite-size expectations
+* rates: closed-form growth rates, finite-size expectations, key sizes
 * hashmodel: keyed segmented hash and explicit table models
 * allocation: least-likely-first bin assignment and backdoor planting
 * attack: guessing strategies and guess-counting simulations

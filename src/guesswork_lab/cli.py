@@ -467,10 +467,8 @@ def cmd_concentration(m, n, p, s, trials, l_list, l_frac, assert_flag, seed, out
 @output_option
 def cmd_keysize(alpha_list, output):
     """Biased-versus-uniform key sizing at equal average guesswork."""
-    from . import experiments
-
     alphas = _parse_list(alpha_list, "--alpha")
-    rows = experiments.keysize_panel(alphas)
+    rows = rates.keysize_panel(alphas)
     _emit(
         output, {"command": "keysize", "alpha": alphas, "output": output},
         {"rows": [asdict(r) for r in rows]},

@@ -37,19 +37,16 @@ from .config import (  # noqa: F401  (re-exported)
     input_width_need,
 )
 from .hashmodel import BINOMIAL, exact_bernoulli_distribution, weight_layer_order, weight_layer_starts
-from .infotheory import (
-    binary_entropy,
-    cross_entropy_identity,
-    kl_divergence,
-    solve_bias_for_alpha,
-)
-from .rates import (
+from .infotheory import binary_entropy, cross_entropy_identity
+from .rates import (  # noqa: F401  (the key-size panel, re-exported)
+    KeySizeRow,
     ScenarioParams,
     concentration_bound,
-    key_size_ratio,
+    keysize_panel,
 )
 
-#: Most (trial, user) pairs a kernel draws at once.  It bounds a block's
+#: Most (trial, user) pairs a sampled draw takes at once: every kernel and
+#: the concentration report draw in blocks of it.  It bounds a block's
 #: memory: at 2^16 a 10^5-trial single-user run peaked 6 MB higher than
 #: the per-trial engine did, at 2^14 it stays below it.
 BLOCK_ELEMENTS = 1 << 14
@@ -428,9 +425,10 @@ def _scan_kernel(cfg: ExperimentConfig):
                 at, col = np.nonzero(writer == np.arange(users))  # the planted passwords
                 # Every planted bin is some user's final bin: offline, a hit.
                 specials = (pw[at, col].astype(np.uint64), at, kind.offline | (finals[at, col] == target[at]))
-            else:
+            elif kind.offline:
                 finals = rng.biased_bits(keys[:, None], sc.p, sc.m, pw).astype(np.int64)
-                target = finals[rows, pick]
+            else:  # online reads the attacked password's bin alone
+                target = rng.biased_bits(keys, sc.p, sc.m, pw[rows, pick]).astype(np.int64)
         targets = finals if kind.offline else target
         guesses, first = attack.keyed_scan(strat, sc.n, cfg.budget, keys, sc.p, sc.m, targets, specials)
         bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1) if kind.offline else target
@@ -607,21 +605,24 @@ def concentration_report(
     The target is the least likely allocated bin (all ones for p < 1/2)
     attacked through its natural preimages, so the guess count is the
     plain truncated geometric and the p = 1/2 case can be checked against
-    the exact geometric CDF.
+    the exact geometric CDF.  The trials are drawn in blocks of
+    BLOCK_ELEMENTS, like every sampled draw, and each threshold's hits are
+    counted exactly, so the block size changes no value.
     """
     sc = cfg.scenario
     if any(l >= sc.n / sc.m + 1e-12 for l in l_values):
         raise ValueError("l values must stay below n/m")
     p_hit = _pk_table(sc)[sc.m]  # all-ones bin
-    trials = np.arange(cfg.trials, dtype=np.uint64)
-    u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
-    g = rng.geometric_from_uniform(u, p_hit)
-    success = g <= float(1 << sc.n)
+    # A hit succeeds within the horizon 2^n and by 2^{m l} guesses.
+    limits = [min(2.0 ** (sc.m * l), float(1 << sc.n)) for l in l_values]
+    hits = [0] * len(limits)
+    for start in range(0, cfg.trials, BLOCK_ELEMENTS):
+        trials = np.arange(start, min(start + BLOCK_ELEMENTS, cfg.trials), dtype=np.uint64)
+        g = rng.geometric_from_uniform(rng.uniforms(cfg.seed, trials, rng.LANE_GEOM), p_hit)
+        hits = [count + np.count_nonzero(g <= limit) for count, limit in zip(hits, limits)]
     rows = []
-    for l in l_values:
-        threshold = 2.0 ** (sc.m * l)
-        hit = success & (g <= threshold)
-        emp = float(hit.mean())
+    for l, count in zip(l_values, hits):
+        emp = count / cfg.trials
         ci = 1.96 * math.sqrt(max(emp * (1.0 - emp), 1e-12) / cfg.trials)
         rows.append(
             ConcentrationRow(
@@ -709,49 +710,6 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
         online_theory_log2=online_theory,
         offline_theory_log2=offline_theory,
     )
-
-
-# ---------------------------------------------------------------------------
-# key-size panel
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KeySizeRow:
-    alpha: float
-    p0: float
-    roundtrip: float
-    uniform_key_bits: str
-    biased_key_bits: str
-    ratio: float
-    storage_ratio: float
-    entropy_coded_factor: float
-
-
-def keysize_panel(alpha_values: Sequence[float]) -> list[KeySizeRow]:
-    """Key- and storage-size comparison at equal average guesswork 2^{alpha m}.
-
-    The ratio column is the symbolic identity alpha (uniform key
-    alpha*m*2^{alpha m} bits against biased m*2^{alpha m}); the solver
-    roundtrip is reported so the identity is auditable.
-    """
-    rows = []
-    for alpha in alpha_values:
-        p0 = solve_bias_for_alpha(alpha)
-        roundtrip = 1.0 + kl_divergence(0.5, p0)
-        rows.append(
-            KeySizeRow(
-                alpha=alpha,
-                p0=p0,
-                roundtrip=roundtrip,
-                uniform_key_bits=f"{alpha:g}*m*2^({alpha:g}*m)",
-                biased_key_bits=f"m*2^({alpha:g}*m)",
-                ratio=alpha,
-                storage_ratio=key_size_ratio(0.5, p0),
-                entropy_coded_factor=binary_entropy(p0),
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Rates are dimensioned in bits per unit of bin width m (the exponent of
 the average guess count); finite-size expectations are plain guess
-counts.  Piecewise formulas report which branch fired so callers can
+counts.  The key-size panel lives here too: it needs no numpy.  Piecewise formulas report which branch fired so callers can
 assert on the region, not just the value.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .infotheory import (
     binary_entropy,
@@ -20,6 +20,7 @@ from .infotheory import (
     cross_entropy_identity,
     kl_divergence,
     renyi_entropy_bernoulli,
+    solve_bias_for_alpha,
 )
 
 #: s values exactly on a piecewise boundary report this region.
@@ -299,3 +300,41 @@ def concentration_exponent_allocated(epsilon1: float, p: float) -> float:
         raise ValueError(f"epsilon1 must lie in (0, 1), got {epsilon1}")
     check_bias(p)
     return epsilon1 * math.log2(1.0 / p)
+
+
+@dataclass(frozen=True)
+class KeySizeRow:
+    alpha: float
+    p0: float
+    roundtrip: float
+    uniform_key_bits: str
+    biased_key_bits: str
+    ratio: float
+    storage_ratio: float
+    entropy_coded_factor: float
+
+
+def keysize_panel(alpha_values: Sequence[float]) -> list[KeySizeRow]:
+    """Key- and storage-size comparison at equal average guesswork 2^{alpha m}.
+
+    The ratio column is the symbolic identity alpha (uniform key
+    alpha*m*2^{alpha m} bits against biased m*2^{alpha m}); the solver
+    roundtrip is reported so the identity is auditable.
+    """
+    rows = []
+    for alpha in alpha_values:
+        p0 = solve_bias_for_alpha(alpha)
+        roundtrip = 1.0 + kl_divergence(0.5, p0)
+        rows.append(
+            KeySizeRow(
+                alpha=alpha,
+                p0=p0,
+                roundtrip=roundtrip,
+                uniform_key_bits=f"{alpha:g}*m*2^({alpha:g}*m)",
+                biased_key_bits=f"m*2^({alpha:g}*m)",
+                ratio=alpha,
+                storage_ratio=key_size_ratio(0.5, p0),
+                entropy_coded_factor=binary_entropy(p0),
+            )
+        )
+    return rows

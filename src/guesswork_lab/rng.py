@@ -202,13 +202,18 @@ def biased_bits(
         seed = seed.astype(np.uint64, copy=False)
     else:
         seed = np.uint64(int(seed) & MASK64)
-    if live is None and target is None:
-        base = mix64(idx64 * _U_GOLDEN + seed)
-        vals = np.zeros(base.shape, dtype=np.uint64)
+    shape = np.broadcast(idx64, seed).shape
+    if live is None and target is None:  # in arrays of the call's own
+        base, z, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(3))
+        _bases_into(base, idx64, seed, tmp)
+        # the bits gather in the narrowest unsigned type that holds m of them
+        vals, ok = np.zeros(shape, dtype=np.min_scalar_type((1 << m) - 1)), np.empty(shape, dtype=bool)
         for j in range(m):
-            h = mix64(base ^ _LANES[j])
-            vals = (vals << _ONE) | (h < thr).astype(np.uint64)
-        return vals
+            _lane_into(z, base, _LANES[j], tmp)
+            np.less(z, thr, out=ok)
+            vals <<= 1
+            vals |= ok
+        return vals.astype(np.uint64, copy=False)
     if live is None:
         if isinstance(target, np.ndarray) and target.size and (target == target.flat[0]).all():
             target = target.flat[0].item()  # one target for every row: the scalar compare
@@ -217,23 +222,26 @@ def biased_bits(
     else:
         # Row k's prefixes follow k in the index of its flattened tables.
         live = [t.reshape(-1) for t in live]
-    shape = np.broadcast(idx64, seed).shape
     size = math.prod(shape)
     if size <= _FINISH_ROWS:  # the 2-D finish alone, in arrays of its own
-        return _hits(mix64(idx64 * _U_GOLDEN + seed), thr, m, live, table, target, None)
+        base = np.empty(shape, dtype=np.uint64)
+        _bases_into(base, idx64, seed, np.empty_like(base))
+        return _hits(base, thr, m, live, table, target, None)
     s = _take_scratch(size)
     try:
         base = s.base[:size].reshape(shape)
-        np.multiply(idx64, _U_GOLDEN, out=base)
-        base += seed
-        _mix_into(base, s.tmp[:size].reshape(shape))
+        _bases_into(base, idx64, seed, s.tmp[:size].reshape(shape))
         return _hits(base, thr, m, live, table, target, s)
     finally:
         _give_back(s)
 
 
-#: Lane of output bit j: (j + 1) * GOLDEN2 mod 2^64, for every j < 64.
-_LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
+#: Lane L of output bit j, (j + 1) * GOLDEN2 mod 2^64 for every j < 64,
+#: stored pre-shifted as L ^ (L >> 30): mix64's first xorshift is linear,
+#: so that of base ^ L is that of base, taken once, xored with this.
+_LANES = np.array(
+    [L ^ (L >> 30) for L in (((j + 1) * GOLDEN2) & MASK64 for j in range(64))], dtype=np.uint64
+)
 
 #: Shifts of k bits drawn first to last, the last one lowest: _DOWN[64 - k:].
 _DOWN = np.arange(63, -1, -1, dtype=np.uint64)
@@ -290,6 +298,28 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
     """mix64 of z in place; tmp is scratch of z's shape."""
     np.right_shift(z, _S30, out=tmp)
     z ^= tmp
+    _mix_rest(z, tmp)
+
+
+def _bases_into(base: np.ndarray, idx64: np.ndarray, seed, tmp: np.ndarray) -> None:
+    """The bases of biased_bits' pairs into base: mix64(index * GOLDEN +
+    seed), with the first xorshift of every bit's lane mix taken."""
+    np.multiply(idx64, _U_GOLDEN, out=base)
+    base += seed
+    _mix_into(base, tmp)
+    np.right_shift(base, _S30, out=tmp)
+    base ^= tmp
+
+
+def _lane_into(z: np.ndarray, base: np.ndarray, lane, tmp: np.ndarray) -> None:
+    """The states mix64(b ^ L) of a bit's lane L (one of _LANES, or a row
+    of them broadcast against base) into z, from the bases of _bases_into."""
+    np.bitwise_xor(base, lane, out=z)
+    _mix_rest(z, tmp)
+
+
+def _mix_rest(z: np.ndarray, tmp: np.ndarray) -> None:
+    """mix64 of z in place, its first xorshift already taken."""
     z *= _UM1
     np.right_shift(z, _S27, out=tmp)
     z ^= tmp
@@ -299,8 +329,8 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarray:
-    """biased_bits' hit test over mixed bases, held in s.base (a call of at
-    most _FINISH_ROWS pairs takes no scratch: s is None).
+    """biased_bits' hit test over the bases of _bases_into, held in s.base
+    (a call of at most _FINISH_ROWS pairs takes no scratch: s is None).
 
     Every pair draws bit 0, tested in base's shape against the rows'
     target bits as a column.  From then on only the survivors, the pairs
@@ -329,8 +359,8 @@ def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarra
                     prefix = np.broadcast_to(np.asarray(table, dtype=np.intp), shape).reshape(-1)
                 elif per_row:
                     row = pos // shape[-1]
-            rest = base[:, None] ^ _LANES[j:m]
-            _mix_into(rest, np.empty_like(rest))
+            rest = np.empty((n, m - j), dtype=np.uint64)
+            _lane_into(rest, base[:, None], _LANES[j:m], np.empty_like(rest))
             low = np.dot((rest < thr).view(np.uint8), _BIT_WEIGHTS[64 - m + j :])
             if live is not None:
                 ok = live[-1].take((prefix << (m - j)) | low.view(np.intp))
@@ -339,8 +369,7 @@ def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarra
             pos = pos[ok]
             break
         z, ok = s.z[:n].reshape(base.shape), s.ok[:n].reshape(base.shape)
-        np.bitwise_xor(base, _LANES[j], out=z)
-        _mix_into(z, s.tmp[:n].reshape(base.shape))
+        _lane_into(z, base, _LANES[j], s.tmp[:n].reshape(base.shape))
         if live is not None:
             np.less(z, thr, out=ok)
             if j:

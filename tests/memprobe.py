@@ -1,18 +1,22 @@
 """Print the page faults, system time and traced memory peak of each
-scan-engine benchmark config, run repeatedly in this one process.
+benchmark config, run repeatedly in this one process.
 
     PYTHONPATH=src python tests/memprobe.py [--seed S] [--runs R] [label ...]
 
-The configs are those of perfbench's scan-engine workload
-(``perfbench/workloads.py:scan_configs``), each one a ``run_experiment``
-call with the literal scan; labels such as ``allocated-online.m10.scan``
-pick some of them.  Every config runs R times (2 by default), one line
-each: the minor page faults and the system time of the run, both read
-with getrusage on this process, and its wall time.  A run that reuses
-the pages of the runs before it takes few faults and little system time.
-One more run under tracemalloc then gives the config's peak of traced
-memory; it is kept apart because tracing adds allocations of its own.
-The script is not a test (pytest does not collect it) and gates nothing.
+The configs are those of perfbench's scan-engine and sampled-modes
+workloads (``perfbench/workloads.py``): each scan-engine and sampled
+``run_experiment`` config, the m = 30 most-likely panel and the m = 10
+concentration report.  Labels such as ``allocated-online.m10.scan`` or
+``concentration.m10`` pick some of them, and a workload's name,
+``scan-engine`` or ``sampled-modes``, picks all of its own.  The chosen
+configs run R times (2 by default), in passes over them, one line per
+config: the minor page faults and the system time of the run, both read
+with getrusage on this process, and its wall time; each pass ends with
+its total faults.  A pass that reuses the pages of the passes before it
+takes few faults and little system time.  One more run of each config
+under tracemalloc then gives its peak of traced memory; it is kept apart
+because tracing adds allocations of its own.  The script is not a test
+(pytest does not collect it) and gates nothing.
 """
 from __future__ import annotations
 
@@ -22,48 +26,67 @@ import resource
 import sys
 import time
 import tracemalloc
+from functools import partial
+from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from guesswork_lab import experiments as ex  # noqa: E402
-from workloads import scan_configs  # noqa: E402
+from workloads import scan_configs, setup_sampled  # noqa: E402
 
 
-def probe(cfg) -> tuple[int, float, float]:
-    """(minor faults, system s, wall s) of one run_experiment call."""
+def workload_calls(seed: int) -> dict[str, dict[str, Callable[[], object]]]:
+    """Workload name -> label -> one call of that config."""
+    sampled = setup_sampled(seed)
+    calls = {
+        "scan-engine": {label: partial(ex.run_experiment, cfg) for label, cfg in scan_configs(seed).items()},
+        "sampled-modes": {label: partial(ex.run_experiment, cfg) for label, cfg in sampled.configs.items()},
+    }
+    calls["sampled-modes"]["most_likely_panel.m30"] = partial(ex.most_likely_panel, sampled.panel)
+    calls["sampled-modes"]["concentration.m10"] = partial(ex.concentration_report, sampled.conc, sampled.l_values)
+    return calls
+
+
+def probe(call) -> tuple[int, float, float]:
+    """(minor faults, system s, wall s) of one call."""
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    ex.run_experiment(cfg)
+    call()
     wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
     return after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime, wall
 
 
-def traced_peak_mb(cfg) -> float:
+def traced_peak_mb(call) -> float:
     tracemalloc.start()
     try:
-        ex.run_experiment(cfg)
+        call()
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="Page faults, system time and traced peak of scan-engine configs.")
+    parser = argparse.ArgumentParser(description="Page faults, system time and traced peak of benchmark configs.")
     parser.add_argument("--seed", type=lambda text: int(text, 0), default=0xC0FFEE)
     parser.add_argument("--runs", type=int, default=2)
     parser.add_argument("labels", nargs="*")
     args = parser.parse_args(argv)
-    configs = scan_configs(args.seed)
-    unknown = set(args.labels) - set(configs)
+    workloads = workload_calls(args.seed)
+    calls = {label: call for group in workloads.values() for label, call in group.items()}
+    unknown = set(args.labels) - set(calls) - set(workloads)
     if unknown:
-        parser.error(f"unknown config {sorted(unknown)}; known: {sorted(configs)}")
-    for label in args.labels or configs:
-        cfg = configs[label]
-        for run in range(1, args.runs + 1):
-            faults, system_s, wall_s = probe(cfg)
+        parser.error(f"unknown config {sorted(unknown)}; known: {sorted(workloads)} and {sorted(calls)}")
+    chosen = [label for name in args.labels or workloads for label in workloads.get(name, [name])]
+    for run in range(1, args.runs + 1):
+        total = 0
+        for label in chosen:
+            faults, system_s, wall_s = probe(calls[label])
+            total += faults
             print(f"{label} run {run}: {faults} minor faults, system {system_s * 1e3:.0f} ms, "
                   f"wall {wall_s * 1e3:.0f} ms")
-        print(f"{label} traced peak: {traced_peak_mb(cfg):.2f} MB")
+        print(f"pass {run}: {total} minor faults")
+    for label in chosen:
+        print(f"{label} traced peak: {traced_peak_mb(calls[label]):.2f} MB")
     return 0
 
 

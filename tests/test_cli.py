@@ -285,14 +285,14 @@ def test_assert_grammar():
 
 
 def test_light_commands_do_not_load_numpy():
-    # --version, rates and table1 need only the closed forms; a fresh
-    # process must not pay for importing numpy and the engines.
+    # --version, rates, table1 and keysize need only the closed forms; a
+    # fresh process must not pay for importing numpy and the engines.
     code = (
         "import sys\n"
         "from click.testing import CliRunner\n"
         "from guesswork_lab import cli\n"
         "runner = CliRunner()\n"
-        "for args in (['--version'], ['rates', '--p', '0.3', '--s', '0.9'], ['table1']):\n"
+        "for args in (['--version'], ['rates', '--p', '0.3', '--s', '0.9'], ['table1'], ['keysize']):\n"
         "    assert runner.invoke(cli.main, args).exit_code == 0, args\n"
         "print(sorted(m for m in ('numpy', 'guesswork_lab.experiments') if m in sys.modules))\n"
     )
@@ -364,7 +364,7 @@ def test_nan_bias_without_width_exit_2(runner, args):
 def test_errors_map_to_exit_codes_at_the_group(runner, monkeypatch):
     # a ValueError from any layer is a usage error of its command, and a
     # RuntimeError other than a resource cap is not swallowed
-    from guesswork_lab import experiments
+    from guesswork_lab import rates
 
     result = runner.invoke(cli.main, ["keysize", "--alpha", "0.5"])
     assert result.exit_code == 2
@@ -373,7 +373,7 @@ def test_errors_map_to_exit_codes_at_the_group(runner, monkeypatch):
     def fail(alphas):
         raise RuntimeError("not a cap")
 
-    monkeypatch.setattr(experiments, "keysize_panel", fail)
+    monkeypatch.setattr(rates, "keysize_panel", fail)
     result = runner.invoke(cli.main, ["keysize"])
     assert result.exit_code == 1
     assert isinstance(result.exception, RuntimeError) and "resource cap" not in result.stderr

@@ -839,6 +839,39 @@ class TestConcentrationReport:
         with pytest.raises(ValueError):
             ex.concentration_report(cfg, [3.0])
 
+    @staticmethod
+    def _one_shot(cfg, l_values):
+        """The report with every trial drawn at once."""
+        sc = cfg.scenario
+        trials = np.arange(cfg.trials, dtype=np.uint64)
+        u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
+        g = rng.geometric_from_uniform(u, ex._pk_table(sc)[sc.m])
+        success = g <= float(1 << sc.n)
+        rows = []
+        for l in l_values:
+            emp = float((success & (g <= 2.0 ** (sc.m * l))).mean())
+            ci = 1.96 * math.sqrt(max(emp * (1.0 - emp), 1e-12) / cfg.trials)
+            rows.append(ex.ConcentrationRow(l, emp, ci, ex.concentration_bound(sc.m, 1.0, sc.p, l)))
+        return rows
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * ex.BLOCK_ELEMENTS + 7])
+    def test_blocks_equal_one_shot(self, extra):
+        # n = 18 is short of many trials' geometric draws, so the horizon
+        # decides some rows, and the last l sits just below n/m
+        cfg = make_cfg("allocated-online", m=10, n=18, trials=ex.BLOCK_ELEMENTS + extra, seed=23)
+        l_values = [0.25, 0.8, 1.2, 1.5, 1.8 - 1e-9]
+        assert ex.concentration_report(cfg, l_values) == self._one_shot(cfg, l_values)
+
+    def test_traced_memory_is_bounded(self):
+        cfg = make_cfg("allocated-online", m=10, n=26, trials=1_000_000)
+        tracemalloc.start()
+        try:
+            ex.concentration_report(cfg, [0.5, 1.0, 1.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 class TestMostLikelyPanel:
     def test_modal_type_is_nearest_realizable(self):

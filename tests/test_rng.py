@@ -1,7 +1,9 @@
 """The lane table: every random stream of the package is named once in rng,
 and every one is counter-keyed: numpy.random is never loaded.  Also the
-module boundary: no module reads another's underscore-prefixed names."""
+module boundary: no module reads another's underscore-prefixed names, and
+biased_bits against its definition, written out in integers."""
 import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -10,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from guesswork_lab import rng
+from guesswork_lab import attack, rng
 
 SRC = pathlib.Path(rng.__file__).parent
 
@@ -182,3 +184,41 @@ def test_key_draws_rows_and_pieces():
     assert np.array_equal(pieces, whole)
     wide = rng.key_draws(keys[:1], 0, (1 << 16) + 3, 12)  # past the kept scratch
     assert np.array_equal(wide[0, :300], whole[0])
+
+
+def _defined_value(seed: int, i: int, p: float, m: int) -> int:
+    """biased_bits' value of index i under seed, by its definition: bit j
+    (first bit highest) is set when mix(mix(i * GOLDEN + seed) ^ lane_j) >> 11
+    falls below ceil(p * 2^53), with lane_j = (j + 1) * GOLDEN2 mod 2^64."""
+    base, thr, value = rng._mix64_int(i * rng.GOLDEN + seed), math.ceil(p * 2**53), 0
+    for j in range(m):
+        state = rng._mix64_int(base ^ ((j + 1) * rng.GOLDEN2 & rng.MASK64))
+        value = value << 1 | ((state >> 11) < thr)
+    return value
+
+
+@pytest.mark.parametrize("column", [False, True], ids=["scalar-seed", "seed-column"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("m", [1, 14, 62])
+def test_biased_bits_follow_their_definition(m, p, column):
+    # 300 indices around 2^40, where i * GOLDEN wraps; every call holds more
+    # than the hit test's 2-D finish takes at once, so both of its paths run
+    window = np.arange(2**40 - 150, 2**40 + 150, dtype=np.uint64)
+    keys = [0x5EED, rng.MASK64 - 3] if column else [0x5EED]
+    defined = np.array([[_defined_value(k, int(i), p, m) for i in window] for k in keys], dtype=np.uint64)
+    seed, lead = (np.array(keys, dtype=np.uint64)[:, None], slice(None)) if column else (keys[0], 0)
+    values = rng.biased_bits(seed, p, m, window)
+    assert values.dtype == np.uint64 and values.tolist() == defined[lead].tolist()
+
+    targets = defined[:, 37:38].copy()  # the values the rows hold at one index,
+    targets[1:] ^= np.uint64(1)  # with the last bit flipped past row 0
+    hits = rng.biased_bits(seed, p, m, window, target=targets[lead].astype(np.int64))
+    assert hits.tolist() == (defined == targets)[lead].tolist()
+
+    if m < 20:  # a mask over every value: 2^62 of them cannot be listed
+        masks = np.zeros((2, 1 << m), dtype=bool)
+        masks[0, defined[0, ::7].astype(np.intp)] = True
+        masks[1, [0, (1 << m) - 1]] = True
+        k = np.arange(len(keys))[:, None] if column else 0
+        hits = rng.biased_bits(seed, p, m, window, attack._prefix_tables(masks), table=k)
+        assert hits.tolist() == masks[k, defined[lead].astype(np.intp)].tolist()
