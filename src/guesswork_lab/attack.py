@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -400,25 +400,18 @@ def _scan(
     targets: np.ndarray,
     strat: GuessStrategy,
     budget: Optional[int],
-    true_pw: Optional[int] = None,
 ) -> tuple[int, int]:
     """One row of lockstep_scan: (guesses, index of the first hit).
 
     targets is the row's bin, shaped (1,), or its set of bins, shaped
-    (1, k), as keyed_scan takes them.  A keyed model's overrides, and
-    true_pw as a hit, are the row's specials.
+    (1, k), as keyed_scan takes them.  A keyed model's overrides are the
+    row's specials.
     """
     keyed = isinstance(h, KeyedHashModel)
-    forced = {pw: b in targets for pw, b in h.overrides.items()} if keyed else {}
-    if true_pw is not None:
-        forced[true_pw] = True
     specials = None
-    if forced:
-        specials = (
-            np.fromiter(forced, dtype=np.uint64, count=len(forced)),
-            np.zeros(len(forced), dtype=np.intp),
-            np.fromiter(forced.values(), dtype=bool, count=len(forced)),
-        )
+    if keyed and h.overrides:
+        planted, bins = (np.array(col) for col in zip(*h.overrides.items()))
+        specials = (planted.astype(np.uint64), np.zeros(planted.size, dtype=np.intp), np.isin(bins, targets))
     if keyed:
         keys = np.array([h.seed & rng.MASK64], dtype=np.uint64)
         guesses, first = keyed_scan(strat, h.n, budget, keys, h.p, h.m, targets, specials)
@@ -512,15 +505,15 @@ def biased_password_race(
 ) -> AttackResult:
     """Race a known true password against any other preimage of bin b.
 
-    Guesses run in probability-descending(theta) order and stop when
-    either the true password comes up (password arm, recorded even on a
-    simultaneous hash hit) or an earlier guess hashes to b (hash arm).
+    The true password is planted in bin b of a copy of h, over any override
+    h has there.  Guesses run in probability-descending(theta) order and
+    stop at the first hit: the password arm's when it is the true password,
+    the hash arm's when an earlier guess hashes to b.
     """
     bits = _bits_of(b)
     check_probability(theta, "theta")
-    if not 0 <= true_pw < (1 << h.n):
-        raise ValueError(f"true password {true_pw} out of range for n={h.n}")
-    guesses, first = _scan(h, np.array([bits]), descending_probability(theta), budget, true_pw)
+    planted = replace(h, overrides={**h.overrides, true_pw: bits})
+    guesses, first = _scan(planted, np.array([bits]), descending_probability(theta), budget)
     if not guesses:
         return AttackResult(0, False)
     return AttackResult(guesses, True, ARM_PASSWORD if first == true_pw else ARM_HASH)

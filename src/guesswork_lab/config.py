@@ -25,7 +25,8 @@ class Mode:
     by the backdoor (otherwise each password keeps its keyed-hash bin);
     offline: the attacker wins on any stored bin, not one user's;
     single_user: one user per trial; biased: that user's password is
-    Bernoulli(theta) and raced in probability-descending order;
+    Bernoulli(theta) and guessed in probability-descending order, raced,
+    when allocated, against the other preimages of its planted bin;
     exact: a closed-form moment, no trials drawn.
     """
 
@@ -43,7 +44,7 @@ MODES = {
     "unallocated-online": Mode(),
     "unallocated-offline": Mode(offline=True),
     "broken-hash": Mode(exact=True),
-    "biased-password": Mode(single_user=True, biased=True),
+    "biased-password": Mode(allocated=True, single_user=True, biased=True),
     "no-allocation-keyed": Mode(single_user=True),
 }
 

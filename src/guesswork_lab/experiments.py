@@ -179,7 +179,7 @@ def _p_any(pk: np.ndarray, bins) -> float:
 def _plan_bits(cfg: ExperimentConfig) -> np.ndarray:
     """The allocated bin of each user, in plan order."""
     sc = cfg.scenario
-    return np.array([b.bits for b in alloc.allocate_bins(sc.m, sc.p, sc.user_count()).bins()], dtype=np.int64)
+    return np.array([b.bits for b in alloc.allocate_bins(sc.m, sc.p, _user_count(cfg)).bins()], dtype=np.int64)
 
 
 def _user_count(cfg: ExperimentConfig) -> int:
@@ -208,6 +208,11 @@ class _Block:
     user: np.ndarray  # 1-based attacked user
     bins: np.ndarray  # attacked bin (online) or count of target bins (offline)
     arm: Optional[np.ndarray] = None  # winning arm label (biased-password)
+
+
+def _arms(success: np.ndarray, first: np.ndarray, password: np.ndarray) -> np.ndarray:
+    """The password arm where the password is the first hit, else the hash arm, "" on failure."""
+    return np.where(success, np.where(first == password, attack.ARM_PASSWORD, attack.ARM_HASH), "")
 
 
 def _trial_users(trials: np.ndarray, count: int) -> np.ndarray:
@@ -284,11 +289,12 @@ def _first_writer(pw: np.ndarray) -> np.ndarray:
 
 
 def _users_kernel(cfg: ExperimentConfig):
-    """The allocated and unallocated modes.  Every user draws a password
-    and holds a bin, planned or the key's value; a password two users drew
-    keeps its first writer's bin.  Online the attacked user's bin is the
-    target and the passwords holding it are forced hits; offline every
-    password is a hit and the target set is the rows' distinct bins."""
+    """Every sampled mode.  Every user draws a password and holds a bin,
+    planned or the key's value; a password two users drew keeps its first
+    writer's bin.  Online the attacked user's bin is the target and the
+    passwords holding it are forced hits; offline every password is a hit
+    and the target set is the rows' distinct bins.  Positions are guess
+    positions, so the biased mode's one planted password is its rank."""
     sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
     pk = _pk_table(sc)
@@ -309,7 +315,7 @@ def _users_kernel(cfg: ExperimentConfig):
         return target, pk[np.bitwise_count(target)], first
 
     def run(trials: np.ndarray) -> _Block:
-        pw = _draw_passwords(cfg, trials, users)
+        pw = _draw_biased(cfg, trials)[:, None] if kind.biased else _draw_passwords(cfg, trials, users)
         pick = _draw_pick(cfg, trials, users)
         u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
         ordered = np.sort(pw, axis=1)
@@ -332,7 +338,8 @@ def _users_kernel(cfg: ExperimentConfig):
             value, p_hit, first = outcome(bins, pw, pick, ordered)
         specials = ordered[:, :1] if kind.offline else ordered
         guesses, success = _first_hits(u, p_hit, specials, first, sc.n, cfg.budget)
-        return _Block(trials, guesses, success, pick + 1, value)
+        arm = _arms(success, guesses - 1, first) if kind.biased else None
+        return _Block(trials, guesses, success, pick + 1, value, arm)
 
     return run
 
@@ -341,6 +348,7 @@ def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray) -> np.ndarray:
     """Rank of each trial's true biased password: its 0-based guess
     position in the weight-layer order the descending strategy serves,
     lightest layer first below theta = 1/2, heaviest first above it.
+    The sampled engine plants the rank, the scan engine the password.
 
     The weight is an inverse-CDF Binomial(n, theta) draw and the rank a
     uniform position inside its layer of C(n, weight) passwords.  At
@@ -356,87 +364,60 @@ def _draw_biased(cfg: ExperimentConfig, trials: np.ndarray) -> np.ndarray:
     return weight_layer_starts(n, theta > 0.5)[weight] + offset
 
 
-def _biased_password_kernel(cfg: ExperimentConfig):
-    """Race between the true biased password and any other preimage of the
-    least likely bin, in probability-descending guess order."""
-    sc = cfg.scenario
-    p_hit = _pk_table(sc)[sc.m]  # all-ones target bin
-
-    def run(trials: np.ndarray) -> _Block:
-        rank = _draw_biased(cfg, trials)
-        u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
-        guesses, success = _first_hits(
-            u, np.full(trials.size, p_hit), rank[:, None], rank, sc.n, cfg.budget
-        )
-        won = np.where(guesses == rank + 1, attack.ARM_PASSWORD, attack.ARM_HASH)
-        return _Block(
-            trials, guesses, success, np.ones(trials.size, dtype=np.int64),
-            np.full(trials.size, (1 << sc.m) - 1), np.where(success, won, ""),
-        )
-
-    return run
-
-
-def _sampled_kernel(cfg: ExperimentConfig):
-    """The block kernel of the config's mode."""
-    return (_biased_password_kernel if cfg.kind.biased else _users_kernel)(cfg)
-
-
 # ---------------------------------------------------------------------------
 # scan-engine kernel
 # ---------------------------------------------------------------------------
+
+
+def _strategy(cfg: ExperimentConfig) -> attack.GuessStrategy:
+    """The mode's guess order, in both engines and the trial log."""
+    return attack.descending_probability(cfg.scenario.theta) if cfg.kind.biased else attack.ascending()
 
 
 def _scan_kernel(cfg: ExperimentConfig):
     """Literal scans of a block of trials, hashed in lockstep.
 
     Each trial draws the sampled engine's passwords, attacked user and
-    biased password, and a key of its own; every trial scans the same
-    guess order (ascending, or probability-descending for the biased
-    password), so one attack.keyed_scan serves the block.  A row's target
+    biased password, and a key of its own; every trial scans the mode's
+    guess order, so one attack.keyed_scan serves the block.  A row's target
     is its attacked bin online, and its users' final bins offline.  Planted
     passwords are the rows' special positions, decided by their planted
-    bin alone; the true biased password is a special hit, and the race is
-    the password arm's when it is the first hit.
+    bin alone.  The true biased password is the one planted user's, and
+    the race is the password arm's when it is the first hit.
     """
     sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
     if kind.allocated:
         plan_bits = _plan_bits(cfg)
-    strat = attack.descending_probability(sc.theta) if kind.biased else attack.ascending()
+    strat = _strategy(cfg)
 
     def run(trials: np.ndarray) -> _Block:
         keys = rng.words(cfg.seed, trials, rng.LANE_KEY)
         rows = np.arange(trials.size)
-        pick = np.zeros(trials.size, dtype=np.int64)
         specials = None
-        if kind.biased:
+        if kind.biased:  # the true password, unranked from its guess position
             rank = _draw_biased(cfg, trials)
-            true_pw = (rank if sc.theta == 0.5 else weight_layer_order(sc.n, sc.theta > 0.5, rank)).astype(np.uint64)
-            target = np.full(trials.size, (1 << sc.m) - 1)
-            specials = (true_pw, rows, np.ones(trials.size, dtype=bool))
+            pw = rank if sc.theta == 0.5 else weight_layer_order(sc.n, sc.theta > 0.5, rank)
+            pw = pw.astype(np.uint64)[:, None]
         else:
             pw = _draw_passwords(cfg, trials, users)
-            pick = _draw_pick(cfg, trials, users)
-            if kind.allocated:
-                writer = _first_writer(pw)
-                finals = plan_bits[writer]
-                target = finals[rows, pick]
-                at, col = np.nonzero(writer == np.arange(users))  # the planted passwords
-                # Every planted bin is some user's final bin: offline, a hit.
-                specials = (pw[at, col].astype(np.uint64), at, kind.offline | (finals[at, col] == target[at]))
-            elif kind.offline:
-                finals = rng.biased_bits(keys[:, None], sc.p, sc.m, pw).astype(np.int64)
-            else:  # online reads the attacked password's bin alone
-                target = rng.biased_bits(keys, sc.p, sc.m, pw[rows, pick]).astype(np.int64)
+        pick = _draw_pick(cfg, trials, users)
+        if kind.allocated:
+            writer = _first_writer(pw)
+            finals = plan_bits[writer]
+            target = finals[rows, pick]
+            at, col = np.nonzero(writer == np.arange(users))  # the planted passwords
+            # Every planted bin is some user's final bin: offline, a hit.
+            specials = (pw[at, col].astype(np.uint64), at, kind.offline | (finals[at, col] == target[at]))
+        elif kind.offline:
+            finals = rng.biased_bits(keys[:, None], sc.p, sc.m, pw).astype(np.int64)
+        else:  # online reads the attacked password's bin alone
+            target = rng.biased_bits(keys, sc.p, sc.m, pw[rows, pick]).astype(np.int64)
         targets = finals if kind.offline else target
         guesses, first = attack.keyed_scan(strat, sc.n, cfg.budget, keys, sc.p, sc.m, targets, specials)
         bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1) if kind.offline else target
         success = guesses > 0
-        arm = None
-        if kind.biased:
-            won = np.where(first == true_pw, attack.ARM_PASSWORD, attack.ARM_HASH)
-            arm = np.where(success, won, "")
+        arm = _arms(success, first, pw[:, 0]) if kind.biased else None
         return _Block(trials, guesses, success, pick + 1, bins, arm)
 
     return run
@@ -466,7 +447,7 @@ def _log_text(cfg: ExperimentConfig, block: _Block) -> str:
     each distinct piece is formatted once, separators included, and the
     lines are joined in one pass.
     """
-    strategy = "probability-descending" if cfg.kind.biased else "ascending-index"
+    strategy = _strategy(cfg).kind
     bin_fmt = "any-of-{}" if cfg.kind.offline else f"{{:0{cfg.scenario.m}b}}"
     arm = 0 if block.arm is None else sum((block.arm == a) * k for k, a in enumerate(_ARMS))
     tails = np.array([f",{ok},{a}\n" for a in _ARMS for ok in (0, 1)], dtype=object)
@@ -488,7 +469,7 @@ def _run_range(
     Returns the accumulated guesses and, when log is set, the range's
     trial-log lines in trial order.
     """
-    run = (_sampled_kernel if cfg.engine == "sampled" else _scan_kernel)(cfg)
+    run = (_users_kernel if cfg.engine == "sampled" else _scan_kernel)(cfg)
     step = max(1, BLOCK_ELEMENTS // _user_count(cfg))
     acc = GuessAccumulator()
     texts: list[str] = []

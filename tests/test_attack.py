@@ -229,6 +229,27 @@ class TestBiasedPasswordAttack:
             fractions.append(wins / trials)
         assert fractions[0] > fractions[1] > fractions[2] > fractions[3]
 
+    def test_race_leaves_the_callers_overrides(self):
+        model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=3)
+        model.overrides[5] = 15
+        overrides = model.overrides
+        for pw in (1, 5, 9):
+            attack.biased_password_race(model, 15, 0.3, pw)
+            assert model.overrides is overrides and overrides == {5: 15}
+
+    def test_planted_password_replaces_an_override_into_another_bin(self):
+        for theta, pw in ((0.05, 0), (0.95, (1 << 16) - 1)):
+            model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=4, overrides={pw: 3})
+            res = attack.biased_password_race(model, 15, theta, pw)
+            assert res.guesses == 1 and res.arm == attack.ARM_PASSWORD
+            assert model.overrides == {pw: 3}
+
+    def test_true_password_out_of_range(self):
+        model = hm.KeyedHashModel(m=4, n=16, p=0.3, seed=4)
+        for pw in (-1, 1 << 16):
+            with pytest.raises(ValueError, match="out of range"):
+                attack.biased_password_race(model, 15, 0.3, pw)
+
 
 class TestStrategyOrdering:
     def test_probability_descending_prefix(self):

@@ -1,8 +1,10 @@
 """Experiment orchestration tests: engines, determinism, panels, sweeps."""
+import ast
 import hashlib
 import io
 import itertools
 import math
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -64,6 +66,32 @@ class TestConfigValidation:
         for budget in (0, -5):
             with pytest.raises(ValueError, match="budget"):
                 make_cfg("no-allocation-keyed", engine=engine, budget=budget)
+
+
+def _mode_comparisons(tree):
+    """Line numbers of comparisons against a mode's name, or a literal
+    tuple, list or set holding one: decisions that should read Mode fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                names = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+                if any(isinstance(c, ast.Constant) and c.value in ex.MODES for c in names):
+                    yield node.lineno
+
+
+class TestModesAreData:
+    def test_no_module_compares_against_a_mode_name(self):
+        for path in sorted(pathlib.Path(ex.__file__).parent.glob("*.py")):
+            lines = list(_mode_comparisons(ast.parse(path.read_text())))
+            assert not lines, f"{path.name}:{lines} compares against a mode name; read the Mode fields"
+
+    def test_the_mode_comparison_check_sees_them(self):
+        for code in ('cfg.mode == "biased-password"', 'if "allocated-online" != mode:\n    pass',
+                     'mode in ("broken-hash", "exact")', 'x = a < b == "no-allocation-keyed"'):
+            assert list(_mode_comparisons(ast.parse(code))), code
+        for code in ("cfg.kind.biased", 'strat.kind == "ascending-index"', 'MODES["biased-password"]',
+                     'replace(cfg, mode="no-allocation-keyed")', "mode in MODES"):
+            assert not list(_mode_comparisons(ast.parse(code))), code
 
 
 class TestDeterminism:
@@ -167,7 +195,7 @@ class TestKernelsMatchScalarPath:
         cfg = make_cfg(mode, s=0.6, n=9, theta=theta, trials=300, budget=budget)
         sc = cfg.scenario
         trials = np.arange(40, 340, dtype=np.uint64)
-        block = ex._sampled_kernel(cfg)(trials)
+        block = ex._users_kernel(cfg)(trials)
         users = ex._user_count(cfg)
         pw = ex._draw_passwords(cfg, trials, users)
         pick = ex._draw_pick(cfg, trials, users)
@@ -184,6 +212,12 @@ class TestKernelsMatchScalarPath:
             p_hit = ex._pk_table(sc)[sc.m]
             expect = [
                 (*ex._scan_outcome_sampled(u[r], sc.n, p_hit, [int(rank[r])], [], budget), (1 << sc.m) - 1)
+                for r in range(trials.size)
+            ]
+            # the allocated path's one planted user, whose password is the rank
+            plan = al.allocate_bins(sc.m, sc.p, 1)
+            assert expect == [
+                ex._allocated_row(sc, plan, [int(rank[r])], int(pick[r]), u[r], online, budget)
                 for r in range(trials.size)
             ]
         else:
@@ -288,7 +322,7 @@ class TestEnginesShareDraws:
     @pytest.mark.parametrize("mode,theta", SAMPLED_MODES + [("biased-password", 0.7)])
     def test_rows(self, mode, theta, shape):
         trials = np.arange(10, 310, dtype=np.uint64)
-        sampled = ex._sampled_kernel(make_cfg(mode, theta=theta, seed=9, **shape))(trials)
+        sampled = ex._users_kernel(make_cfg(mode, theta=theta, seed=9, **shape))(trials)
         scanned = ex._scan_kernel(make_cfg(mode, theta=theta, seed=9, engine="scan", **shape))(trials)
         assert np.array_equal(sampled.user, scanned.user)
         if not mode.startswith("unallocated") and mode != "no-allocation-keyed":
