@@ -225,11 +225,12 @@ def _draw_passwords(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np
     return rng.passwords(cfg.seed, _trial_users(trials, count), cfg.scenario.n)
 
 
-def _draw_user_bins(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
-    """Each user's keyed-hash bin: m i.i.d. Bernoulli(p) bits."""
+def _draw_user_bins(cfg: ExperimentConfig, counters: np.ndarray) -> np.ndarray:
+    """The keyed-hash bin of each (trial, user) counter: m i.i.d.
+    Bernoulli(p) bits, mixed from the counter's LANE_BINS word."""
     sc = cfg.scenario
     seed = rng.derive_seed(cfg.seed, rng.LANE_BINS)
-    return rng.biased_bits(seed, sc.p, sc.m, _trial_users(trials, count)).astype(np.int64)
+    return rng.biased_bits(seed, sc.p, sc.m, counters).astype(np.int64)
 
 
 def _draw_pick(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
@@ -294,7 +295,13 @@ def _users_kernel(cfg: ExperimentConfig):
     writer's bin.  Online the attacked user's bin is the target and the
     passwords holding it are forced hits; offline every password is a hit
     and the target set is the rows' distinct bins.  Positions are guess
-    positions, so the biased mode's one planted password is its rank."""
+    positions, so the biased mode's one planted password is its rank.
+
+    Unallocated, offline reads every user's whole bin.  Online draws only
+    the attacked password's first writer's bin whole: any other password's
+    bin, independent Bernoulli(p)^m bits, equals a target of weight w with
+    probability pk[w], so it holds the target when its LANE_BINS word, the
+    one its bits would be mixed from, lies below threshold_for(pk[w])."""
     sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
     pk = _pk_table(sc)
@@ -302,6 +309,8 @@ def _users_kernel(cfg: ExperimentConfig):
         plan_bits = _plan_bits(cfg)
         p_user = pk[np.bitwise_count(plan_bits)]
         p_all = _p_any(pk, plan_bits.tolist())
+    elif not kind.offline:  # pk[0] can round to 1, past threshold_for's range
+        match = np.array([rng.threshold_for(min(q, 1.0 - rng.TWO_NEG53)) for q in pk], dtype=np.uint64)
 
     def outcome(bins, pw, pick, ordered):
         """(bin column, p_hit, first forced hit) of rows holding these bins."""
@@ -320,6 +329,7 @@ def _users_kernel(cfg: ExperimentConfig):
         u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
         ordered = np.sort(pw, axis=1)
         clash = _collision_rows(ordered)
+        writers = _first_writer(pw[clash]) if clash.size else None
         if kind.allocated:
             # Rows without a collision hold the plan's distinct bins.
             if kind.offline:
@@ -328,14 +338,25 @@ def _users_kernel(cfg: ExperimentConfig):
             else:
                 value, p_hit, first = plan_bits[pick], p_user[pick], pw[np.arange(trials.size), pick]
             if clash.size:
-                bins = plan_bits[_first_writer(pw[clash])]
-                parts = outcome(bins, pw[clash], pick[clash], ordered[clash])
+                parts = outcome(plan_bits[writers], pw[clash], pick[clash], ordered[clash])
                 value[clash], p_hit[clash], first[clash] = parts
-        else:
-            bins = _draw_user_bins(cfg, trials, users)
+        elif kind.offline:
+            bins = _draw_user_bins(cfg, _trial_users(trials, users))
             if clash.size:
-                bins[clash] = np.take_along_axis(bins[clash], _first_writer(pw[clash]), axis=1)
+                bins[clash] = np.take_along_axis(bins[clash], writers, axis=1)
             value, p_hit, first = outcome(bins, pw, pick, ordered)
+        else:
+            writer = pick.copy()
+            if clash.size:
+                writer[clash] = writers[np.arange(clash.size), pick[clash]]
+            value = _draw_user_bins(cfg, trials * np.uint64(users) + writer.astype(np.uint64))
+            weight = np.bitwise_count(value)
+            p_hit, first = pk[weight], pw[np.arange(trials.size), writer]
+            if users > 1:  # the writer's password is in first whatever its own word
+                hit = rng.words(cfg.seed, _trial_users(trials, users), rng.LANE_BINS) < match[weight][:, None]
+                if clash.size:
+                    hit[clash] = np.take_along_axis(hit[clash], writers, axis=1)
+                first = np.minimum(first, np.where(hit, pw, _NO_HIT).min(axis=1))
         specials = ordered[:, :1] if kind.offline else ordered
         guesses, success = _first_hits(u, p_hit, specials, first, sc.n, cfg.budget)
         arm = _arms(success, guesses - 1, first) if kind.biased else None

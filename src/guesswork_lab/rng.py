@@ -38,7 +38,7 @@ _S32 = np.uint64(32)
 LANE_KEY = 0x4E1  # each scan-engine trial's hash key
 LANE_GEOM = 0x6E0  # uniform behind a trial's first natural hit
 LANE_PICK = 0x05E7  # the attacked user
-LANE_BINS = 0xB175  # sampled users' keyed-hash bins
+LANE_BINS = 0xB175  # a sampled user's bin word: its bin's bits, or online its match with the target
 LANE_WEIGHT = 0x3E16  # the biased password's weight
 LANE_RANK = 0x3A4C  # its position inside its weight layer
 LANE_PASSWORDS = 0x9A55  # users' uniform passwords: trials and the backdoor alike
@@ -106,8 +106,13 @@ def threshold_for(p: float) -> np.uint64:
 
 
 def words(seed: int, idx: np.ndarray, lane: int) -> np.ndarray:
-    """Uniform 64-bit words, one per index, replayable per index."""
-    return mix64(idx.astype(np.uint64) * _U_GOLDEN + np.uint64(derive_seed(seed, lane)))
+    """Uniform 64-bit words, one per index, replayable per index, mixed
+    in place in the result and one scratch array."""
+    z = idx.astype(np.uint64)
+    z *= _U_GOLDEN
+    z += np.uint64(derive_seed(seed, lane))
+    _mix_into(z, np.empty_like(z))
+    return z
 
 
 def key_draws(key, start: int, count: int, n: int) -> np.ndarray:

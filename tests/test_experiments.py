@@ -184,6 +184,23 @@ class TestSampledOutcome:
         assert ex._scan_outcome_sampled(u, n, p, [], specials[0].tolist()) == (ordinal + 4, True)
 
 
+def _online_raw_bins(cfg, trials, pw, pick):
+    """Unallocated-online's raw bins from the kernel's draws.  The attacked
+    password's first writer holds its whole bin; every other user holds it
+    where its bin word is below threshold_for(pk[w]), else a bin one bit
+    away."""
+    counters = ex._trial_users(trials, pw.shape[1])
+    raw = ex._draw_user_bins(cfg, counters)
+    pk, words = ex._pk_table(cfg.scenario), rng.words(cfg.seed, counters, rng.LANE_BINS)
+    for r in range(trials.size):
+        row = pw[r].tolist()
+        writer = row.index(row[pick[r]])
+        target = int(raw[r, writer])
+        raw[r] = np.where(words[r] < rng.threshold_for(pk[target.bit_count()]), target, target ^ 1)
+        raw[r, writer] = target
+    return raw
+
+
 class TestKernelsMatchScalarPath:
     """Each block kernel against the per-trial scalar path (resolve_collisions
     or the first-draw bin map, then _scan_outcome_sampled) on the same draws.
@@ -221,7 +238,10 @@ class TestKernelsMatchScalarPath:
                 for r in range(trials.size)
             ]
         else:
-            raw = ex._draw_user_bins(cfg, trials, users)
+            if online:
+                raw = _online_raw_bins(cfg, trials, pw, pick)
+            else:
+                raw = ex._draw_user_bins(cfg, ex._trial_users(trials, users))
             expect = [
                 ex._unallocated_row(sc, pw[r].tolist(), raw[r].tolist(), int(pick[r]), u[r], online, budget)
                 for r in range(trials.size)
@@ -231,6 +251,76 @@ class TestKernelsMatchScalarPath:
         if users > 1:
             ordered = np.sort(pw, axis=1)
             assert ex._collision_rows(ordered).size > trials.size // 4
+
+
+class TestOnlineMatches:
+    """Unallocated-online draws the attacked bin whole and gives every other
+    user one bin word: below threshold_for(pk[w]) its bin is the target.
+    TestKernelsMatchScalarPath holds the kernel to that rule row by row;
+    these tests check the rule's law, its collision rows and its cost."""
+
+    def test_match_frequency_is_the_bin_law(self):
+        # m = 3: every target weight 0..3 is common; n = 12 keeps most users
+        # their own first writer.  Seed and trials fixed before the first run.
+        cfg = make_cfg("unallocated-online", m=3, n=12, s=0.6, seed=41, trials=20_000)
+        sc, users = cfg.scenario, ex._user_count(cfg)
+        trials = np.arange(cfg.trials, dtype=np.uint64)
+        block = ex._users_kernel(cfg)(trials)
+        pw = ex._draw_passwords(cfg, trials, users)
+        own = ex._first_writer(pw) == np.arange(users)
+        own[np.arange(trials.size), block.user - 1] = False  # the attacked user
+        own &= pw != pw[np.arange(trials.size), block.user - 1][:, None]  # and its password
+        words = rng.words(cfg.seed, ex._trial_users(trials, users), rng.LANE_BINS)
+        weight = np.bitwise_count(block.bins)
+        pk = ex._pk_table(sc)
+        for w in range(sc.m + 1):
+            law = sc.p ** w * (1.0 - sc.p) ** (sc.m - w)
+            assert pk[w] == pytest.approx(law, rel=1e-12)
+            sel = own & (weight == w)[:, None]
+            hits = np.count_nonzero(words[sel] < rng.threshold_for(pk[w]))
+            sigma = math.sqrt(law * (1.0 - law) / sel.sum())
+            assert abs(hits / sel.sum() - law) <= 4.0 * sigma, w
+
+    def test_tiny_width_rows(self):
+        # 4 users over 16 passwords: a repeated password's later copy often
+        # holds the target while its first writer does not, and the first
+        # writer's bin must win.
+        cfg = make_cfg("unallocated-online", m=3, n=4, s=0.5, seed=43, trials=2_000)
+        sc, users = cfg.scenario, ex._user_count(cfg)
+        trials = np.arange(cfg.trials, dtype=np.uint64)
+        block = ex._users_kernel(cfg)(trials)
+        pw = ex._draw_passwords(cfg, trials, users)
+        pick = ex._draw_pick(cfg, trials, users)
+        u = rng.uniforms(cfg.seed, trials, rng.LANE_GEOM)
+        raw = _online_raw_bins(cfg, trials, pw, pick)
+        expect = [
+            ex._unallocated_row(sc, pw[r].tolist(), raw[r].tolist(), int(pick[r]), u[r], True, None)
+            for r in range(trials.size)
+        ]
+        assert list(zip(block.guesses.tolist(), block.success.tolist(), block.bins.tolist())) == expect
+
+    @pytest.mark.parametrize("mode", ["unallocated-online", "unallocated-offline"])
+    def test_bits_drawn(self, mode, monkeypatch):
+        # Online draws one whole bin per trial; offline reads every user's.
+        drawn = []
+        real = rng.biased_bits
+
+        def counted(seed, p, m, idx, *args, **kw):
+            drawn.append(np.size(idx))
+            return real(seed, p, m, idx, *args, **kw)
+
+        cfg = make_cfg(mode, s=0.6, n=9)
+        trials = np.arange(50, 250, dtype=np.uint64)
+        monkeypatch.setattr(rng, "biased_bits", counted)
+        ex._users_kernel(cfg)(trials)
+        users = ex._user_count(cfg)
+        assert users > 1
+        assert sum(drawn) == trials.size * (1 if mode.endswith("online") else users)
+
+    def test_certain_weight(self):
+        # At p = 1e-18, pk[0] rounds to 1, past threshold_for's range.
+        block = ex._users_kernel(make_cfg("unallocated-online", p=1e-18))(np.arange(200, dtype=np.uint64))
+        assert (block.bins == 0).all() and (block.guesses == 1).all()
 
 
 class TestEngineAgreement:
@@ -415,7 +505,7 @@ SAMPLED_LOG_SHA256 = {
     ("plain", "biased-password"): "4c0a13ab7f444e93aefd97b9894e523deea1367461f0c8dfa9d91f15167d31f2",
     ("colliding", "allocated-online"): "8cdec2201cc25c8549bd540cc3bdd6a4decf6534159e5f28702569a2bbc69f29",
     ("colliding", "allocated-offline"): "88425767dc19513d8f61d165e026543a8d67ef41f415330c522ff996fa3308af",
-    ("colliding", "unallocated-online"): "8a2e9fef4f390ab1a0a69620dce8ec88d0853757cad0d91fe08912689b8c2d84",
+    ("colliding", "unallocated-online"): "37c8e7bde897ebb453dc6838b882c67a33b021caada61625d27f9a61024b61da",
     ("colliding", "unallocated-offline"): "45096657758b4ea130f31ce3d04205e1f5f69829dc8431410a35814d4808cd07",
     ("colliding", "no-allocation-keyed"): "f17f6da4e047496ffcf472c1b87ed576bd52db45421238168af1475788e38591",
     ("colliding", "biased-password"): "4a5ccf30dfc1db3103f872826a998763e589b6fe78c217b3fb6e658e65c4b63b",
