@@ -227,10 +227,9 @@ def _draw_passwords(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np
 
 def _draw_user_bins(cfg: ExperimentConfig, counters: np.ndarray) -> np.ndarray:
     """The keyed-hash bin of each (trial, user) counter: m i.i.d.
-    Bernoulli(p) bits, mixed from the counter's LANE_BINS word."""
+    Bernoulli(p) bits, drawn whole from the counter's LANE_BINS word."""
     sc = cfg.scenario
-    seed = rng.derive_seed(cfg.seed, rng.LANE_BINS)
-    return rng.biased_bits(seed, sc.p, sc.m, counters).astype(np.int64)
+    return rng.biased_values(cfg.seed, counters, rng.LANE_BINS, sc.p, sc.m)
 
 
 def _draw_pick(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:
@@ -301,7 +300,7 @@ def _users_kernel(cfg: ExperimentConfig):
     the attacked password's first writer's bin whole: any other password's
     bin, independent Bernoulli(p)^m bits, equals a target of weight w with
     probability pk[w], so it holds the target when its LANE_BINS word, the
-    one its bits would be mixed from, lies below threshold_for(pk[w])."""
+    one its bin would be drawn from, lies below threshold_for(pk[w])."""
     sc, kind = cfg.scenario, cfg.kind
     users = _user_count(cfg)
     pk = _pk_table(sc)

@@ -7,6 +7,7 @@ count or evaluation order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -38,7 +39,7 @@ _S32 = np.uint64(32)
 LANE_KEY = 0x4E1  # each scan-engine trial's hash key
 LANE_GEOM = 0x6E0  # uniform behind a trial's first natural hit
 LANE_PICK = 0x05E7  # the attacked user
-LANE_BINS = 0xB175  # a sampled user's bin word: its bin's bits, or online its match with the target
+LANE_BINS = 0xB175  # a sampled user's bin word: its bin, drawn whole, or online its match with the target
 LANE_WEIGHT = 0x3E16  # the biased password's weight
 LANE_RANK = 0x3A4C  # its position inside its weight layer
 LANE_PASSWORDS = 0x9A55  # users' uniform passwords: trials and the backdoor alike
@@ -168,6 +169,46 @@ def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> 
     mid = a1 * b0 + ((a0 * b0) >> _S32)
     mid2 = a0 * b1 + (mid & _LOW32)
     return (a1 * b1 + (mid >> _S32) + (mid2 >> _S32)).astype(np.int64)
+
+
+def biased_values(seed: int, idx: np.ndarray, lane: int, p: float, m: int) -> np.ndarray:
+    """m-bit values, bits i.i.d. Bernoulli(p), one per index, as int64.  Each
+    chunk of at most 14 bits, the first highest, is drawn whole from one word
+    by its _alias_table: chunk 0 from words(seed, idx, lane), chunk j from
+    that word mixed with biased_bits' lane of bit j."""
+    word = words(seed, idx, lane)
+    base = word ^ (word >> _S30) if m > 14 else None  # the first xorshift of every lane mix
+    out = np.zeros(word.shape, dtype=np.int64)
+    for j, k in enumerate([14] * (m // 14) + [m % 14] * (m % 14 > 0)):
+        if j:
+            _lane_into(word, base, _LANES[j], np.empty_like(word))
+        threshold, alias = _alias_table(float(p), k)
+        col = (word >> np.uint64(64 - k)).view(np.int64)
+        word &= np.uint64((1 << (64 - k)) - 1)
+        out <<= k
+        out |= np.where(word < threshold.take(col), col, alias.take(col))
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _alias_table(p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walker's alias table of k Bernoulli(p) bits in exact integers, paired
+    as Vose does: column c holds 2^(64-k) units, value c's below threshold[c]
+    and alias[c]'s above.  A value of weight w has floor(p^w (1-p)^(k-w) 2^64)
+    units and value 0 the rest, so a chunk is within 2^(k-64) of its law."""
+    a, b = p.as_integer_ratio()
+    layer = [(a**w * (b - a) ** (k - w) << 64) // b**k for w in range(k + 1)]
+    mass = [layer[v.bit_count()] for v in range(1 << k)]
+    mass[0], cap = (1 << 64) - sum(mass[1:]), 1 << (64 - k)
+    threshold, alias = [cap] * (1 << k), list(range(1 << k))
+    small, large = [v for v, u in enumerate(mass) if u < cap], [v for v, u in enumerate(mass) if u >= cap]
+    while small:  # exact integers: the last large columns hold cap each
+        s, g = small.pop(), large[-1]
+        threshold[s], alias[s] = mass[s], g
+        mass[g] -= cap - mass[s]
+        if mass[g] < cap:
+            small.append(large.pop())
+    return np.array(threshold, dtype=np.uint64), np.array(alias, dtype=np.int64)
 
 
 def biased_bits(

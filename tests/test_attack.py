@@ -750,3 +750,8 @@ class TestGuessAccumulatorSums:
         assert acc.total_sq == sum(v * v for v in values)
         assert acc.failures == values.count(0)
         assert acc.count == len(values)
+
+    def test_add_array_of_nothing(self):
+        acc = attack.GuessAccumulator()
+        acc.add_array(np.array([], dtype=np.int64))
+        assert (acc.count, acc.failures, acc.total, acc.total_sq) == (0, 0, 0, 0)

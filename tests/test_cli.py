@@ -341,6 +341,14 @@ def test_workers_below_one_exit_2(runner, args, workers):
     )
 
 
+@pytest.mark.parametrize("value", ["two", "1.5", "-3"])
+def test_workers_from_a_bad_environment_default_to_one(runner, value):
+    args = ["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3", "--trials", "100", "--output", "json"]
+    result = runner.invoke(cli.main, args, env={"GUESSWORK_LAB_WORKERS": value})
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["config"]["workers"] == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -302,16 +302,21 @@ class TestOnlineMatches:
     @pytest.mark.parametrize("mode", ["unallocated-online", "unallocated-offline"])
     def test_bits_drawn(self, mode, monkeypatch):
         # Online draws one whole bin per trial; offline reads every user's.
+        # Every bin comes from biased_values, none bit by bit.
         drawn = []
-        real = rng.biased_bits
+        real = rng.biased_values
 
-        def counted(seed, p, m, idx, *args, **kw):
+        def counted(seed, idx, *args, **kw):
             drawn.append(np.size(idx))
-            return real(seed, p, m, idx, *args, **kw)
+            return real(seed, idx, *args, **kw)
+
+        def bitwise(*args, **kw):
+            raise AssertionError("a sampled bin drawn bit by bit")
 
         cfg = make_cfg(mode, s=0.6, n=9)
         trials = np.arange(50, 250, dtype=np.uint64)
-        monkeypatch.setattr(rng, "biased_bits", counted)
+        monkeypatch.setattr(rng, "biased_values", counted)
+        monkeypatch.setattr(rng, "biased_bits", bitwise)
         ex._users_kernel(cfg)(trials)
         users = ex._user_count(cfg)
         assert users > 1
@@ -499,15 +504,15 @@ class TestScanLogDigests:
 SAMPLED_LOG_SHA256 = {
     ("plain", "allocated-online"): "7efc901e367ecf9f9b0e55b4f40c940e4e009ab1eac1da28cf16d0592687b6cb",
     ("plain", "allocated-offline"): "215eaf76fd9c8f51d0a983d1e2f4cb3975d380db7c467c9fab4d773ce060482a",
-    ("plain", "unallocated-online"): "26a6812d149a1eee79c5c1bd4645cfa57d28cb3efa98d73ec35f9c3a3b9e6bbe",
-    ("plain", "unallocated-offline"): "f3ecc62b51076bfa09c9bbbcb57d87a12e9ac52c6b12488f040a334a92af5204",
-    ("plain", "no-allocation-keyed"): "ee9eb5a34314c1e7832b11104aa05f1b1a05c0f7f7124cfc6720b42bb08d8f74",
+    ("plain", "unallocated-online"): "f07f926396f5097746900a3c86c22b08169533d44b82493b1d765d9ce562b2b4",
+    ("plain", "unallocated-offline"): "a0b8642d691b88c453c137bf21d67696902e11fd695d1b00229bc0739b44e796",
+    ("plain", "no-allocation-keyed"): "29ef421238a30aaa6e71d05e37d68d849aa4214638fc5b0fc4815df6d295bc24",
     ("plain", "biased-password"): "4c0a13ab7f444e93aefd97b9894e523deea1367461f0c8dfa9d91f15167d31f2",
     ("colliding", "allocated-online"): "8cdec2201cc25c8549bd540cc3bdd6a4decf6534159e5f28702569a2bbc69f29",
     ("colliding", "allocated-offline"): "88425767dc19513d8f61d165e026543a8d67ef41f415330c522ff996fa3308af",
-    ("colliding", "unallocated-online"): "37c8e7bde897ebb453dc6838b882c67a33b021caada61625d27f9a61024b61da",
-    ("colliding", "unallocated-offline"): "45096657758b4ea130f31ce3d04205e1f5f69829dc8431410a35814d4808cd07",
-    ("colliding", "no-allocation-keyed"): "f17f6da4e047496ffcf472c1b87ed576bd52db45421238168af1475788e38591",
+    ("colliding", "unallocated-online"): "ed7b68d71c2d622ecfb82fe0ca1646c907449d6ad493ecf7153132124caf5d5a",
+    ("colliding", "unallocated-offline"): "52ac100a1009886607694596de8634a21c4047cc965d8d1229da35551f649704",
+    ("colliding", "no-allocation-keyed"): "a5a1c5b564ac394ffeb463bd2d2b4e44c9192b335712dd4cf0b79e997c0512f3",
     ("colliding", "biased-password"): "4a5ccf30dfc1db3103f872826a998763e589b6fe78c217b3fb6e658e65c4b63b",
 }
 

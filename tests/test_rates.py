@@ -298,6 +298,10 @@ class TestConcentrationBound:
             0.0, abs=1e-90
         )
 
+    def test_far_right_tail_one(self):
+        # l far above H + D: the gap is below -60 and the bound is 1
+        assert rates.concentration_bound(10, 1.0, 0.3, 100.0) == 1.0
+
     def test_within_unit_interval(self):
         for l in np.linspace(-5, 5, 41):
             b = rates.concentration_bound(8, 0.75, 0.3, float(l))

@@ -8,16 +8,18 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from guesswork_lab import attack, rng
 
 SRC = pathlib.Path(rng.__file__).parent
 
 #: rng functions that take a lane, and the position of the lane argument.
-LANE_ARG = {"words": 2, "uniforms": 2, "integers_below": 2, "derive_seed": 1}
+LANE_ARG = {"words": 2, "uniforms": 2, "integers_below": 2, "biased_values": 2, "derive_seed": 1}
 
 LANES = {name: value for name, value in vars(rng).items() if name.startswith("LANE_")}
 
@@ -222,3 +224,68 @@ def test_biased_bits_follow_their_definition(m, p, column):
         k = np.arange(len(keys))[:, None] if column else 0
         hits = rng.biased_bits(seed, p, m, window, attack._prefix_tables(masks), table=k)
         assert hits.tolist() == masks[k, defined[lead].astype(np.intp)].tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 14])
+@pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 1e-18])
+def test_alias_tables_hold_the_floor_masses_exactly(p, k):
+    # Rebuilt from the table's columns in Python ints: a value of weight w
+    # holds floor(p^w (1-p)^(k-w) 2^64) units, value 0 the rest.  Equality,
+    # not a tolerance.
+    threshold, alias = rng._alias_table(p, k)
+    cap = 1 << (64 - k)
+    assert threshold.max() <= cap and 0 <= alias.min() and alias.max() < 1 << k
+    mass = [0] * (1 << k)
+    for c, (own, other) in enumerate(zip(threshold.tolist(), alias.tolist())):
+        mass[c] += own
+        mass[other] += cap - own
+    q = Fraction(p)
+    layer = [math.floor(q**w * (1 - q) ** (k - w) * 2**64) for w in range(k + 1)]
+    assert mass[1:] == [layer[v.bit_count()] for v in range(1, 1 << k)]
+    assert mass[0] == 2**64 - sum(mass[1:]) and sum(mass) == 2**64
+
+
+def _defined_values(seed: int, lane: int, i: int, p: float, m: int) -> int:
+    """biased_values' value of index i, by its definition: chunk j of k
+    bits (first chunk highest, 14 bits but the last) comes from word
+    w_0 = words(seed, i, lane) for j = 0, else w_j = mix(w_0 ^ lane_j):
+    column c = w_j >> (64 - k) holds c where the low 64 - k bits fall below
+    threshold[c], else alias[c]."""
+    w0, value = rng._mix64_int(i * rng.GOLDEN + rng.derive_seed(seed, lane)), 0
+    for j, k in enumerate([14] * (m // 14) + [m % 14] * (m % 14 > 0)):
+        word = rng._mix64_int(w0 ^ ((j + 1) * rng.GOLDEN2 & rng.MASK64)) if j else w0
+        threshold, alias = rng._alias_table(p, k)
+        col, low = word >> (64 - k), word & ((1 << (64 - k)) - 1)
+        value = value << k | (col if low < int(threshold[col]) else int(alias[col]))
+    return value
+
+
+@pytest.mark.parametrize("p", [1e-18, 0.3, 0.5])
+@pytest.mark.parametrize("m", [1, 14, 16, 30, 62])
+def test_biased_values_follow_their_definition(m, p):
+    window = np.arange(2**40 - 150, 2**40 + 150, dtype=np.uint64)  # i * GOLDEN wraps
+    values = rng.biased_values(0x5EED, window, rng.LANE_BINS, p, m)
+    assert values.dtype == np.int64
+    assert values.tolist() == [_defined_values(0x5EED, rng.LANE_BINS, int(i), p, m) for i in window]
+
+
+def test_biased_values_weights_across_the_chunk_boundary():
+    # m = 16 draws a 14-bit chunk and a 2-bit chunk: the joint law of their
+    # weights is Binomial(14, p) x Binomial(2, p).  Seed and count were fixed
+    # before the first run; cells expected below 5 are pooled.
+    p, count = 0.3, 1 << 18
+    values = rng.biased_values(16, np.arange(count, dtype=np.uint64), rng.LANE_BINS, p, 16)
+    cells = np.bitwise_count(values >> 2) * 3 + np.bitwise_count(values & 3)
+    observed = np.bincount(cells, minlength=45)
+    law = np.outer(stats.binom.pmf(np.arange(15), 14, p), stats.binom.pmf(np.arange(3), 2, p)).ravel()
+    expected = law * count
+    rare = expected < 5
+    observed = np.append(observed[~rare], observed[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("p", [0.0, -0.1, 1.5, [0.5, 0.0]])
+def test_geometric_from_uniform_rejects_p_out_of_range(p):
+    with pytest.raises(ValueError, match="out of range"):
+        rng.geometric_from_uniform(np.array([0.25, 0.5]), p)
