@@ -228,8 +228,7 @@ def _draw_passwords(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np
 def _draw_user_bins(cfg: ExperimentConfig, counters: np.ndarray) -> np.ndarray:
     """The keyed-hash bin of each (trial, user) counter: m i.i.d.
     Bernoulli(p) bits, drawn whole from the counter's LANE_BINS word."""
-    sc = cfg.scenario
-    return rng.biased_values(cfg.seed, counters, rng.LANE_BINS, sc.p, sc.m)
+    return rng.biased_values(cfg.seed, counters, rng.LANE_BINS, cfg.scenario.p, cfg.scenario.m)
 
 
 def _draw_pick(cfg: ExperimentConfig, trials: np.ndarray, count: int) -> np.ndarray:

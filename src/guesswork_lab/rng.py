@@ -172,21 +172,18 @@ def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> 
 
 
 def biased_values(seed: int, idx: np.ndarray, lane: int, p: float, m: int) -> np.ndarray:
-    """m-bit values, bits i.i.d. Bernoulli(p), one per index, as int64.  Each
-    chunk of at most 14 bits, the first highest, is drawn whole from one word
-    by its _alias_table: chunk 0 from words(seed, idx, lane), chunk j from
-    that word mixed with biased_bits' lane of bit j."""
-    word = words(seed, idx, lane)
+    """m-bit values, bits i.i.d. Bernoulli(p), one per index, as int64: chunks
+    of at most 14 bits, the first highest, each drawn whole by its _alias_table
+    from words(seed, idx, lane) (chunk 0) or that word mixed with lane j."""
+    word, out = words(seed, idx, lane), 0
     base = word ^ (word >> _S30) if m > 14 else None  # the first xorshift of every lane mix
-    out = np.zeros(word.shape, dtype=np.int64)
     for j, k in enumerate([14] * (m // 14) + [m % 14] * (m % 14 > 0)):
         if j:
             _lane_into(word, base, _LANES[j], np.empty_like(word))
         threshold, alias = _alias_table(float(p), k)
         col = (word >> np.uint64(64 - k)).view(np.int64)
         word &= np.uint64((1 << (64 - k)) - 1)
-        out <<= k
-        out |= np.where(word < threshold.take(col), col, alias.take(col))
+        out = out << k | np.where(word < threshold.take(col), col, alias.take(col))
     return out
 
 
@@ -208,7 +205,10 @@ def _alias_table(p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         mass[g] -= cap - mass[s]
         if mass[g] < cap:
             small.append(large.pop())
-    return np.array(threshold, dtype=np.uint64), np.array(alias, dtype=np.int64)
+    tables = np.array(threshold, dtype=np.uint64), np.array(alias, dtype=np.int64)
+    for t in tables:
+        t.flags.writeable = False  # the cache hands them to every caller
+    return tables
 
 
 def biased_bits(
