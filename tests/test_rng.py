@@ -1,7 +1,8 @@
 """The lane table: every random stream of the package is named once in rng,
 and every one is counter-keyed: numpy.random is never loaded.  Also the
 module boundary: no module reads another's underscore-prefixed names, and
-biased_bits against its definition, written out in integers."""
+biased_bits and biased_values against their definitions, written out in
+integers, with the alias tables' masses checked exactly."""
 import ast
 import math
 import os
