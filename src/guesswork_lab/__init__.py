@@ -4,7 +4,7 @@ Library layout:
 
 * infotheory: entropy, divergence, Renyi entropy, type-class machinery
 * rates: closed-form growth rates, finite-size expectations, key sizes
-* hashmodel: keyed segmented hash and explicit table models
+* hashmodel: keyed hash and explicit table models
 * allocation: least-likely-first bin assignment and backdoor planting
 * attack: guessing strategies and guess-counting simulations
 * config: experiment modes, limits and the validated config record

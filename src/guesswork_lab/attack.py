@@ -249,16 +249,6 @@ def _bits_of(b: Union[BinLabel, int]) -> int:
     return b.bits if isinstance(b, BinLabel) else int(b)
 
 
-def _prefix_tables(masks: np.ndarray) -> list[np.ndarray]:
-    """live[j][k, v]: can a value whose first j + 1 bits are v lie in
-    mask k?  From a (K, 2^m) stack of masks, (K, 2^(j+1)) tables, the
-    last one the masks themselves."""
-    tables = [masks]
-    while tables[-1].shape[-1] > 2:
-        tables.append(tables[-1][:, 0::2] | tables[-1][:, 1::2])
-    return tables[::-1]
-
-
 def _window_specials(keys: np.ndarray, window: np.ndarray, ascending_window: bool):
     """(entry, column) of every key lying in window; keys sorted ascending,
     repeats allowed.  An ascending-index window is a contiguous range."""
@@ -346,7 +336,7 @@ def lockstep_scan(
     return guesses, first
 
 
-#: Most bytes of stacked target-set tables one keyed scan holds.
+#: Most bytes of stacked target-set masks one keyed scan holds.
 _STACK_BYTES = 1 << 22
 
 
@@ -364,17 +354,18 @@ def keyed_scan(
 
     keys holds each row's key seed (uint64).  targets holds each row's
     bin, shaped (rows,), or each row's set of bins, shaped (rows, k) with
-    repeats allowed.  A row draws a value's bits only while they can
-    still lead to a hit: they match its bin, or a prefix table of its set
-    says so.  Rows with sets go in groups whose stacked tables, one per
-    distinct set, fit in _STACK_BYTES.  specials are lockstep_scan's.
+    repeats allowed.  A row with one bin hits where its word falls in the
+    bin's interval (rng.biased_bits); a row with a set looks each value up
+    in its set's mask.  Rows with sets go in groups whose stacked masks,
+    one per distinct set, fit in _STACK_BYTES.  specials are
+    lockstep_scan's.
     """
     if targets.ndim == 1:
         def natural(active, window):
             return rng.biased_bits(keys[active, None], p, m, window, target=targets[active, None])
 
         return lockstep_scan(strat, n, budget, natural, keys.size, specials)
-    group = max(1, _STACK_BYTES >> (m + 1))
+    group = max(1, _STACK_BYTES >> m)
     guesses = np.zeros(keys.size, dtype=np.int64)
     first = np.zeros(keys.size, dtype=np.uint64)
     for lo in range(0, keys.size, group):
@@ -382,10 +373,10 @@ def keyed_scan(
         sets, set_of = np.unique(np.sort(targets[part], axis=1), axis=0, return_inverse=True)
         masks = np.zeros((sets.shape[0], 1 << m), dtype=bool)
         masks[np.arange(sets.shape[0])[:, None], sets] = True
-        tables, seeds, set_of = _prefix_tables(masks), keys[part], set_of.reshape(-1)
+        seeds, set_of = keys[part], set_of.reshape(-1)
 
         def natural(active, window):
-            return rng.biased_bits(seeds[active, None], p, m, window, tables, table=set_of[active, None])
+            return rng.biased_bits(seeds[active, None], p, m, window, masks, table=set_of[active, None])
 
         own = None
         if specials is not None:

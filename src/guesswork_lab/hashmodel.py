@@ -1,9 +1,11 @@
-"""Hash models: lazily keyed segments, explicit tables, the weight-layer order.
+"""Hash models: a lazily keyed hash, explicit tables, the weight-layer order.
 
-The keyed model realizes a hash whose value on input i is the i-th m-bit
-segment of a Bernoulli(p) key.  The key is never materialized: segments
-are a pure function of (seed, i), so n up to 62 is usable.  Explicit
-tables are capped at n, m <= 24.
+The keyed model realizes a hash whose values, input by input, are
+independent m-bit values of i.i.d. Bernoulli(p) bits: the paper's keyed
+hash, whose key segments are Bernoulli(p).  rng.biased_bits computes the
+value of input i from one word of (seed, i) per chunk of at most 14 bits,
+exact to 2^(14-64) per chunk, so no key is materialized and n up to 62 is
+usable.  Explicit tables are capped at n, m <= 24.
 """
 from __future__ import annotations
 
@@ -49,10 +51,11 @@ class BinLabel:
 
 @dataclass
 class KeyedHashModel:
-    """Segmented keyed hash with Bernoulli(p) segments and sparse overrides.
+    """Keyed hash with Bernoulli(p)^m values (rng.biased_bits under seed)
+    and sparse overrides.
 
     Overrides map password indices to planted bin values and take
-    precedence over the generated segment.  Mutate overrides only during
+    precedence over the hashed value.  Mutate overrides only during
     installation; attack code treats the model as frozen.
     """
 
@@ -125,9 +128,9 @@ _TABLE_PIECE = 1 << 16
 
 
 def sample_table_hash(m: int, n: int, p: float, seed: int) -> TableHash:
-    """Explicit table with entries sampled bitwise i.i.d. Bernoulli(p): the
-    keyed model's values under the key derive_seed(seed, LANE_TABLE) at
-    every index, drawn _TABLE_PIECE at a time."""
+    """Explicit table with entries of i.i.d. Bernoulli(p) bits: the keyed
+    model's values (rng.biased_bits) under the key derive_seed(seed,
+    LANE_TABLE) at every index, hashed _TABLE_PIECE at a time."""
     _check_table_caps(m, n)
     check_bias(p)
     key = rng.derive_seed(seed, rng.LANE_TABLE)

@@ -8,6 +8,7 @@ count or evaluation order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Optional, Sequence
 
@@ -171,15 +172,29 @@ def integers_below(seed: int, idx: np.ndarray, lane: int, bound: np.ndarray) -> 
     return (a1 * b1 + (mid >> _S32) + (mid2 >> _S32)).astype(np.int64)
 
 
+def _widths(m: int) -> list[int]:
+    """The chunk widths of an m-bit value, first (highest) chunk first:
+    14 bits each, and the last the m % 14 left over."""
+    return [14] * (m // 14) + [m % 14] * (m % 14 > 0)
+
+
+def _chunk_words(word: np.ndarray, widths: list[int], tmp: np.ndarray):
+    """(k, word) of each chunk: chunk 0's word as given, then chunk j's,
+    mix64(that word ^ lane j), written over it.  tmp is scratch of word's
+    shape; a caller may overwrite word before taking the next chunk."""
+    base = word ^ (word >> _S30) if len(widths) > 1 else None  # the first xorshift of every lane mix
+    for j, k in enumerate(widths):
+        if j:
+            _lane_into(word, base, _LANES[j], tmp)
+        yield k, word
+
+
 def biased_values(seed: int, idx: np.ndarray, lane: int, p: float, m: int) -> np.ndarray:
     """m-bit values, bits i.i.d. Bernoulli(p), one per index, as int64: chunks
     of at most 14 bits, the first highest, each drawn whole by its _alias_table
     from words(seed, idx, lane) (chunk 0) or that word mixed with lane j."""
     word, out = words(seed, idx, lane), 0
-    base = word ^ (word >> _S30) if m > 14 else None  # the first xorshift of every lane mix
-    for j, k in enumerate([14] * (m // 14) + [m % 14] * (m % 14 > 0)):
-        if j:
-            _lane_into(word, base, _LANES[j], np.empty_like(word))
+    for k, word in _chunk_words(word, _widths(m), np.empty_like(word)):
         threshold, alias = _alias_table(float(p), k)
         col = (word >> np.uint64(64 - k)).view(np.int64)
         word &= np.uint64((1 << (64 - k)) - 1)
@@ -187,16 +202,32 @@ def biased_values(seed: int, idx: np.ndarray, lane: int, p: float, m: int) -> np
     return out
 
 
+def _layer_masses(p: float, k: int) -> list[int]:
+    """The words of the 2^64 that each value of k Bernoulli(p) bits owns, by
+    its weight w, in exact integers: floor(p^w (1-p)^(k-w) 2^64) for w >= 1,
+    and value 0 the rest, so that all 2^k values own 2^64 words."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"probability must lie in [0, 1), got {p}")
+    a, b = p.as_integer_ratio()
+    layer = [(a**w * (b - a) ** (k - w) << 64) // b**k for w in range(k + 1)]
+    layer[0] = (1 << 64) - sum(math.comb(k, w) * layer[w] for w in range(1, k + 1))
+    return layer
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for t in tables:
+        t.flags.writeable = False  # the cache hands them to every caller
+    return tables
+
+
 @functools.lru_cache(maxsize=32)
 def _alias_table(p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Walker's alias table of k Bernoulli(p) bits in exact integers, paired
     as Vose does: column c holds 2^(64-k) units, value c's below threshold[c]
-    and alias[c]'s above.  A value of weight w has floor(p^w (1-p)^(k-w) 2^64)
-    units and value 0 the rest, so a chunk is within 2^(k-64) of its law."""
-    a, b = p.as_integer_ratio()
-    layer = [(a**w * (b - a) ** (k - w) << 64) // b**k for w in range(k + 1)]
-    mass = [layer[v.bit_count()] for v in range(1 << k)]
-    mass[0], cap = (1 << 64) - sum(mass[1:]), 1 << (64 - k)
+    and alias[c]'s above.  Value v has _layer_masses' units of its weight,
+    so a chunk is within 2^(k-64) of its law."""
+    layer = _layer_masses(p, k)
+    mass, cap = [layer[v.bit_count()] for v in range(1 << k)], 1 << (64 - k)
     threshold, alias = [cap] * (1 << k), list(range(1 << k))
     small, large = [v for v, u in enumerate(mass) if u < cap], [v for v, u in enumerate(mass) if u >= cap]
     while small:  # exact integers: the last large columns hold cap each
@@ -205,10 +236,61 @@ def _alias_table(p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
         mass[g] -= cap - mass[s]
         if mass[g] < cap:
             small.append(large.pop())
-    tables = np.array(threshold, dtype=np.uint64), np.array(alias, dtype=np.int64)
-    for t in tables:
-        t.flags.writeable = False  # the cache hands them to every caller
-    return tables
+    return _read_only(np.array(threshold, dtype=np.uint64), np.array(alias, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=32)
+def _intervals(p: float, k: int) -> tuple[np.ndarray, ...]:
+    """The keyed hash's chunk of k bits as intervals of the 2^64 words: the
+    values in order, lightest layer first and ascending inside one, own
+    their _layer_masses words in turn from word 0.  Read-only, it returns
+    lo, each value's first word; by weight, size (a value's words), start
+    (the layer's first word) and first (its first position in order); the
+    bounds, the layers' ends below 2^64; and order.  Sizes and starts are
+    mod 2^64: value 0 owning every word has size 0, and a value past the
+    last word lo 0, which a hit test never reaches as its size is 0."""
+    masses = _layer_masses(p, k)
+    counts = [math.comb(k, w) for w in range(k + 1)]
+    ends = list(itertools.accumulate(c * u for c, u in zip(counts, masses)))
+    size = np.array([u & MASK64 for u in masses], dtype=np.uint64)
+    start = np.array([0] + [e & MASK64 for e in ends[:-1]], dtype=np.uint64)
+    first = np.array(list(itertools.accumulate(counts[:-1], initial=0)), dtype=np.uint64)
+    bounds = np.array([e for e in ends[:-1] if e >> 64 == 0], dtype=np.uint64)
+    order = np.argsort(np.bitwise_count(np.arange(1 << k)), kind="stable").astype(np.uint64)
+    weight = np.bitwise_count(order)
+    lo = np.empty(1 << k, dtype=np.uint64)
+    lo[order] = start[weight] + (np.arange(1 << k, dtype=np.uint64) - first[weight]) * size[weight]
+    return _read_only(lo, size, start, first, bounds, order)
+
+
+def _chunk_values(word: np.ndarray, tmp: np.ndarray, p: float, k: int) -> np.ndarray:
+    """The k-bit values of chunk words, as uint64, by inverse transform over
+    _intervals; word is overwritten and tmp is scratch of its shape.  A
+    word's layer is the count of bounds at or below it, its position in
+    order the layer's first plus (word - start) // size."""
+    _, size, start, first, bounds, order = _intervals(p, k)
+    if not bounds.size:  # value 0 owns all 2^64 words
+        return np.zeros_like(word)
+    # k compares summed in uint8 take a third of np.searchsorted's time
+    layer, ok = np.zeros(word.shape, dtype=np.uint8), np.empty(word.shape, dtype=bool)
+    for b in bounds:
+        layer += np.greater_equal(word, b, out=ok).view(np.uint8)
+    layer = layer.astype(np.intp)
+    # mode="clip": take buffers its out under the default mode="raise"
+    word -= start.take(layer, out=tmp, mode="clip")
+    word //= size.take(layer, out=tmp, mode="clip")
+    word += first.take(layer, out=tmp, mode="clip")
+    return order.take(word.view(np.int64))
+
+
+def _values(word: np.ndarray, tmp: np.ndarray, p: float, m: int) -> np.ndarray:
+    """The keyed hash's m-bit values, as uint64, from the words of chunk 0
+    (overwritten); tmp is scratch of word's shape."""
+    out = None
+    for k, word in _chunk_words(word, _widths(m), tmp):
+        value = _chunk_values(word, tmp, p, k)
+        out = value if out is None else out << np.uint64(k) | value
+    return out
 
 
 def biased_bits(
@@ -216,91 +298,77 @@ def biased_bits(
     p: float,
     m: int,
     idx: np.ndarray,
-    live: Optional[Sequence[np.ndarray]] = None,
+    masks: Optional[np.ndarray] = None,
     table=None,
     target=None,
 ) -> np.ndarray:
-    """m-bit values for each index, bits i.i.d. Bernoulli(p) under the seed.
+    """The keyed hash: an m-bit value for each index, bits i.i.d. Bernoulli(p)
+    to within 2^(14-64) per chunk, as uint64.
 
-    Bit j of index i comes from one 53-bit uniform draw compared against p;
-    draws for distinct (i, j) use distinct mixed states.  Output is uint64
-    with bit 0 holding the last (least significant) position.  seed is one
-    seed, or a uint64 array broadcast against idx (an (R, 1) column of
-    seeds over a (W,) window gives R keys' values there): every (seed,
-    index) pair draws from mix64(index * GOLDEN + seed).
+    seed is one key, or a uint64 array broadcast against idx (an (R, 1)
+    column of keys over a (W,) window gives R keys' values there).  Index
+    i under key s takes chunks of at most 14 bits, the first highest, each
+    from one word: chunk 0 from mix64(i * GOLDEN + s), chunk j from that
+    word mixed with lane j.  A chunk's value is the one whose _intervals
+    hold its word; a value of weight w owns floor(p^w (1-p)^(k-w) 2^64)
+    of the 2^64 words, exactly its units in _alias_table.
 
-    Given target or live, the result is instead a boolean array of the
-    same shape: is each value a hit?  Bits are then drawn only while a
-    value can still be one, so a miss costs the bits up to the first that
-    rules it out.  target is an int in [0, 2^m), or one per row: an array
-    broadcast against the shape's leading axes and 1 (an (R, 1) column
-    over R rows), and a hit is a value equal to its target.  A target
-    array whose entries are all equal serves every row, as the int it
-    holds.  live instead holds m stacked boolean tables, one row k per
-    mask, and table (broadcast like seed) names each value's row: live[j],
-    of shape (K, 2^(j+1)), is indexed by k and the first j + 1 bits of a
-    value (its top bits), must be False wherever live[j - 1] is False for
-    the shorter prefix, and a hit is a value in the mask live[m - 1][k].
+    Given target or masks, the result is instead a boolean array of the
+    same shape: is each value a hit?  target is an int in [0, 2^m), or an
+    array broadcast against the shape's leading axes and 1 (an (R, 1)
+    column over R rows gives one per row), and a hit is a value equal to
+    its target: chunk 0's word w hits when (w - lo) mod 2^64 < size, one
+    subtraction and one compare, and later chunks are drawn for the
+    survivors alone.  masks is a (K, 2^m) stack of boolean masks and table
+    (broadcast like seed) names each value's mask: a hit is a value in it.
     """
     idx64 = idx.astype(np.uint64, copy=False)
-    thr = threshold_for(p)
     if isinstance(seed, np.ndarray):
         seed = seed.astype(np.uint64, copy=False)
     else:
         seed = np.uint64(int(seed) & MASK64)
     shape = np.broadcast(idx64, seed).shape
-    if live is None and target is None:  # in arrays of the call's own
-        base, z, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(3))
-        _bases_into(base, idx64, seed, tmp)
-        # the bits gather in the narrowest unsigned type that holds m of them
-        vals, ok = np.zeros(shape, dtype=np.min_scalar_type((1 << m) - 1)), np.empty(shape, dtype=bool)
-        for j in range(m):
-            _lane_into(z, base, _LANES[j], tmp)
-            np.less(z, thr, out=ok)
-            vals <<= 1
-            vals |= ok
-        return vals.astype(np.uint64, copy=False)
-    if live is None:
-        if isinstance(target, np.ndarray) and target.size and (target == target.flat[0]).all():
-            target = target.flat[0].item()  # one target for every row: the scalar compare
-        if np.any(target >> m) if isinstance(target, np.ndarray) else not 0 <= target < 1 << m:
+    if target is not None:
+        if np.any(np.asarray(target) >> m):
             raise ValueError(f"target out of range for m={m}")
-    else:
-        # Row k's prefixes follow k in the index of its flattened tables.
-        live = [t.reshape(-1) for t in live]
-    size = math.prod(shape)
-    if size <= _FINISH_ROWS:  # the 2-D finish alone, in arrays of its own
-        base = np.empty(shape, dtype=np.uint64)
-        _bases_into(base, idx64, seed, np.empty_like(base))
-        return _hits(base, thr, m, live, table, target, None)
-    s = _take_scratch(size)
+        target = np.asarray(target, dtype=np.uint64)
+    pairs = math.prod(shape)
+    s = _take_scratch(pairs)
     try:
-        base = s.base[:size].reshape(shape)
-        _bases_into(base, idx64, seed, s.tmp[:size].reshape(shape))
-        return _hits(base, thr, m, live, table, target, s)
+        word, tmp = s.base[:pairs].reshape(shape), s.tmp[:pairs].reshape(shape)
+        np.multiply(idx64, _U_GOLDEN, out=word)
+        word += seed
+        _mix_into(word, tmp)
+        # Below p = 2^-63 value 0 can own all 2^64 words of a chunk, a size
+        # no uint64 holds: there the values decide.
+        if target is None or p < 2.0**-63:
+            values = _values(word, tmp, p, m)
+            if masks is not None:  # row k's mask follows k in the flattened stack
+                return masks.reshape(-1).take((np.asarray(table, dtype=np.intp) << m) + values.view(np.int64))
+            return values if target is None else values == target
+        lo, size = _intervals(p, min(m, 14))[:2]
+        t = target >> np.uint64(max(m - 14, 0))  # chunk 0
+        np.subtract(word, lo.take(t), out=tmp)
+        hits = np.less(tmp, size.take(np.bitwise_count(t)))
+        if m > 14:  # the survivors' whole values decide
+            flat = hits.reshape(-1)
+            (pos,) = flat.nonzero()
+            w = word.reshape(-1).take(pos)
+            rows = np.broadcast_to(target, shape[:-1] + (1,)).reshape(-1)
+            flat[pos] = _values(w, np.empty_like(w), p, m) == rows.take(pos // shape[-1])
+        return hits
     finally:
         _give_back(s)
 
 
-#: Lane L of output bit j, (j + 1) * GOLDEN2 mod 2^64 for every j < 64,
-#: stored pre-shifted as L ^ (L >> 30): mix64's first xorshift is linear,
-#: so that of base ^ L is that of base, taken once, xored with this.
+#: Lane L of chunk j, (j + 1) * GOLDEN2 mod 2^64 for every j < 64, stored
+#: pre-shifted as L ^ (L >> 30): mix64's first xorshift is linear, so that
+#: of base ^ L is that of base, taken once, xored with this.
 _LANES = np.array(
     [L ^ (L >> 30) for L in (((j + 1) * GOLDEN2) & MASK64 for j in range(64))], dtype=np.uint64
 )
 
-#: Shifts of k bits drawn first to last, the last one lowest: _DOWN[64 - k:].
-_DOWN = np.arange(63, -1, -1, dtype=np.uint64)
-
-#: Weights that pack rows of k bits, first bit highest: _BIT_WEIGHTS[64 - k:].
-_BIT_WEIGHTS = _ONE << _DOWN
-
-#: Survivors at or below which a hit test takes all their remaining bits
-#: in one 2-D mix: numpy's fixed cost per call then outweighs the bits
-#: drawn for survivors that would have been ruled out early.
-_FINISH_ROWS = 256
-
-#: Pairs of kept hit-test scratch: the widest call of a lockstep scan,
+#: Pairs of kept hash scratch: the widest call of a lockstep scan,
 #: whose rounds hash at most 2^16 pairs and whose one-row chunks hold at
 #: most 2^16 indices.  Pages fault in only where calls write, so a small
 #: call costs no more for it.
@@ -308,18 +376,16 @@ _SCRATCH_CAP = 1 << 16
 
 
 class _Scratch:
-    """A hit test's working arrays, size entries each: the mixed bases,
-    the states of the bit being drawn and mix64's shifts (uint64), and the
-    bit's test (bool).  The survivors' bases move between base and z."""
+    """A hash call's working arrays, size entries each (uint64): the
+    words, and mix64's shifts and the tables' gathers."""
 
-    __slots__ = ("base", "z", "tmp", "ok")
+    __slots__ = ("base", "tmp")
 
     def __init__(self, size: int):
-        self.base, self.z, self.tmp = (np.empty(size, dtype=np.uint64) for _ in range(3))
-        self.ok = np.empty(size, dtype=bool)
+        self.base, self.tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
 
 
-#: Scratch of finished hit tests: a call takes one and hands it back, even
+#: Scratch of finished hash calls: a call takes one and hands it back, even
 #: when it raises, so calls reuse pages instead of faulting in their own.
 _SCRATCH_FREE: list[_Scratch] = []
 
@@ -336,7 +402,7 @@ def _take_scratch(size: int) -> _Scratch:
 
 def _give_back(s: _Scratch) -> None:
     """Hand scratch back to the free list, unless it was a call's own."""
-    if s.ok.size == _SCRATCH_CAP:
+    if s.base.size == _SCRATCH_CAP:
         _SCRATCH_FREE.append(s)
 
 
@@ -347,19 +413,9 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
     _mix_rest(z, tmp)
 
 
-def _bases_into(base: np.ndarray, idx64: np.ndarray, seed, tmp: np.ndarray) -> None:
-    """The bases of biased_bits' pairs into base: mix64(index * GOLDEN +
-    seed), with the first xorshift of every bit's lane mix taken."""
-    np.multiply(idx64, _U_GOLDEN, out=base)
-    base += seed
-    _mix_into(base, tmp)
-    np.right_shift(base, _S30, out=tmp)
-    base ^= tmp
-
-
 def _lane_into(z: np.ndarray, base: np.ndarray, lane, tmp: np.ndarray) -> None:
-    """The states mix64(b ^ L) of a bit's lane L (one of _LANES, or a row
-    of them broadcast against base) into z, from the bases of _bases_into."""
+    """The states mix64(w ^ L) of a lane L (one of _LANES) into z, from
+    base = w ^ (w >> 30)."""
     np.bitwise_xor(base, lane, out=z)
     _mix_rest(z, tmp)
 
@@ -372,80 +428,6 @@ def _mix_rest(z: np.ndarray, tmp: np.ndarray) -> None:
     z *= _UM2
     np.right_shift(z, _S31, out=tmp)
     z ^= tmp
-
-
-def _hits(base, thr, m, live, table, target, s: Optional[_Scratch]) -> np.ndarray:
-    """biased_bits' hit test over the bases of _bases_into, held in s.base
-    (a call of at most _FINISH_ROWS pairs takes no scratch: s is None).
-
-    Every pair draws bit 0, tested in base's shape against the rows'
-    target bits as a column.  From then on only the survivors, the pairs
-    that can still hit, draw: they are compacted with nonzero and take
-    after every step, keeping their flat positions pos, with per-row
-    targets their rows (pos // width, divided once for the first
-    survivors), and with tables their bits so far as table indices.  Once
-    at most _FINISH_ROWS survive, their remaining bits come from one 2-D
-    mix and are tested whole, as the target's low bits or through the
-    mask; a call that small starts there.  Hits are written once, at the
-    end.
-    """
-    shape, size = base.shape, base.size
-    lead = shape[:-1] + (1,)
-    per_row = live is None and isinstance(target, np.ndarray)
-    if per_row:
-        target = np.broadcast_to(target.astype(np.uint64), lead).reshape(-1)
-        want = ((target >> _DOWN[64 - m :, None]) & _ONE).astype(bool)  # want[j]: the rows' bit j
-    pos = row = prefix = None
-    for j in range(m):
-        n = base.size
-        if n <= _FINISH_ROWS:
-            if pos is None:  # the whole call: every pair is a survivor
-                pos, base = np.arange(n), base.reshape(-1)
-                if live is not None:
-                    prefix = np.broadcast_to(np.asarray(table, dtype=np.intp), shape).reshape(-1)
-                elif per_row:
-                    row = pos // shape[-1]
-            rest = np.empty((n, m - j), dtype=np.uint64)
-            _lane_into(rest, base[:, None], _LANES[j:m], np.empty_like(rest))
-            low = np.dot((rest < thr).view(np.uint8), _BIT_WEIGHTS[64 - m + j :])
-            if live is not None:
-                ok = live[-1].take((prefix << (m - j)) | low.view(np.intp))
-            else:
-                ok = low == (target.take(row) if per_row else target) & np.uint64((1 << (m - j)) - 1)
-            pos = pos[ok]
-            break
-        z, ok = s.z[:n].reshape(base.shape), s.ok[:n].reshape(base.shape)
-        _lane_into(z, base, _LANES[j], s.tmp[:n].reshape(base.shape))
-        if live is not None:
-            np.less(z, thr, out=ok)
-            if j:
-                prefix <<= 1
-                prefix |= ok
-            else:
-                prefix = ok.astype(np.intp)
-                prefix |= np.asarray(table, dtype=np.intp) << 1
-            ok = live[j].take(prefix)
-        elif per_row:
-            np.less(z, thr, out=ok)
-            np.equal(ok, want[j].take(row) if j else want[0].reshape(lead), out=ok)
-        elif (target >> (m - 1 - j)) & 1:
-            np.less(z, thr, out=ok)
-        else:
-            np.greater_equal(z, thr, out=ok)
-        (keep,) = ok.reshape(-1).nonzero()
-        if per_row:
-            row = row.take(keep) if j else keep // shape[-1]
-        pos = keep if pos is None else pos.take(keep)
-        if not keep.size:
-            break
-        # the survivors' bases move to z's buffer, whose states are spent
-        base = base.reshape(-1).take(keep, out=s.z[: keep.size], mode="clip")
-        s.base, s.z = s.z, s.base
-        if live is not None:
-            prefix = prefix.reshape(-1).take(keep)
-    hits = np.zeros(size, dtype=bool)
-    hits[pos] = True
-    return hits.reshape(shape)
 
 
 def geometric_from_uniform(u: np.ndarray, p) -> np.ndarray:

@@ -102,6 +102,19 @@ class TestOfflineAttackAny:
                 attack.online_attack(h, bins[-1], attack.ascending())
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: attack.permutation_average_exact(0, 0), "total must be positive"),
+    (lambda: attack.permutation_average_exact(4, 5), "preimages must lie"),
+    (lambda: attack.broken_hash_moment(np.array([1.0]), -1.0), "rho must be"),
+    (lambda: attack.EstimateWithCI(mean=1.0, half_width_95=-1.0, trials=1, failures=0), "nonnegative"),
+    (lambda: attack.EstimateWithCI(mean=1.0, half_width_95=0.0, trials=1, failures=2), "failures must lie"),
+    (lambda: attack.GuessAccumulator().estimate(), "no trials"),
+], ids=["total", "preimages", "rho", "half-width", "failures", "empty-accumulator"])
+def test_bad_arguments_fail_loudly(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestPermutationAverageExact:
     def test_enumeration_n3_l1(self):
         # single success over 3 slots: positions equally likely
@@ -393,9 +406,8 @@ def test_attack_result_failure_invariant():
 
 
 class TestPrunedHitTest:
-    """Keyed scans draw a bit only while the bits before it can still lead
-    into the target set, looked up in stacked prefix tables; the hit test
-    must equal the mask of full values."""
+    """Keyed scans look each value up in the stacked masks of their target
+    sets; the hit test must equal the mask of full values."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -415,7 +427,7 @@ class TestPrunedHitTest:
         seed = data.draw(st.integers(0, (1 << 64) - 1))
         idx = np.arange(start, start + size, dtype=np.uint64)
         mask = target_mask(m, bins)
-        hits = rng.biased_bits(seed, p, m, idx, attack._prefix_tables(mask[None]), table=0)
+        hits = rng.biased_bits(seed, p, m, idx, mask[None], table=0)
         full = rng.biased_bits(seed, p, m, idx)
         assert hits.dtype == bool and hits.shape == idx.shape
         assert (hits == mask[full]).all()
@@ -441,18 +453,18 @@ class TestPrunedHitTest:
         hits = rng.biased_bits(column, p, m, window, target=targets.astype(np.int64))
         assert (hits == (full == targets)).all()
 
-        # one target set per row, from stacked prefix tables
+        # one target set per row, from stacked masks
         sets = [data.draw(st.sets(st.integers(0, top), min_size=1, max_size=5)) for _ in range(rows)]
         masks = np.stack([target_mask(m, bins) for bins in sets])
         k = np.arange(rows)[:, None]
-        hits = rng.biased_bits(column, p, m, window, attack._prefix_tables(masks), table=k)
+        hits = rng.biased_bits(column, p, m, window, masks, table=k)
         assert (hits == masks[k, full.astype(np.intp)]).all()
 
 
 class TestTargetBits:
-    """biased_bits with a target draws a bit only while the bits before it
-    match the target's, and finishes few survivors with one 2-D draw: a
-    pair is a hit exactly when its full value equals its row's target."""
+    """biased_bits with a target tests chunk 0's word against the target's
+    interval and draws later chunks for the survivors alone: a pair is a
+    hit exactly when its full value equals its row's target."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -460,7 +472,7 @@ class TestTargetBits:
         m = data.draw(st.sampled_from([1, 8, 14, 62]))
         p = data.draw(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.95]))
         rows = data.draw(st.integers(1, 4))
-        width = data.draw(st.sampled_from([1, 7, rng._FINISH_ROWS, rng._FINISH_ROWS + 1, 2000]))
+        width = data.draw(st.sampled_from([1, 7, 256, 257, 2000]))
         seeds = np.array(data.draw(st.lists(st.integers(0, (1 << 64) - 1), min_size=rows, max_size=rows)),
                          dtype=np.uint64)[:, None]
         start = data.draw(st.integers(0, 1 << 40))
@@ -497,7 +509,7 @@ class TestTargetBits:
 
     @pytest.mark.parametrize("m", [1, 5, 40])
     def test_every_row_dies_at_bit_0(self, m):
-        # p = 0 draws only 0 bits: a target with its top bit set matches nowhere
+        # at p = 0 every value is 0: a target with its top bit set matches nowhere
         seeds = np.array([[3], [5], [7]], dtype=np.uint64)
         window = np.arange(1000, dtype=np.uint64)
         top = 1 << (m - 1)
@@ -507,35 +519,8 @@ class TestTargetBits:
         if m <= 5:  # a mask over every bin
             mask = np.zeros((1, 1 << m), dtype=bool)
             mask[0, top:] = True
-            hits = rng.biased_bits(7, 0.0, m, window, attack._prefix_tables(mask), table=0)
+            hits = rng.biased_bits(7, 0.0, m, window, mask, table=0)
             assert not hits.any()
-
-    @pytest.mark.parametrize("extra", [0, 1])
-    @pytest.mark.parametrize("m", [2, 9, 40])
-    def test_finish_at_and_above_the_survivor_cap(self, m, extra):
-        """With each row's own target, exactly _FINISH_ROWS survivors after
-        bit 0 take the 2-D finish; one more take another step first.  Either
-        way every hit is found (and with one shared target or masks too)."""
-        seeds = np.array([[11], [12]], dtype=np.uint64)
-        wide = np.arange(1 << 12, dtype=np.uint64)
-        full = rng.biased_bits(seeds, 0.5, m, wide)
-        targets = full[:, :1].copy()  # each row's value at index 0: at least one hit per row
-        alive = (full >> np.uint64(m - 1)) == (targets >> np.uint64(m - 1))
-        # cut the window where the survivors of bit 0, over both rows, number the cap (+ 1)
-        counts = np.cumsum(alive.sum(axis=0))
-        width = int(np.searchsorted(counts, rng._FINISH_ROWS + extra)) + 1
-        assert counts[width - 1] == rng._FINISH_ROWS + extra
-        window, full = wide[:width], full[:, :width]
-        for t in (targets.astype(np.int64), int(targets[0, 0])):
-            hits = rng.biased_bits(seeds, 0.5, m, window, target=t)
-            assert (hits == (full == np.broadcast_to(t, (2, 1)))).all()
-        if m <= 9:  # masks over every bin
-            masks = np.zeros((2, 1 << m), dtype=bool)
-            masks[0, full[0, -3:].astype(np.intp)] = True
-            masks[1, full[1, :2].astype(np.intp)] = True
-            k = np.arange(2)[:, None]
-            hits = rng.biased_bits(seeds, 0.5, m, window, attack._prefix_tables(masks), table=k)
-            assert (hits == masks[k, full.astype(np.intp)]).all()
 
     @pytest.mark.parametrize("m", [1, 8, 62])
     def test_width_1_windows_with_row_targets(self, m):
@@ -564,9 +549,9 @@ class TestHitScratch:
     """Hit tests run in scratch taken from a free list and handed back:
     calls of any size, one after another, each equal the full draw."""
 
-    #: (rows, width) of calls of 1, 65,536, 3, 70,000 and 5 pairs.  Calls
-    #: of at most _FINISH_ROWS pairs need no scratch, 70,000 is past the
-    #: kept scratch's size, and 65,536 takes the one scratch kept.
+    #: (rows, width) of calls of 1, 65,536, 3, 70,000 and 5 pairs.  70,000
+    #: is past the kept scratch's size, and every other call takes the one
+    #: scratch kept.
     SHAPES = [(1, 1), (4, 1 << 14), (3, 1), (7, 10_000), (1, 5)]
 
     @staticmethod
@@ -584,7 +569,7 @@ class TestHitScratch:
             masks[np.arange(rows), full[:, -1].astype(np.intp)] = True
             masks[:, 5] = True
             k = np.arange(rows)[:, None]
-            hits = rng.biased_bits(seeds, p, m, window, attack._prefix_tables(masks), table=k)
+            hits = rng.biased_bits(seeds, p, m, window, masks, table=k)
             return hits, masks[k, full.astype(np.intp)]
         targets = full[:, width // 3, None].copy()  # one hit per row at least
         targets[1::2] = np.uint64(0b1011001110)
@@ -595,14 +580,39 @@ class TestHitScratch:
             hits, expect = self._hits_and_expect(kind, rows, width, 1000 * at)
             assert hits.dtype == bool and hits.shape == (rows, width)
             assert (hits == expect).all() and hits.any()
-            assert len(rng._SCRATCH_FREE) == (kept or at >= 1)
+            assert len(rng._SCRATCH_FREE) == 1
 
     @pytest.mark.parametrize("kind", ["scalar", "rows-0.3", "rows-0.7", "tables"])
     def test_sizes_in_turn_match_full_draw(self, kind, monkeypatch):
         monkeypatch.setattr(rng, "_SCRATCH_FREE", [])
         self._run_sizes(kind)
         (kept,) = rng._SCRATCH_FREE
-        assert kept.ok.size == rng._SCRATCH_CAP
+        assert kept.base.size == rng._SCRATCH_CAP
+
+    @pytest.mark.parametrize("p", [0.0, 1e-18, 0.05, 0.3, 0.5, 0.95])
+    @pytest.mark.parametrize("m", [1, 8, 14, 15, 28, 62])
+    def test_hits_and_sets_equal_the_values(self, m, p, monkeypatch):
+        # at every size in turn: one target, a target per row and, where the
+        # 2^m values can be listed, a mask per row
+        monkeypatch.setattr(rng, "_SCRATCH_FREE", [])
+        for at, (rows, width) in enumerate(self.SHAPES):
+            seeds = (np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(at)) * np.uint64(rng.GOLDEN)
+            window = np.arange(1000 * at, 1000 * at + width, dtype=np.uint64)
+            full = rng.biased_bits(seeds, p, m, window)
+            t = int(full[0, width // 2])
+            assert (rng.biased_bits(seeds, p, m, window, target=t) == (full == np.uint64(t))).all()
+            targets = full[:, width // 3, None].copy()
+            targets[1::2] ^= np.uint64(1)  # odd rows: a value one bit away
+            hits = rng.biased_bits(seeds, p, m, window, target=targets.astype(np.int64))
+            assert (hits == (full == targets)).all()
+            if m <= 15:
+                masks = np.zeros((rows, 1 << m), dtype=bool)
+                masks[np.arange(rows), full[:, -1].astype(np.intp)] = True
+                masks[:, 1] = True
+                k = np.arange(rows)[:, None]
+                hits = rng.biased_bits(seeds, p, m, window, masks, table=k)
+                assert (hits == masks[k, full.astype(np.intp)]).all()
+            assert len(rng._SCRATCH_FREE) == 1
 
     def test_raising_call_hands_scratch_back(self, monkeypatch):
         monkeypatch.setattr(rng, "_SCRATCH_FREE", [])
@@ -627,7 +637,7 @@ class TestKeyedScan:
         targets = gen.integers(0, 1 << m, size=(rows, 3) if offline else rows)
         specials = (gen.integers(0, 40, size=6).astype(np.uint64), np.array([0, 0, 2, 5, 5, 8]),
                     np.array([True, False, True, False, True, True]))
-        monkeypatch.setattr(attack, "_STACK_BYTES", 1 << (m + 2))  # offline rows go in pairs
+        monkeypatch.setattr(attack, "_STACK_BYTES", 1 << (m + 1))  # offline rows go in pairs
         guesses, first = attack.keyed_scan(attack.ascending(), n, 1 << n, keys, p, m, targets, specials)
         for r in range(rows):
             hits = np.isin(rng.biased_bits(int(keys[r]), p, m, np.arange(1 << n)), targets[r])
@@ -661,7 +671,8 @@ class TestWindowSpecials:
 class TestScanGolden:
     """Guess counts recorded from the unpruned scan with sort-based dedup;
     the faster scan must reproduce them exactly.  The seeded-permutation
-    pins were recorded again when permutations became counter-keyed."""
+    pins were recorded again when permutations became counter-keyed, and
+    the guess counts when the keyed hash became exact integer intervals."""
 
     def test_online_attack_guesses(self):
         asc, perm = [], []
@@ -670,8 +681,8 @@ class TestScanGolden:
             asc.append(attack.online_attack(model, 0b11111100, attack.ascending()).guesses)
             strat = attack.permutation(rng.derive_seed(98, k))
             perm.append(attack.online_attack(model, 0b11111100, strat).guesses)
-        assert asc == [2819, 372, 866, 8870, 689, 3967, 3461, 415, 2732, 3631, 833, 4]
-        assert perm == [1567, 3763, 1179, 5118, 1453, 1835, 1356, 7661, 1087, 5056, 598, 588]
+        assert asc == [289, 1654, 2018, 6529, 426, 516, 2122, 7458, 125, 1111, 4335, 12889]
+        assert perm == [2680, 3743, 5853, 1517, 93, 3087, 1963, 222, 798, 984, 1480, 315]
 
     def test_online_attack_near_exhaustion(self):
         guesses = []
@@ -679,7 +690,7 @@ class TestScanGolden:
             model = hm.KeyedHashModel(m=5, n=15, p=0.3, seed=rng.derive_seed(97, k))
             strat = attack.permutation(rng.derive_seed(96, k))
             guesses.append(attack.online_attack(model, 0b11111, strat).guesses)
-        assert guesses == [283, 367, 310, 1360, 210, 125]
+        assert guesses == [1188, 333, 143, 141, 93, 308]
 
     @pytest.mark.parametrize("n,budget,seed,digest", [
         (15, 1 << 15, 5, "ec5bc08fdfa3c05bc8e5be725e328300ce9b39b717f495882533a757d95fb2fb"),

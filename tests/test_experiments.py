@@ -302,7 +302,7 @@ class TestOnlineMatches:
     @pytest.mark.parametrize("mode", ["unallocated-online", "unallocated-offline"])
     def test_bits_drawn(self, mode, monkeypatch):
         # Online draws one whole bin per trial; offline reads every user's.
-        # Every bin comes from biased_values, none bit by bit.
+        # Every bin comes from biased_values, none from the keyed hash.
         drawn = []
         real = rng.biased_values
 
@@ -311,7 +311,7 @@ class TestOnlineMatches:
             return real(seed, idx, *args, **kw)
 
         def bitwise(*args, **kw):
-            raise AssertionError("a sampled bin drawn bit by bit")
+            raise AssertionError("a sampled bin drawn by the keyed hash")
 
         cfg = make_cfg(mode, s=0.6, n=9)
         trials = np.arange(50, 250, dtype=np.uint64)
@@ -431,14 +431,15 @@ class TestEnginesShareDraws:
 
 
 #: Literal-scan estimates (mean, half-width, failures), recorded once the
-#: scan engine drew its inputs with the sampled engine's block functions.
+#: scan engine drew its inputs with the sampled engine's block functions,
+#: and again when the keyed hash became exact integer intervals.
 SCAN_GOLDEN = {
-    "allocated-online": (798.285, 122.6403504491964, 0),
-    "allocated-offline": (241.3, 34.16532434822031, 0),
-    "unallocated-online": (64.415, 14.776978959110346, 0),
-    "unallocated-offline": (13.405, 2.4442944841870293, 0),
-    "no-allocation-keyed": (49.61, 14.694186416245607, 0),
-    "biased-password": (212.535, 54.178472527167884, 0),
+    "allocated-online": (768.28, 105.30456952128485, 0),
+    "allocated-offline": (240.605, 30.999003053377642, 0),
+    "unallocated-online": (80.835, 22.38396074862938, 0),
+    "unallocated-offline": (12.925, 2.271327488009808, 0),
+    "no-allocation-keyed": (55.81, 14.232293703811688, 0),
+    "biased-password": (205.2, 48.35880877451855, 0),
 }
 
 
@@ -450,16 +451,16 @@ class TestScanGolden:
 
     def test_heavy_first_and_budgeted_scans(self):
         heavy = ex.run_experiment(make_cfg("biased-password", theta=0.7, trials=100, seed=11, engine="scan"))
-        assert (heavy.mean, heavy.half_width_95, heavy.failures) == (865.35, 205.7789119498709, 0)
+        assert (heavy.mean, heavy.half_width_95, heavy.failures) == (809.04, 168.14736757799238, 0)
         capped = ex.run_experiment(
             make_cfg("no-allocation-keyed", m=8, n=18, trials=200, seed=3, engine="scan", budget=300)
         )
-        assert (capped.mean, capped.half_width_95, capped.failures) == (62.675, 10.629972173862237, 43)
+        assert (capped.mean, capped.half_width_95, capped.failures) == (73.345, 10.8884019309931, 29)
 
     @pytest.mark.parametrize("n,m,p,target,samples,expected", [
-        (10, 4, 0.25, 0, 20_000, (3.20945, 0.03702049705549497, 0)),
-        (8, 6, 0.3, 0, 20_000, (7.7679, 0.09795297536530652, 0)),
-        (10, 4, 0.25, 15, 3000, (259.20366666666666, 7.055834993330578, 0)),
+        (10, 4, 0.25, 0, 20_000, (2.94745, 0.03315174901152164, 0)),
+        (8, 6, 0.3, 0, 20_000, (10.283, 0.12987422163983248, 0)),
+        (10, 4, 0.25, 15, 3000, (508.004, 10.550156405843085, 0)),
     ])
     def test_permutation_mean_guesswork(self, n, m, p, target, samples, expected):
         from guesswork_lab import hashmodel as hm
@@ -471,20 +472,21 @@ class TestScanGolden:
 
 #: sha256 of the scan engine's trial log for make_cfg(mode, trials=200,
 #: seed=2024, engine="scan"), without a budget and with one of 500 guesses
-#: (inside a lockstep window), recorded with the shared input draws.
+#: (inside a lockstep window), recorded with the shared input draws and
+#: the keyed hash's exact integer intervals.
 SCAN_LOG_SHA256 = {
-    (None, "allocated-online"): "f26b13931a38cb4a4e748a67134bc255662a6eb78217630839fe3e20db60ced0",
-    (None, "allocated-offline"): "6ed16bef450d07c2ef2deb2ad0ddb0efb10961f1189399c6916c004f17ca1e5d",
-    (None, "unallocated-online"): "8664b2b0de4c118af5a0bb5585c14c1a4b23d8854e10ffec947898272c8b249c",
-    (None, "unallocated-offline"): "39f633193a2227d43618336e2c1089991fcb90b0317a41e2e9c7442f89b90014",
-    (None, "no-allocation-keyed"): "741a743c846c85c6d814b9f4ee220735f583eb2c3813c4bdeedf82670e74ee4f",
-    (None, "biased-password"): "15d0b560a2250e11f3784e62a9a6e337473206e8b8e5c74953c13a951bfdab29",
-    (500, "allocated-online"): "705b6200c63b54f117932f7c5aa80a94ddf22280b823319b931899e197356859",
-    (500, "allocated-offline"): "29e75955c13e7172c13ef2076ed0cd2eb0df9179d25b556a637d9d93cc30fd17",
-    (500, "unallocated-online"): "9c8a595745576af3d6951c47fe25120070a41686148c04a2a2821735b01e0172",
-    (500, "unallocated-offline"): "39f633193a2227d43618336e2c1089991fcb90b0317a41e2e9c7442f89b90014",
-    (500, "no-allocation-keyed"): "93cbdeee521287cc78039a0c2622bf429a42b02480565980758812ee4215bdb6",
-    (500, "biased-password"): "ac349e00d9181cb0d8b8202c1e19fe8976d31f1ff13b55235505fda192a21bd7",
+    (None, "allocated-online"): "3645e73f48117a4f5aff7999e2b56f07639dce0b31352ca4ccc00b34a78e2f10",
+    (None, "allocated-offline"): "8269c7597b9f0d6335c7508d5bf0dbf940a989772f7afc554dbb88fcdc8709e0",
+    (None, "unallocated-online"): "4cc0842bdc3ab12fb42c514a3405579eeeba1cf2c40e76355c980dc6c0b0d4e4",
+    (None, "unallocated-offline"): "18f529d093eb99cc33ca5433e9da43ba0cd211b8dcaa331aa470e34b21d4e197",
+    (None, "no-allocation-keyed"): "721ce04e475a16b7758b50d4d708c80dbb5d5453e63b83f310e3ee91a0ae0ee4",
+    (None, "biased-password"): "7b58da7281f82efcddcd2692bf9f04e969ff87d30dc1e0e85754bb4cb7a5b5ce",
+    (500, "allocated-online"): "76d1319f2908829299f0f64f0d14bab89a5555c9738adf51e86e61b69b6390bd",
+    (500, "allocated-offline"): "5be7f46e9b88a4cd0dd443e275ea4e1d32d7caecc058f6faa0fea22e403d9bd6",
+    (500, "unallocated-online"): "8f62378ab2d537cb68285b3e0e75b7c2138596e50def44dc104379d43b50248b",
+    (500, "unallocated-offline"): "18f529d093eb99cc33ca5433e9da43ba0cd211b8dcaa331aa470e34b21d4e197",
+    (500, "no-allocation-keyed"): "19b3cf4a56c5cf11bc5896af80c3d8042ff345cbac906a36a82db64b2f86c6ae",
+    (500, "biased-password"): "3499b454d7ecf4a4100305824807fc0a22ab7c960395dd5b78a8d0da196eb7be",
 }
 
 

@@ -25,6 +25,20 @@ class TestBinLabel:
             hm.BinLabel(-1, 4)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: hm.BinLabel(0, 0), "m must be positive"),
+    (lambda: hm.KeyedHashModel(m=0, n=4, p=0.3, seed=1), "m must be positive"),
+    (lambda: hm.KeyedHashModel(m=4, n=4, p=0.3, seed=1), "need m < n <= 62"),
+    (lambda: hm.KeyedHashModel(m=4, n=63, p=0.3, seed=1), "need m < n <= 62"),
+    (lambda: hm.TableHash(m=5, n=4, table=np.zeros(16)), "need m <= n"),
+    (lambda: hm.TableHash(m=2, n=3, table=np.zeros(7)), "exactly 2"),
+    (lambda: hm.TableHash(m=2, n=3, table=np.full(8, 4)), "out of range for m"),
+], ids=["label-m", "keyed-m", "keyed-n-at-m", "keyed-n-past-62", "table-m-past-n", "table-size", "table-entry"])
+def test_bad_shapes_fail_loudly(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def eval_one(model, pw):
     return int(model.eval_many(np.array([pw], dtype=np.uint64))[0])
 

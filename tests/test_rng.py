@@ -2,8 +2,11 @@
 and every one is counter-keyed: numpy.random is never loaded.  Also the
 module boundary: no module reads another's underscore-prefixed names, and
 biased_bits and biased_values against their definitions, written out in
-integers, with the alias tables' masses checked exactly."""
+integers, with the alias tables' masses and the keyed hash's intervals
+checked exactly."""
 import ast
+import bisect
+import functools
 import math
 import os
 import pathlib
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from guesswork_lab import attack, rng
+from guesswork_lab import hashmodel as hm, rng
 
 SRC = pathlib.Path(rng.__file__).parent
 
@@ -189,23 +192,51 @@ def test_key_draws_rows_and_pieces():
     assert np.array_equal(wide[0, :300], whole[0])
 
 
+def _widths(m: int) -> list[int]:
+    return [14] * (m // 14) + [m % 14] * (m % 14 > 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_intervals(p: float, k: int):
+    """The keyed hash's chunk of k bits by its definition, in Python ints:
+    the values by weight, ascending inside one weight, own words in turn
+    from 0, floor(p^w (1-p)^(k-w) 2^64) for a value of weight w >= 1 and
+    the rest for value 0.  Returns each value's first word, in that order,
+    the values, and their words."""
+    q = Fraction(p)
+    layer = [math.floor(q**w * (1 - q) ** (k - w) * 2**64) for w in range(k + 1)]
+    size = {v: layer[v.bit_count()] for v in range(1, 1 << k)}
+    size[0] = 2**64 - sum(size.values())
+    starts, values, at = [], [], 0
+    for v in sorted(range(1 << k), key=lambda v: (v.bit_count(), v)):
+        starts.append(at)
+        values.append(v)
+        at += size[v]
+    assert at == 2**64
+    return starts, values, size
+
+
 def _defined_value(seed: int, i: int, p: float, m: int) -> int:
-    """biased_bits' value of index i under seed, by its definition: bit j
-    (first bit highest) is set when mix(mix(i * GOLDEN + seed) ^ lane_j) >> 11
-    falls below ceil(p * 2^53), with lane_j = (j + 1) * GOLDEN2 mod 2^64."""
-    base, thr, value = rng._mix64_int(i * rng.GOLDEN + seed), math.ceil(p * 2**53), 0
-    for j in range(m):
-        state = rng._mix64_int(base ^ ((j + 1) * rng.GOLDEN2 & rng.MASK64))
-        value = value << 1 | ((state >> 11) < thr)
+    """The keyed hash of index i under seed, by its definition: chunk j of k
+    bits (first chunk highest, 14 bits but the last) comes from word w_0 =
+    mix(i * GOLDEN + seed) for j = 0, else w_j = mix(w_0 ^ lane_j), lane_j
+    = (j + 1) * GOLDEN2 mod 2^64; its value is the one whose interval holds
+    the word, found by a search over the intervals."""
+    w0, value = rng._mix64_int(i * rng.GOLDEN + seed), 0
+    for j, k in enumerate(_widths(m)):
+        word = rng._mix64_int(w0 ^ ((j + 1) * rng.GOLDEN2 & rng.MASK64)) if j else w0
+        starts, values, size = _defined_intervals(p, k)
+        at = bisect.bisect_right(starts, word) - 1  # the last interval starting at or below word
+        assert starts[at] <= word < starts[at] + size[values[at]]
+        value = value << k | values[at]
     return value
 
 
 @pytest.mark.parametrize("column", [False, True], ids=["scalar-seed", "seed-column"])
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
-@pytest.mark.parametrize("m", [1, 14, 62])
+@pytest.mark.parametrize("p", [0.0, 1e-18, 0.05, 0.3, 0.5, 0.95])
+@pytest.mark.parametrize("m", [1, 8, 14, 15, 28, 62])
 def test_biased_bits_follow_their_definition(m, p, column):
-    # 300 indices around 2^40, where i * GOLDEN wraps; every call holds more
-    # than the hit test's 2-D finish takes at once, so both of its paths run
+    # 300 indices around 2^40, where i * GOLDEN wraps
     window = np.arange(2**40 - 150, 2**40 + 150, dtype=np.uint64)
     keys = [0x5EED, rng.MASK64 - 3] if column else [0x5EED]
     defined = np.array([[_defined_value(k, int(i), p, m) for i in window] for k in keys], dtype=np.uint64)
@@ -223,8 +254,86 @@ def test_biased_bits_follow_their_definition(m, p, column):
         masks[0, defined[0, ::7].astype(np.intp)] = True
         masks[1, [0, (1 << m) - 1]] = True
         k = np.arange(len(keys))[:, None] if column else 0
-        hits = rng.biased_bits(seed, p, m, window, attack._prefix_tables(masks), table=k)
+        hits = rng.biased_bits(seed, p, m, window, masks, table=k)
         assert hits.tolist() == masks[k, defined[lead].astype(np.intp)].tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 14])
+@pytest.mark.parametrize("p", [0.0, 1e-18, 0.05, 0.3, 0.5, 0.95])
+def test_intervals_tile_the_words_with_the_alias_units(p, k):
+    # Walked in order, each value's interval starts where the last ended
+    # and is as long as the value's units in its alias table, and the
+    # intervals end at 2^64; lo, size and start are read mod 2^64.  The
+    # first and last word of each interval invert to its value.  Equality
+    # in Python ints, not a tolerance.
+    lo, size, start, first, bounds, order = rng._intervals(p, k)
+    threshold, alias = rng._alias_table(p, k)
+    units = [0] * (1 << k)
+    for c, (own, other) in enumerate(zip(threshold.tolist(), alias.tolist())):
+        units[c] += own
+        units[other] += (1 << (64 - k)) - own
+    assert order.tolist() == hm.weight_layer_order(k, False, np.arange(1 << k)).tolist()
+    at, ends = 0, []
+    for r, v in enumerate(order.tolist()):
+        w = v.bit_count()
+        assert int(lo[v]) == at % 2**64 and int(size[w]) == units[v] % 2**64
+        if r == first[w]:  # the layer's first value
+            assert int(start[w]) == at % 2**64
+            ends.append(at)
+        at += units[v]
+    assert at == 2**64
+    assert bounds.tolist() == [e for e in ends[1:] if e < 2**64]
+    live = [v for v in order.tolist() if units[v]]
+    words = [int(lo[v]) for v in live] + [int(lo[v]) + units[v] - 1 for v in live]
+    got = rng._chunk_values(np.array(words, dtype=np.uint64), np.empty(len(words), dtype=np.uint64), p, k)
+    assert got.tolist() == live + live
+
+
+def _unmix64(z: np.ndarray) -> np.ndarray:
+    """The states whose mix64 is z: mix64 inverted step by step."""
+    for shift, mult in ((31, rng._M2), (27, rng._M1), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):  # undo z ^= z >> shift
+            x = z ^ (x >> np.uint64(shift))
+        z = x * np.uint64(pow(mult, -1, 2**64)) if mult else x
+    return z
+
+
+@pytest.mark.parametrize("k", [1, 8, 14])
+@pytest.mark.parametrize("p", [0.0, 1e-18, 0.05, 0.3, 0.5, 0.95])
+def test_hit_test_at_the_interval_ends(p, k):
+    # Index 0 under key unmix(w) has chunk-0 word w.  For every value that
+    # owns words, its first and last word hit it, and the words just
+    # outside its interval do not, unless it owns all 2^64: one compare,
+    # off by one nowhere.
+    lo, size = rng._intervals(p, k)[:2]
+    values = np.arange(1 << k)
+    own = size[np.bitwise_count(values)]
+    whole = own == 0  # a size of 2^64, read mod 2^64
+    keep = (own > 0) | (whole & (values == 0) & (p < 2.0**-63))
+    values, lo, own, whole = values[keep], lo[keep], own[keep], whole[keep]
+    ends = np.stack([lo - np.uint64(1), lo, lo + own - np.uint64(1), lo + own], axis=1)
+    keys = _unmix64(ends.reshape(-1, 1))
+    assert np.array_equal(rng.mix64(keys), ends.reshape(-1, 1))
+    hits = rng.biased_bits(keys, p, k, np.zeros(1, dtype=np.uint64), target=np.repeat(values, 4)[:, None])
+    inside = np.stack([whole, np.ones_like(whole), np.ones_like(whole), whole], axis=1)
+    assert hits.reshape(-1, 4).tolist() == inside.tolist()
+
+
+def test_biased_bits_weights_across_the_chunk_boundary():
+    # m = 16 hashes a 14-bit chunk and a 2-bit chunk: the joint law of their
+    # weights is Binomial(14, p) x Binomial(2, p).  Seed and count were fixed
+    # before the first run; cells expected below 5 are pooled.
+    p, count = 0.3, 1 << 18
+    values = rng.biased_bits(16, p, 16, np.arange(count, dtype=np.uint64)).astype(np.int64)
+    cells = np.bitwise_count(values >> 2) * 3 + np.bitwise_count(values & 3)
+    observed = np.bincount(cells, minlength=45)
+    law = np.outer(stats.binom.pmf(np.arange(15), 14, p), stats.binom.pmf(np.arange(3), 2, p)).ravel()
+    expected = law * count
+    rare = expected < 5
+    observed = np.append(observed[~rare], observed[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("k", [1, 2, 8, 14])
@@ -253,7 +362,7 @@ def _defined_values(seed: int, lane: int, i: int, p: float, m: int) -> int:
     column c = w_j >> (64 - k) holds c where the low 64 - k bits fall below
     threshold[c], else alias[c]."""
     w0, value = rng._mix64_int(i * rng.GOLDEN + rng.derive_seed(seed, lane)), 0
-    for j, k in enumerate([14] * (m // 14) + [m % 14] * (m % 14 > 0)):
+    for j, k in enumerate(_widths(m)):
         word = rng._mix64_int(w0 ^ ((j + 1) * rng.GOLDEN2 & rng.MASK64)) if j else w0
         threshold, alias = rng._alias_table(p, k)
         col, low = word >> (64 - k), word & ((1 << (64 - k)) - 1)
