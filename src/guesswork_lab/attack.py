@@ -21,7 +21,7 @@ from .hashmodel import (
     ResourceCapError,
     weight_layer_order,
 )
-from .infotheory import check_probability
+from .infotheory import check_probability, cross_entropy_identity
 
 #: Indices per vectorized scan step; grows geometrically up to the cap.
 _CHUNK0 = 2048
@@ -451,8 +451,6 @@ def fast_budget(m: int, q_b: float, p: float) -> int:
     contributes less than 2^-50 of the mean; failures beyond it are
     counted by the zero-on-failure convention.
     """
-    from .infotheory import cross_entropy_identity
-
     return 1 << (math.ceil(m * cross_entropy_identity(q_b, p)) + 6)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import secrets
 import sys
@@ -72,13 +71,6 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
         return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise click.UsageError(f"{flag} must be a comma-separated {'integer' if kind is int else 'number'} list")
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GUESSWORK_LAB_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(output: str, config: dict, body: dict, csv_lines, text_lines) -> None:
@@ -148,9 +140,8 @@ seed_option = click.option(
     help="64-bit experiment seed, or 'random' for a fresh one (echoed).",
 )
 workers_option = click.option(
-    "--workers", type=click.IntRange(min=1), default=None,
-    help="Worker processes; defaults to $GUESSWORK_LAB_WORKERS or 1. "
-    "Results are identical for any worker count.",
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True,
+    help="Worker processes. Results are identical for any worker count.",
 )
 
 
@@ -339,7 +330,6 @@ def cmd_simulate(mode, m, n, p, s, theta, trials, engine, budget, rho, trial_log
     )
     if n is None:
         _warn_if_width_capped(cfg, m)
-    workers = workers or _default_workers()
     with open(trial_log, "w", encoding="ascii") if trial_log is not None else nullcontext() as fh:
         est = experiments.run_experiment(cfg, workers=workers, trial_log=fh)
     rate = math.log2(est.mean) / cfg.scenario.m if est.mean > 0 else None
@@ -393,7 +383,6 @@ def cmd_sweep(mode, m_list, p, s, theta, trials, engine, rho, assert_text,
         mode=mode, m_sweep=tuple(steps), engine=engine, rho=rho,
     )
     _warn_if_width_capped(cfg, steps[-1])
-    workers = workers or _default_workers()
     result = experiments.sweep_rate(cfg, workers=workers)
     points = [(m, y, ci) for (m, y), ci in zip(result.points, result.cis)]
     _emit(

@@ -52,12 +52,10 @@ LANE_TABLE = 0xAB1E  # the key of a sampled explicit table
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wraps mod 2^64)."""
-    z = z ^ (z >> _S30)
-    z *= _UM1
-    z ^= z >> _S27
-    z *= _UM2
-    z ^= z >> _S31
+    """SplitMix64 finalizer over a uint64 array (wraps mod 2^64): a copy of
+    z mixed by _mix_into."""
+    z = np.array(z, dtype=np.uint64)
+    _mix_into(z, np.empty_like(z))
     return z
 
 
@@ -135,11 +133,11 @@ def key_draws(key, start: int, count: int, n: int) -> np.ndarray:
     out = np.empty(shape, dtype=np.int64)
     s = _take_scratch(size)
     try:
-        base = s.base[:size].reshape(shape)
+        base, tmp = s[0, :size].reshape(shape), s[1, :size].reshape(shape)
         steps = np.arange(start, start + count, dtype=np.uint64)
         steps *= _U_GOLDEN
         np.add(keys[..., None], steps, out=base)
-        _mix_into(base, s.tmp[:size].reshape(shape))
+        _mix_into(base, tmp)
         np.right_shift(base, np.uint64(64 - n), out=out.view(np.uint64))
     finally:
         _give_back(s)
@@ -180,12 +178,13 @@ def _widths(m: int) -> list[int]:
 
 def _chunk_words(word: np.ndarray, widths: list[int], tmp: np.ndarray):
     """(k, word) of each chunk: chunk 0's word as given, then chunk j's,
-    mix64(that word ^ lane j), written over it.  tmp is scratch of word's
-    shape; a caller may overwrite word before taking the next chunk."""
-    base = word ^ (word >> _S30) if len(widths) > 1 else None  # the first xorshift of every lane mix
+    mix64(chunk 0's word ^ _LANES[j]), written over it.  tmp is scratch of
+    word's shape; a caller may overwrite word before taking the next chunk."""
+    first = word.copy() if len(widths) > 1 else None
     for j, k in enumerate(widths):
         if j:
-            _lane_into(word, base, _LANES[j], tmp)
+            np.bitwise_xor(first, _LANES[j], out=word)
+            _mix_into(word, tmp)
         yield k, word
 
 
@@ -335,7 +334,7 @@ def biased_bits(
     pairs = math.prod(shape)
     s = _take_scratch(pairs)
     try:
-        word, tmp = s.base[:pairs].reshape(shape), s.tmp[:pairs].reshape(shape)
+        word, tmp = s[0, :pairs].reshape(shape), s[1, :pairs].reshape(shape)
         np.multiply(idx64, _U_GOLDEN, out=word)
         word += seed
         _mix_into(word, tmp)
@@ -361,12 +360,8 @@ def biased_bits(
         _give_back(s)
 
 
-#: Lane L of chunk j, (j + 1) * GOLDEN2 mod 2^64 for every j < 64, stored
-#: pre-shifted as L ^ (L >> 30): mix64's first xorshift is linear, so that
-#: of base ^ L is that of base, taken once, xored with this.
-_LANES = np.array(
-    [L ^ (L >> 30) for L in (((j + 1) * GOLDEN2) & MASK64 for j in range(64))], dtype=np.uint64
-)
+#: Lane j of a value's chunks, (j + 1) * GOLDEN2 mod 2^64 for every j < 64.
+_LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
 
 #: Pairs of kept hash scratch: the widest call of a lockstep scan,
 #: whose rounds hash at most 2^16 pairs and whose one-row chunks hold at
@@ -374,35 +369,26 @@ _LANES = np.array(
 #: call costs no more for it.
 _SCRATCH_CAP = 1 << 16
 
-
-class _Scratch:
-    """A hash call's working arrays, size entries each (uint64): the
-    words, and mix64's shifts and the tables' gathers."""
-
-    __slots__ = ("base", "tmp")
-
-    def __init__(self, size: int):
-        self.base, self.tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-
-
 #: Scratch of finished hash calls: a call takes one and hands it back, even
 #: when it raises, so calls reuse pages instead of faulting in their own.
-_SCRATCH_FREE: list[_Scratch] = []
+_SCRATCH_FREE: list[np.ndarray] = []
 
 
-def _take_scratch(size: int) -> _Scratch:
-    """Scratch of at least size pairs; past _SCRATCH_CAP, a call's own."""
+def _take_scratch(size: int) -> np.ndarray:
+    """A hash call's working arrays, rows of at least size pairs (uint64):
+    the words, and mix64's shifts and the tables' gathers.  Past
+    _SCRATCH_CAP, a call's own."""
     if size > _SCRATCH_CAP:
-        return _Scratch(size)
+        return np.empty((2, size), dtype=np.uint64)
     try:  # one pop, so concurrent calls never share scratch
         return _SCRATCH_FREE.pop()
     except IndexError:
-        return _Scratch(_SCRATCH_CAP)
+        return np.empty((2, _SCRATCH_CAP), dtype=np.uint64)
 
 
-def _give_back(s: _Scratch) -> None:
+def _give_back(s: np.ndarray) -> None:
     """Hand scratch back to the free list, unless it was a call's own."""
-    if s.base.size == _SCRATCH_CAP:
+    if s.shape[1] == _SCRATCH_CAP:
         _SCRATCH_FREE.append(s)
 
 
@@ -410,18 +396,6 @@ def _mix_into(z: np.ndarray, tmp: np.ndarray) -> None:
     """mix64 of z in place; tmp is scratch of z's shape."""
     np.right_shift(z, _S30, out=tmp)
     z ^= tmp
-    _mix_rest(z, tmp)
-
-
-def _lane_into(z: np.ndarray, base: np.ndarray, lane, tmp: np.ndarray) -> None:
-    """The states mix64(w ^ L) of a lane L (one of _LANES) into z, from
-    base = w ^ (w >> 30)."""
-    np.bitwise_xor(base, lane, out=z)
-    _mix_rest(z, tmp)
-
-
-def _mix_rest(z: np.ndarray, tmp: np.ndarray) -> None:
-    """mix64 of z in place, its first xorshift already taken."""
     z *= _UM1
     np.right_shift(z, _S27, out=tmp)
     z ^= tmp

@@ -587,7 +587,7 @@ class TestHitScratch:
         monkeypatch.setattr(rng, "_SCRATCH_FREE", [])
         self._run_sizes(kind)
         (kept,) = rng._SCRATCH_FREE
-        assert kept.base.size == rng._SCRATCH_CAP
+        assert kept.shape == (2, rng._SCRATCH_CAP) and kept.dtype == np.uint64
 
     @pytest.mark.parametrize("p", [0.0, 1e-18, 0.05, 0.3, 0.5, 0.95])
     @pytest.mark.parametrize("m", [1, 8, 14, 15, 28, 62])

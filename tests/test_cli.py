@@ -302,6 +302,14 @@ def test_light_commands_do_not_load_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_runs_as_a_script():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "guesswork_lab.cli", "--version"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("guesswork-lab, version ")
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -315,8 +323,16 @@ def test_light_commands_do_not_load_numpy():
         (["keysize", "--alpha", "1,x"], "--alpha must be a comma-separated number list"),
         (["keysize", "--alpha", "0.5"], "alpha must be >= 1, got 0.5"),
         (["rates", "--p", "0.3", "--s", "0.4"], "s must lie in [1/2, 1], got 0.4"),
+        (["simulate", "--mode", "allocated-online", "--m", "0", "--p", "0.3"], "m must be positive, got 0"),
+        (["simulate", "--mode", "biased-password", "--m", "8", "--p", "0.3", "--theta", "1.5"],
+         "theta must lie in (0, 1), got 1.5"),
+        (["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3", "--rho", "-1"],
+         "rho must be >= 0"),
+        (["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3", "--trials", "100",
+          "--assert", "slope≈1±0.1"], "simulate only supports rate assertions"),
     ],
-    ids=["seed", "int-list", "float-list", "l-range", "alpha-list", "alpha-range", "rates-s"],
+    ids=["seed", "int-list", "float-list", "l-range", "alpha-list", "alpha-range", "rates-s",
+         "m-range", "theta-range", "rho-range", "assert-kind"],
 )
 def test_bad_input_exit_2(runner, args, message):
     result = runner.invoke(cli.main, args)
@@ -341,8 +357,9 @@ def test_workers_below_one_exit_2(runner, args, workers):
     )
 
 
-@pytest.mark.parametrize("value", ["two", "1.5", "-3"])
+@pytest.mark.parametrize("value", ["two", "1.5", "-3", "3"])
 def test_workers_from_a_bad_environment_default_to_one(runner, value):
+    # --workers alone sets the worker count: no environment variable is read
     args = ["simulate", "--mode", "allocated-online", "--m", "8", "--p", "0.3", "--trials", "100", "--output", "json"]
     result = runner.invoke(cli.main, args, env={"GUESSWORK_LAB_WORKERS": value})
     assert result.exit_code == 0

@@ -60,12 +60,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg("allocated-online", m=20, n=63)
 
+    def test_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'literal'"):
+            make_cfg("allocated-online", engine="literal")
+
     @pytest.mark.parametrize("engine", ["sampled", "scan"])
     def test_budget_below_one(self, engine):
         make_cfg("no-allocation-keyed", engine=engine, budget=1)
         for budget in (0, -5):
             with pytest.raises(ValueError, match="budget"):
                 make_cfg("no-allocation-keyed", engine=engine, budget=budget)
+
+
+class TestSweepGuards:
+    def test_sweep_needs_widths(self):
+        with pytest.raises(ValueError, match="requires m_sweep"):
+            ex.sweep_rate(make_cfg("allocated-online"))
+
+    def test_zero_mean_cannot_be_fitted(self):
+        # one guess a trial: no trial of 600 hits a bin of mass <= 0.1^5
+        cfg = make_cfg("allocated-online", p=0.1, budget=1, m_sweep=(6, 8, 10))
+        with pytest.raises(ValueError, match="mean guesswork at m=6 is zero"):
+            ex.sweep_rate(cfg)
+
+    def test_line_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            ex.fit_line([(6.0, 1.0)])
 
 
 def _mode_comparisons(tree):

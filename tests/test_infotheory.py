@@ -194,3 +194,8 @@ def test_realizable_type_checks():
     assert it.check_realizable_type(8, 0.125) == 1
     with pytest.raises(ValueError):
         it.check_realizable_type(8, 0.15)
+
+
+def test_realizable_type_needs_a_positive_width():
+    with pytest.raises(ValueError, match="m must be positive, got 0"):
+        it.is_realizable_type(0, 0.5)

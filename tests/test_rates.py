@@ -364,6 +364,16 @@ class TestScenarioParams:
         assert ScenarioParams(s=1.0, p=0.3, m=10, n=26).user_count() == 1
 
 
+def test_rates_reject_s_out_of_range():
+    with pytest.raises(ValueError, match=r"s must lie in \[1/2, 1\], got 0.4"):
+        rates.online_rate_allocated(0.4, 0.3)
+
+
+def test_expected_guesses_need_a_positive_width():
+    with pytest.raises(ValueError, match="n must be positive"):
+        rates.expected_guesses_per_bin(6, 0, 1.0, 0.3)
+
+
 def test_rate_report_bounds_invariant():
     with pytest.raises(ValueError):
         rates.RateReport("x", rate=2.0, lower=0.0, upper=1.0)
