@@ -21,7 +21,7 @@ from .hashmodel import (
     ResourceCapError,
     weight_layer_order,
 )
-from .infotheory import check_probability, cross_entropy_identity
+from .infotheory import check_probability, check_rho, cross_entropy_identity
 
 #: Indices per vectorized scan step; grows geometrically up to the cap.
 _CHUNK0 = 2048
@@ -30,14 +30,10 @@ _CHUNK_CAP = 1 << 16
 #: Most (row, index) pairs one lockstep round hashes.
 _ROUND_PAIRS = 1 << 16
 
-#: Most candidates a seeded permutation serves (a 256 MiB seen buffer).
-_PERM_MASK_CAP = 1 << 26
-
-#: Seen-buffer mark of a served candidate; below every chunk position.
-_SEEN = np.iinfo(np.int32).min
-
-#: Most candidates whose seen buffer (16 MiB) is kept for reuse.
-_SEEN_FREE_CAP = 1 << 22
+#: Most candidates N a seeded permutation serves.  A scan that reaches the
+#: tail keeps about 2.4 N draws of 8 bytes and counts its guesses on
+#: copies of them: a traced peak of about 90 N bytes, 180 MiB here.
+_PERM_CAP = 1 << 21
 
 #: Indices of each probability-descending order kept in memory (1 MiB).
 _ORDER_PREFIX = 1 << 17
@@ -107,89 +103,82 @@ def _ascending_chunks(budget: int) -> Iterator[np.ndarray]:
         start, chunk = stop, min(chunk * 4, _CHUNK_CAP)
 
 
+def run_heads(ranked: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in each row of a row-sorted
+    array: its distinct values' first copies."""
+    head = np.ones(ranked.shape, dtype=bool)
+    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    return head
+
+
+def first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per row of hits, the guess count of its first hit (0 when it has
+    none) among its i.i.d. draws, repeat draws being skipped guesses.
+
+    A row's first hit is a first occurrence, since an earlier copy would
+    have hit earlier, so its guess count is the number of distinct draws
+    up to it: the draws after it are set to -1 and the runs of the values
+    >= 0 are counted in the sorted row.
+    """
+    first = hits.argmax(axis=1)
+    found = hits[np.arange(first.size), first]
+    before = np.where(np.arange(draws.shape[1]) <= first[found, None], draws[found], -1)
+    before.sort(axis=1)
+    guesses = np.zeros(first.size, dtype=np.int64)
+    guesses[found] = (run_heads(before) & (before >= 0)).sum(axis=1)
+    return guesses
+
+
 def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[np.ndarray]:
-    """A uniform permutation's first budget candidates, served lazily.
+    """A uniform permutation's first budget candidates, served lazily as
+    the raw draws whose first occurrences they are.
 
     Draw k is the top n bits of rng.words(seed, k, LANE_PERMUTATION), for
     n_candidates = 2^n, and the first occurrences of these i.i.d. uniform
-    draws are exactly a uniform permutation's prefix.  Draws come
-    min(chunk, 4x the candidates not yet served) at a time, chunk growing
-    from _CHUNK0 by 4x to _CHUNK_CAP, and each batch's fresh candidates
-    are served before the next is drawn, so a scan that stops at its
-    first hit draws little.  Rejection stalls near exhaustion, so after
-    the first 9/10 of the candidates (rounded down) the rest come as one
-    chunk, in the order of their own words, rng.words(key, i,
-    LANE_PERMUTATION) for candidate i with key the draws' key, ties by
-    index.  Given the served prefix that order is uniform but for ties
-    among the R <= n_candidates / 10 words, which occur with probability
-    below R^2 / 2^65.  Every draw and word is a pure function of its
-    counter and the switch comes at a fixed count, so batch sizes never
-    change the order.
+    draws are exactly a uniform permutation's prefix.  The draws are
+    served as drawn, repeats kept, up to the one that brings the distinct
+    count to stop = min(budget, 9/10 of the candidates rounded down).
+    Fewer than stop draws hold fewer than stop distinct ones, so the
+    first stop draws are served uncounted, chunk at a time, chunk growing
+    from _CHUNK0 by 4x to _CHUNK_CAP.  Past them the distinct draws are
+    kept sorted, and each batch of min(chunk, 4x the candidates not yet
+    drawn) draws serves up to the stop.  Rejection stalls near
+    exhaustion, so past the stop the rest come as one chunk, in the
+    order of their own words, rng.words(key, i, LANE_PERMUTATION) for
+    candidate i with key the draws' key, ties by index.  Given the served
+    prefix that order is uniform but for ties among the R <=
+    n_candidates / 10 words, which occur with probability below R^2 /
+    2^65.  Every draw and word is a pure function of its counter and the
+    cut comes at a fixed count, so batch sizes never change the order.
     """
-    if n_candidates > _PERM_MASK_CAP:
-        raise ResourceCapError(f"seeded permutation capped at {_PERM_MASK_CAP} candidates")
+    if n_candidates > _PERM_CAP:
+        raise ResourceCapError(f"seeded permutation capped at {_PERM_CAP} candidates")
     n = n_candidates.bit_length() - 1
     key = rng.derive_seed(seed, rng.LANE_PERMUTATION)
-    head = n_candidates * 9 // 10
-    stop = min(head, budget)
-    seen = _take_seen(n_candidates)
-    marked: list[np.ndarray] = []  # entries of seen written: each batch's served candidates
-    served = drawn = 0
-    chunk = _CHUNK0
-    try:
-        while served < stop:
-            raw = rng.key_draws(key, drawn, min(chunk, 4 * (n_candidates - served)), n)
-            drawn += raw.size
-            marked.append(raw)  # in flight, any of its entries may be written
-            fresh = raw[_fresh_mask(seen, raw)]
-            seen[fresh[stop - served :]] = 0  # past the switch or the budget: not served
-            fresh = fresh[: stop - served]
-            marked[-1] = fresh
-            if fresh.size:
-                yield fresh.view(np.uint64)
-                served += fresh.size
-            chunk = min(chunk * 4, _CHUNK_CAP)
-        if served < budget:
-            rest = np.flatnonzero(seen != _SEEN)
-            if rest.size > 1:
-                rest = rest.take(np.argsort(rng.words(key, rest, rng.LANE_PERMUTATION), kind="stable"))
-            yield rest[: budget - served].view(np.uint64)
-    finally:
-        if n_candidates <= _SEEN_FREE_CAP:
-            for fresh in marked:
-                seen[fresh] = 0
-            _SEEN_FREE.setdefault(n_candidates, []).append(seen)
-
-
-#: Zeroed seen buffers of finished lazy permutation scans, by candidate
-#: count: a scan takes one and hands it back clean, even when abandoned at
-#: its first hit, so no scan zeroes (and faults in) a buffer of its own.
-_SEEN_FREE: dict[int, list[np.ndarray]] = {}
-
-
-def _take_seen(n_candidates: int) -> np.ndarray:
-    try:  # one pop, so concurrent scans never share a buffer
-        return _SEEN_FREE[n_candidates].pop()
-    except (KeyError, IndexError):
-        return np.zeros(n_candidates, dtype=np.int32)
-
-
-def _fresh_mask(seen: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Which draws of raw (any shape, read in C order) are the first
-    occurrence of a candidate not served before; those are then marked
-    served.
-
-    seen holds _SEEN for served candidates and 0 otherwise, and does so
-    again on return.  Each draw's position (shifted below 0) goes in with
-    np.minimum.at, so a candidate keeps its earliest position whatever
-    order numpy writes in; the fresh draws are those that find their own
-    position there.
-    """
-    pos = np.arange(-raw.size, 0, dtype=np.int32).reshape(raw.shape)
-    np.minimum.at(seen, raw, pos)
-    fresh = seen[raw] == pos
-    seen[raw[fresh]] = _SEEN
-    return fresh
+    stop = min(n_candidates * 9 // 10, budget)
+    drawn, chunk, uncounted = 0, _CHUNK0, [np.empty(0, dtype=np.int64)]
+    while drawn < stop:
+        uncounted.append(rng.key_draws(key, drawn, min(chunk, stop - drawn), n))
+        drawn += uncounted[-1].size
+        yield uncounted[-1].view(np.uint64)
+        chunk = min(chunk * 4, _CHUNK_CAP)
+    values = np.sort(np.concatenate(uncounted))
+    values = values[run_heads(values[None])[0]]  # the distinct draws, ascending
+    while values.size < stop:
+        raw = rng.key_draws(key, drawn, min(chunk, 4 * (n_candidates - values.size)), n)
+        drawn += raw.size
+        order = np.argsort(raw, kind="stable")
+        heads = order[run_heads(raw[None, order])[0]]  # each value's first draw, by value
+        known = values[np.searchsorted(values, raw[heads]).clip(max=values.size - 1)] == raw[heads]
+        fresh = np.sort(heads[~known])[: stop - values.size]
+        values = np.sort(np.concatenate([values, raw[fresh]]), kind="stable")
+        yield (raw if values.size < stop else raw[: fresh[-1] + 1]).view(np.uint64)
+        chunk = min(chunk * 4, _CHUNK_CAP)
+    if stop < budget:
+        rest = np.delete(np.arange(n_candidates), values)
+        if rest.size > 1:
+            rest = rest.take(np.argsort(rng.words(key, rest, rng.LANE_PERMUTATION), kind="stable"))
+        yield rest[: budget - stop].view(np.uint64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -235,7 +224,8 @@ def guess_horizon(n: int, budget: Optional[int]) -> int:
 
 def strategy_chunks(strat: GuessStrategy, n: int, budget: Optional[int]) -> Iterator[np.ndarray]:
     """Candidate index chunks in strategy order, guess_horizon(n, budget)
-    indices in all; indices never repeat."""
+    distinct indices in all.  Only a seeded permutation repeats an index:
+    it serves raw draws, whose first occurrences are its order."""
     budget = guess_horizon(n, budget)
     if strat.kind == "ascending-index":
         yield from _ascending_chunks(budget)
@@ -251,7 +241,8 @@ def _bits_of(b: Union[BinLabel, int]) -> int:
 
 def _window_specials(keys: np.ndarray, window: np.ndarray, ascending_window: bool):
     """(entry, column) of every key lying in window; keys sorted ascending,
-    repeats allowed.  An ascending-index window is a contiguous range."""
+    repeats allowed in both.  An ascending-index window is a contiguous
+    range."""
     if ascending_window:
         lo = int(np.searchsorted(keys, window[0], side="left"))
         hi = int(np.searchsorted(keys, window[-1], side="right"))
@@ -283,15 +274,17 @@ def lockstep_scan(
     its row only `hit` decides (a planted override, or a password that
     ends the scan).  Each round hashes one window of the order for every
     active row.  strategy_chunks serves the order in chunks: _CHUNK0 * 4^k
-    indices, at most _CHUNK_CAP, in ascending order; the fresh candidates
-    of batches of at most that many draws in permutation order (a lazy
-    permutation's near-exhaustion tail comes as one chunk); and _CHUNK0
-    indices each in descending order.  A window is the rest of
-    the current chunk, cut to _ROUND_PAIRS // active indices while more
-    than one row scans.  One row thus keeps the chunk schedule, and many
-    rows take narrow windows that overshoot their first hits by little.
-    Returns each row's 1-based guess count (0 when no hit came within the
-    budget) and the index of its first hit.
+    indices, at most _CHUNK_CAP, in ascending order; batches of at most
+    that many raw draws in permutation order (a lazy permutation's
+    near-exhaustion tail comes as one chunk); and _CHUNK0 indices each in
+    descending order.  A window is the rest of the current chunk, cut to
+    _ROUND_PAIRS // active indices while more than one row scans.  One
+    row thus keeps the chunk schedule, and many rows take narrow windows
+    that overshoot their first hits by little.  A repeated draw hits as
+    its first copy did, so a permutation row's guess count is the number
+    of distinct draws up to its first hit (first_hit_guesses).  Returns
+    each row's 1-based guess count (0 when no hit came within the budget)
+    and the index of its first hit.
     """
     guesses = np.zeros(rows, dtype=np.int64)
     first = np.zeros(rows, dtype=np.uint64)
@@ -301,8 +294,19 @@ def lockstep_scan(
         order = np.argsort(specials[0], kind="stable")
         keys, key_rows, key_hits = (a[order] for a in specials)
         ascending_window = strat.kind == "ascending-index"
+    served = [] if strat.kind == "seeded-permutation" else None  # the raw draws so far
+
+    def guess_counts(ends: np.ndarray) -> np.ndarray:
+        """Guess counts of first hits at the 1-based positions ends."""
+        if served is None:
+            return ends
+        drawn = np.concatenate(served)[None, : ends.max()].view(np.int64).repeat(ends.size, axis=0)
+        return first_hit_guesses(drawn, np.arange(drawn.shape[1]) == ends[:, None] - 1)
+
     consumed = 0
     for chunk in strategy_chunks(strat, n, budget):
+        if served is not None:
+            served.append(chunk)
         at = 0
         while at < chunk.size:
             width = chunk.size if active.size == 1 else max(1, _ROUND_PAIRS // active.size)
@@ -316,14 +320,14 @@ def lockstep_scan(
             if active.size == 1:  # the last row: its first hit ends the scan
                 col = int(hits[0].argmax())
                 if hits[0, col]:
-                    guesses[active[0]], first[active[0]] = consumed + col + 1, window[col]
+                    guesses[active], first[active] = guess_counts(np.array([consumed + col + 1])), window[col]
                     return guesses, first
             else:
                 cols = hits.argmax(axis=1)  # a row's first hit, or 0 when it has none
                 done = hits[np.arange(active.size), cols]
                 if done.any():
                     finished, cols = active[done], cols[done]
-                    guesses[finished] = consumed + cols + 1
+                    guesses[finished] = guess_counts(consumed + cols + 1)
                     first[finished] = window[cols]
                     active = active[~done]
                     if not active.size:
@@ -477,8 +481,7 @@ def broken_hash_moment(probs: np.ndarray, rho: float) -> float:
     per bin and guesses bins by descending probability (ties ascending):
     sum of rank^rho * P(rank).
     """
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    check_rho(rho)
     probs = np.asarray(probs, dtype=np.float64)
     order = np.argsort(-probs, kind="stable")
     ranks = np.arange(1, probs.size + 1, dtype=np.float64)

@@ -67,10 +67,14 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_list(text: str, flag: str, kind=float) -> list:
+    """The comma-separated values of flag: at least one, each finite."""
     try:
-        return [kind(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise click.UsageError(f"{flag} must be a comma-separated {'integer' if kind is int else 'number'} list")
+    if not values or not all(map(math.isfinite, values)):
+        raise click.UsageError(f"{flag} must list at least one value, each finite, got {text!r}")
+    return values
 
 
 def _emit(output: str, config: dict, body: dict, csv_lines, text_lines) -> None:
@@ -177,32 +181,22 @@ def cmd_rates(p, s, m, n, theta, q_type, output):
         "command": "rates", "p": p, "s": s, "m": scenario.m, "n": scenario.n,
         "theta": theta, "q_type": q_type, "output": output,
     }
-    body = {
-        "units": "bits_per_m",
-        "rates": {
-            name: {
-                "rate": rep.rate, "lower": rep.lower, "upper": rep.upper,
-                "region": rep.region, "units": "bits_per_m",
-            }
-            for name, rep in reports.items()
-        },
-        "key_size_ratio": key_size,
-        "argmax_type": {"q_star": q_star, "value": q_value},
-    }
-    csv_lines = ["scenario,rate,lower,upper,region,units"] + [
-        f"{name},{_num(rep.rate)},{_num(rep.lower)},{_num(rep.upper)},{rep.region or ''},bits_per_m"
-        for name, rep in reports.items()
-    ]
     width = max(len(name) for name in reports)
-    text_lines = [
-        f"{name:<{width}}  "
-        + (f"{rep.rate:.6f}" if rep.rate is not None else f"[{rep.lower:.6f}, {rep.upper:.6f}]")
-        + (f"  ({rep.region})" if rep.region else "")
-        for name, rep in reports.items()
-    ] + [
+    rows, csv_lines, text_lines = {}, ["scenario,rate,lower,upper,region,units"], []
+    for name, rep in reports.items():
+        rows[name] = {"rate": rep.rate, "lower": rep.lower, "upper": rep.upper, "region": rep.region,
+                      "units": "bits_per_m"}
+        csv_lines.append(f"{name},{_num(rep.rate)},{_num(rep.lower)},{_num(rep.upper)},{rep.region or ''},bits_per_m")
+        value = f"{rep.rate:.6f}" if rep.rate is not None else f"[{rep.lower:.6f}, {rep.upper:.6f}]"
+        text_lines.append(f"{name:<{width}}  {value}" + (f"  ({rep.region})" if rep.region else ""))
+    text_lines += [
         f"{'key_size_ratio':<{width}}  {key_size:.6f}",
         f"{'argmax_type':<{width}}  q*={q_star:.6f} value={q_value:.6f}",
     ]
+    body = {
+        "units": "bits_per_m", "rates": rows, "key_size_ratio": key_size,
+        "argmax_type": {"q_star": q_star, "value": q_value},
+    }
     _emit(output, config, body, csv_lines, text_lines)
 
 

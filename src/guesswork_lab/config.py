@@ -105,7 +105,7 @@ class ExperimentConfig:
             raise ValueError("biased-password mode requires scenario.theta")
         if not self.kind.exact and self.scenario.n > MAX_INPUT_WIDTH:
             raise ValueError(f"n must be <= {MAX_INPUT_WIDTH}, got {self.scenario.n}")
-        if self.rho < 0:
+        if not self.rho >= 0:  # NaN too
             raise ValueError("rho must be >= 0")
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget must be >= 1 guess, got {self.budget}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import allocation as alloc
 from . import attack, rng
-from .attack import EstimateWithCI, GuessAccumulator
+from .attack import EstimateWithCI, GuessAccumulator, run_heads
 from .config import (  # noqa: F401  (re-exported)
     MAX_INPUT_WIDTH,
     MIN_TRIALS,
@@ -136,7 +136,7 @@ def _first_hits(
     min(geometric - 1, first hit).
     """
     horizon = attack.guess_horizon(n, budget)
-    specials = np.where(_run_heads(specials), specials, _NO_HIT)
+    specials = np.where(run_heads(specials), specials, _NO_HIT)
     # An ordinal past the 2^n - #specials free indices maps past 2^n, so
     # clamping it (and p_hit = 0) to _BEYOND leaves the outcome unchanged.
     never = p_hit <= 0.0
@@ -151,14 +151,6 @@ def _first_hits(
     pos = np.minimum(pos, first_hit)
     success = pos < horizon
     return np.where(success, pos + 1, 0), success
-
-
-def _run_heads(ranked: np.ndarray) -> np.ndarray:
-    """Where each run of equal values starts in each row of a row-sorted
-    array: its distinct values' first copies."""
-    head = np.ones(ranked.shape, dtype=bool)
-    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    return head
 
 
 def _pk_table(sc: ScenarioParams) -> np.ndarray:
@@ -280,7 +272,7 @@ def _first_writer(pw: np.ndarray) -> np.ndarray:
     password: a stable sort lists each run of equal passwords in user
     order, and every member of a run takes the run's head."""
     order = np.argsort(pw, axis=1, kind="stable")
-    head = _run_heads(np.take_along_axis(pw, order, axis=1))
+    head = run_heads(np.take_along_axis(pw, order, axis=1))
     start = np.maximum.accumulate(np.where(head, np.arange(pw.shape[1]), 0), axis=1)
     writer = np.empty_like(order)
     np.put_along_axis(writer, order, np.take_along_axis(order, start, axis=1), axis=1)
@@ -314,7 +306,7 @@ def _users_kernel(cfg: ExperimentConfig):
         """(bin column, p_hit, first forced hit) of rows holding these bins."""
         if kind.offline:
             ranked = np.sort(bins, axis=1)
-            new = _run_heads(ranked)
+            new = run_heads(ranked)
             terms = np.where(new, pk[np.bitwise_count(ranked)], 0.0)
             return new.sum(axis=1), np.cumsum(terms, axis=1)[:, -1], ordered[:, 0]  # sequential, as _p_any
         target = bins[np.arange(pick.size), pick]
@@ -434,7 +426,7 @@ def _scan_kernel(cfg: ExperimentConfig):
             target = rng.biased_bits(keys, sc.p, sc.m, pw[rows, pick]).astype(np.int64)
         targets = finals if kind.offline else target
         guesses, first = attack.keyed_scan(strat, sc.n, cfg.budget, keys, sc.p, sc.m, targets, specials)
-        bins = _run_heads(np.sort(finals, axis=1)).sum(axis=1) if kind.offline else target
+        bins = run_heads(np.sort(finals, axis=1)).sum(axis=1) if kind.offline else target
         success = guesses > 0
         arm = _arms(success, first, pw[:, 0]) if kind.biased else None
         return _Block(trials, guesses, success, pick + 1, bins, arm)
@@ -610,7 +602,7 @@ def concentration_report(
     counted exactly, so the block size changes no value.
     """
     sc = cfg.scenario
-    if any(l >= sc.n / sc.m + 1e-12 for l in l_values):
+    if not all(l < sc.n / sc.m + 1e-12 for l in l_values):  # NaN too
         raise ValueError("l values must stay below n/m")
     p_hit = _pk_table(sc)[sc.m]  # all-ones bin
     # A hit succeeds within the horizon 2^n and by 2^{m l} guesses.
@@ -775,26 +767,8 @@ def _oracle_guesses(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
         for lo in range(0, rows.size, step):
             part = rows[lo : lo + step]
             draws = rng.key_draws(keys[part], 0, width, n)
-            guesses[part] = _first_hit_guesses(draws, hit[draws])
+            guesses[part] = attack.first_hit_guesses(draws, hit[draws])
         rows, width = rows[guesses[rows] == 0], width * 4
-    return guesses
-
-
-def _first_hit_guesses(draws: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """Per row of i.i.d. draws, the guess count of its first hit (0 when
-    it has none), repeat draws being skipped guesses.
-
-    A row's first hit is a first occurrence, since an earlier copy would
-    have hit earlier, so its guess count is the number of distinct draws
-    up to it: the draws after it are set to -1 and the runs of the values
-    >= 0 are counted in the sorted row.
-    """
-    first = hits.argmax(axis=1)
-    found = hits[np.arange(first.size), first]
-    before = np.where(np.arange(draws.shape[1]) <= first[found, None], draws[found], -1)
-    before.sort(axis=1)
-    guesses = np.zeros(first.size, dtype=np.int64)
-    guesses[found] = (_run_heads(before) & (before >= 0)).sum(axis=1)
     return guesses
 
 

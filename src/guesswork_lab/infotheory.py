@@ -25,7 +25,7 @@ def check_bias(p: float, name: str = "p") -> float:
 
 
 def check_rho(rho: float) -> float:
-    if rho < 0.0:
+    if not rho >= 0.0:  # NaN too
         raise ValueError(f"rho must be >= 0, got {rho}")
     return float(rho)
 
@@ -134,7 +134,7 @@ def solve_bias_for_alpha(alpha: float) -> float:
     D(1/2||p0) = -1 - log2(p0 (1-p0)) / 2, so p0 (1-p0) = 2^{-2 alpha} and
     p0 is the lower root of the quadratic.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:  # NaN too
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     prod = 2.0 ** (-2.0 * alpha)
     p0 = (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * prod))) / 2.0

@@ -5,7 +5,10 @@ benchmark config, run repeatedly in this one process.
 
 The configs are those of perfbench's scan-engine and sampled-modes
 workloads (``perfbench/workloads.py``): each scan-engine and sampled
-``run_experiment`` config, the m = 30 most-likely panel and the m = 10
+``run_experiment`` config, the strategy-irrelevance arms of scan-engine
+(``strategy_arms.ascending``, one ascending attack per key, and
+``strategy_arms.permutation``, the seeded-permutation attacks of every
+permutation arm), the m = 30 most-likely panel and the m = 10
 concentration report.  Labels such as ``allocated-online.m10.scan`` or
 ``concentration.m10`` pick some of them, and a workload's name,
 ``scan-engine`` or ``sampled-modes``, picks all of its own.  The chosen
@@ -32,15 +35,34 @@ from typing import Callable
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from guesswork_lab import attack  # noqa: E402
 from guesswork_lab import experiments as ex  # noqa: E402
-from workloads import scan_configs, setup_sampled  # noqa: E402
+from guesswork_lab import hashmodel as hm  # noqa: E402
+from workloads import C03_M, C03_N, C03_TARGET, P, scan_configs, setup_sampled, setup_scan  # noqa: E402
+
+
+def strategy_arms(seed: int) -> dict[str, Callable[[], object]]:
+    """Label -> one pass of a strategy-irrelevance arm over scan-engine's keys."""
+    state = setup_scan(seed)
+    models = [hm.KeyedHashModel(m=C03_M, n=C03_N, p=P, seed=key_seed) for key_seed in state.key_seeds]
+
+    def arm(*orders):
+        return lambda: [attack.online_attack(h, C03_TARGET, strat) for order in orders for h, strat in zip(models, order)]
+
+    return {
+        "strategy_arms.ascending": arm([attack.ascending()] * len(models)),
+        "strategy_arms.permutation": arm(*([attack.permutation(s) for s in seeds] for seeds in state.permutation_seeds)),
+    }
 
 
 def workload_calls(seed: int) -> dict[str, dict[str, Callable[[], object]]]:
     """Workload name -> label -> one call of that config."""
     sampled = setup_sampled(seed)
     calls = {
-        "scan-engine": {label: partial(ex.run_experiment, cfg) for label, cfg in scan_configs(seed).items()},
+        "scan-engine": {
+            **strategy_arms(seed),
+            **{label: partial(ex.run_experiment, cfg) for label, cfg in scan_configs(seed).items()},
+        },
         "sampled-modes": {label: partial(ex.run_experiment, cfg) for label, cfg in sampled.configs.items()},
     }
     calls["sampled-modes"]["most_likely_panel.m30"] = partial(ex.most_likely_panel, sampled.panel)

@@ -1,4 +1,5 @@
 """Attack strategy and guess-counting tests."""
+import functools
 import hashlib
 import itertools
 import math
@@ -18,6 +19,14 @@ from guesswork_lab.rates import expected_guesses_per_bin
 
 def constant_table(m, n, value):
     return hm.TableHash(m=m, n=n, table=np.full(1 << n, value, dtype=np.uint32))
+
+
+def served_order(chunks):
+    """The guess order of strategy chunks: the first occurrences of their
+    indices (a seeded permutation serves raw draws, repeats kept)."""
+    raw = np.concatenate(list(chunks))
+    _, at = np.unique(raw, return_index=True)
+    return raw[np.sort(at)]
 
 
 def target_mask(m, bins):
@@ -277,8 +286,9 @@ class TestStrategyOrdering:
     def test_permutation_is_permutation(self):
         for n in (8, 16):
             chunks = list(attack.strategy_chunks(attack.permutation(3), n, 1 << n))
-            seen = np.concatenate(chunks)
-            assert sorted(seen.tolist()) == list(range(1 << n))
+            order = served_order(chunks)
+            assert sorted(order.tolist()) == list(range(1 << n))
+            assert order.size < sum(c.size for c in chunks)  # the raw draws repeat
 
     def test_small_permutation_orders_equally_likely(self):
         # every permutation is served lazily, 4 candidates too: each of
@@ -286,7 +296,7 @@ class TestStrategyOrdering:
         counts = {}
         for seed in range(12_000):
             chunks = attack.strategy_chunks(attack.permutation(seed), 2, 4)
-            order = tuple(np.concatenate(list(chunks)).tolist())
+            order = tuple(served_order(chunks).tolist())
             counts[order] = counts.get(order, 0) + 1
         assert sorted(counts) == sorted(itertools.permutations(range(4)))
         assert stats.chisquare(list(counts.values())).pvalue > 1e-3
@@ -303,7 +313,7 @@ class TestStrategyOrdering:
         monkeypatch.setattr(rng, "key_draws", counted)
         for seed in range(200):
             sizes.clear()
-            order = np.concatenate(list(attack.strategy_chunks(attack.permutation(seed), 2, 4)))
+            order = served_order(attack.strategy_chunks(attack.permutation(seed), 2, 4))
             assert sorted(order.tolist()) == [0, 1, 2, 3]
             assert sum(sizes) <= 64
         sizes.clear()
@@ -311,24 +321,28 @@ class TestStrategyOrdering:
         assert sizes == [attack._CHUNK0]
 
     def test_order_ignores_chunk_sizes(self, monkeypatch):
-        # every draw is keyed by its counter and the tail starts at a fixed
-        # count, so tiny chunks serve the same orders, tails included
+        # every draw is keyed by its counter and the draws are cut at a fixed
+        # distinct count, so tiny chunks serve the same raw draws, and so
+        # the same orders, tails included
         cases = [(1, 4, 16), (2, 10, 1 << 10), (3, 14, 5000)]
 
-        def orders():
+        def draws():
             return [np.concatenate(list(attack.strategy_chunks(attack.permutation(s), n, b))) for s, n, b in cases]
 
-        before = orders()
+        before = draws()
         monkeypatch.setattr(attack, "_CHUNK0", 3)
         monkeypatch.setattr(attack, "_CHUNK_CAP", 7)
-        for got, expect in zip(orders(), before):
+        for got, expect, (_, _, budget) in zip(draws(), before, cases):
             assert np.array_equal(got, expect)
+            assert served_order([got]).size == budget
 
     def test_lazy_permutation_no_repeats(self):
+        # the order repeats no candidate, and the raw draws end at the
+        # first occurrence of the budget's last candidate
         chunks = list(attack.strategy_chunks(attack.permutation(4), 18, 50_000))
-        seen = np.concatenate(chunks)
-        assert seen.size == 50_000
-        assert np.unique(seen).size == seen.size
+        raw, order = np.concatenate(chunks), served_order(chunks)
+        assert order.size == 50_000 and np.unique(order).size == order.size
+        assert raw[-1] == order[-1] and np.count_nonzero(raw == raw[-1]) == 1
 
     @pytest.mark.parametrize("theta", [0.2, 0.8])
     def test_descending_chunks_cross_cached_prefix(self, theta):
@@ -358,10 +372,11 @@ class TestStrategyOrdering:
         assert peak < 3 << 20
 
     def test_permutation_past_cap_fails_loudly(self):
-        # 2^27 candidates would need a 512 MiB seen buffer: refused before
-        # any buffer is taken
+        # a scan of 2^22 candidates that reaches the tail would keep about
+        # 360 MiB: refused before anything is drawn; 2^21 is served
         with pytest.raises(hm.ResourceCapError):
-            next(attack.strategy_chunks(attack.permutation(1), 27, 10))
+            next(attack.strategy_chunks(attack.permutation(1), 22, 10))
+        assert next(attack.strategy_chunks(attack.permutation(1), 21, 10)).size == 10
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -647,10 +662,29 @@ class TestKeyedScan:
             col = int(hits.argmax())
             assert (guesses[r], first[r]) == ((col + 1, col) if hits[col] else (0, 0))
 
+    def test_permutation_rows_match_single_scans(self):
+        # rows that share one permutation's raw draws, repeats included,
+        # count the guesses each row counts alone
+        m, n, p, rows = 3, 9, 0.3, 12
+        keys = rng.words(6, np.arange(rows, dtype=np.uint64), rng.LANE_KEY)
+        targets = np.arange(rows) % (1 << m)
+        specials = (np.array([5, 5, 17, 300], dtype=np.uint64), np.array([0, 3, 3, 7]),
+                    np.array([True, False, True, True]))
+        for budget in (40, 470, None):
+            strat = attack.permutation(8)
+            guesses, first = attack.keyed_scan(strat, n, budget, keys, p, m, targets, specials)
+            for r in range(rows):
+                sel = specials[1] == r
+                own = (specials[0][sel], np.zeros(sel.sum(), dtype=np.intp), specials[2][sel])
+                alone = attack.keyed_scan(strat, n, budget, keys[r : r + 1], p, m, targets[r : r + 1], own)
+                assert (guesses[r], first[r]) == (alone[0][0], alone[1][0])
+            assert (guesses > 0).sum() > rows // 2
+
 
 class TestWindowSpecials:
     """A lockstep round finds every special index lying in its window
-    (repeats allowed, several rows may share one); brute force agrees."""
+    (repeats allowed, several rows may share one); brute force agrees.
+    A permutation's window of raw draws may hold an index twice."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -661,11 +695,73 @@ class TestWindowSpecials:
             start = data.draw(st.integers(0, 60))
             window = np.arange(start, start + data.draw(st.integers(1, 20)), dtype=np.uint64)
         else:
-            window = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=20, unique=True)),
-                              dtype=np.uint64)
+            window = np.array(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=20)), dtype=np.uint64)
         entries, cols = attack._window_specials(keys, window, ascending)
         expect = [(e, c) for e, k in enumerate(keys.tolist()) for c, w in enumerate(window.tolist()) if k == w]
         assert sorted(zip(entries.tolist(), cols.tolist())) == sorted(expect)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_permutation(seed, n):
+    """A seeded permutation's whole order from its draws and words alone:
+    the first occurrences of rng.key_draws, one draw at a time, up to 9/10
+    of the 2^n candidates (rounded down), then the rest sorted by their
+    rng.words, ties by index."""
+    size = 1 << n
+    key = rng.derive_seed(seed, rng.LANE_PERMUTATION)
+    order, seen, start = [], set(), 0
+    while len(order) < size * 9 // 10:
+        for v in rng.key_draws(key, start, 64, n).tolist():
+            if v not in seen and len(order) < size * 9 // 10:
+                seen.add(v)
+                order.append(v)
+        start += 64
+    rest = [i for i in range(size) if i not in seen]
+    words = rng.words(key, np.array(rest, dtype=np.uint64), rng.LANE_PERMUTATION).tolist()
+    return tuple(order + [i for _, i in sorted(zip(words, rest))])
+
+
+def reference_guesses(h, bins, order, budget):
+    """1-based position of the first candidate in order[:budget] whose hash
+    (overrides applied) lies in bins, or 0."""
+    values = h.eval_many(np.array(order[:budget], dtype=np.uint64)).tolist()
+    return next((g for g, v in enumerate(values, 1) if v in bins), 0)
+
+
+class TestPermutationReference:
+    """Seeded-permutation attacks guess in the order a brute-force reference
+    builds from the draws alone, at budgets around the start of the tail.
+    The one preimage of each planted bin sits first, last in the head,
+    first in the tail or last of all."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+    def test_attacks_match_reference(self, n):
+        size, head = 1 << n, (1 << n) * 9 // 10
+        budgets = (1, head - 1, head, head + 1, size, None)
+        m, m_table = min(8, n - 1), min(2, n - 1)
+        full = (1 << m) - 1
+        tail_hits = 0
+        for k in range(2):
+            seed = rng.derive_seed(61, n, k)
+            order = reference_permutation(seed, n)
+            sampled = hm.sample_table_hash(m_table, n, 0.3, seed=rng.derive_seed(63, n, k))
+            for j in sorted({0, head - 1, head, size - 1}):
+                planted = order[j]
+                table = np.zeros(size, dtype=np.uint32)
+                table[planted] = 1
+                keyed = hm.KeyedHashModel(m=m, n=n, p=0.3, seed=rng.derive_seed(62, n, k, j),
+                                          overrides={order[size // 2]: 0, planted: full})
+                cases = [(keyed, full, {full, full - 1}), (hm.TableHash(m=1, n=n, table=table), 1, {1}),
+                         (sampled, (1 << m_table) - 1, {0, (1 << m_table) - 1})]
+                for h, target, bins in cases:
+                    for budget in budgets:
+                        strat = attack.permutation(seed)
+                        online = attack.online_attack(h, target, strat, budget)
+                        assert online.guesses == reference_guesses(h, {target}, order, budget)
+                        offline = attack.offline_attack_any(h, bins, strat, budget)
+                        assert offline.guesses == reference_guesses(h, bins, order, budget)
+                        tail_hits += online.guesses > head
+        assert tail_hits > 0
 
 
 class TestScanGolden:
@@ -697,49 +793,22 @@ class TestScanGolden:
         (18, 300_000, 6, "eb38acfb8f5325c41cf376474a0855dbaffef7f3b209d2935365cd8df4ac1a5e"),
     ])
     def test_permutation_stream(self, n, budget, seed, digest):
-        chunks = list(attack.strategy_chunks(attack.permutation(seed), n, budget))
-        order = np.concatenate(chunks).astype("<u8")
+        order = served_order(attack.strategy_chunks(attack.permutation(seed), n, budget)).astype("<u8")
         assert hashlib.sha256(order.tobytes()).hexdigest() == digest
 
-    def test_abandoned_scan_returns_a_clean_seen_buffer(self, monkeypatch):
-        # two lazy scans at one n share the seen-buffer free list; one is
-        # abandoned after its first chunk, as a scan stops at its first hit
-        monkeypatch.setattr(attack, "_SEEN_FREE", {})
+    def test_interleaved_scans_serve_their_solo_orders(self):
+        # two scans at one n run side by side and one is abandoned after
+        # its first chunk, as a scan stops at its first hit: neither
+        # changes the other's order, nor any later scan's
         a = attack.strategy_chunks(attack.permutation(1), 18, 1 << 18)
         b = attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)
         head = [next(b)]
-        next(a)
+        first_a = next(a)
         head.append(next(b))
         a.close()
-        interleaved = np.concatenate(head + list(b))
-        free = attack._SEEN_FREE[1 << 18]
-        assert len(free) == 2 and not any(buf.any() for buf in free)
-        alone = np.concatenate(list(attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)))
-        assert np.array_equal(interleaved, alone)
-        self.test_permutation_stream(
-            18, 300_000, 6, "eb38acfb8f5325c41cf376474a0855dbaffef7f3b209d2935365cd8df4ac1a5e"
-        )
-
-
-    def test_interrupted_batch_returns_a_clean_seen_buffer(self, monkeypatch):
-        # the scan stops inside its second batch, after the batch's
-        # positions are written and before they are marked served
-        monkeypatch.setattr(attack, "_SEEN_FREE", {})
-        calls, fresh_mask = [], attack._fresh_mask
-
-        def interrupted(seen, raw):
-            calls.append(raw.size)
-            if len(calls) == 2:
-                np.minimum.at(seen, raw, np.arange(-raw.size, 0, dtype=np.int32))
-                raise KeyboardInterrupt
-            return fresh_mask(seen, raw)
-
-        monkeypatch.setattr(attack, "_fresh_mask", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            list(attack.strategy_chunks(attack.permutation(1), 18, 1 << 18))
-        monkeypatch.setattr(attack, "_fresh_mask", fresh_mask)
-        (buf,) = attack._SEEN_FREE[1 << 18]
-        assert not buf.any()
+        interleaved = served_order(head + list(b))
+        assert np.array_equal(interleaved, served_order(attack.strategy_chunks(attack.permutation(2), 18, 1 << 18)))
+        assert np.array_equal(first_a, next(attack.strategy_chunks(attack.permutation(1), 18, 1 << 18)))
         self.test_permutation_stream(
             18, 300_000, 6, "eb38acfb8f5325c41cf376474a0855dbaffef7f3b209d2935365cd8df4ac1a5e"
         )

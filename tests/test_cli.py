@@ -402,3 +402,43 @@ def test_errors_map_to_exit_codes_at_the_group(runner, monkeypatch):
     result = runner.invoke(cli.main, ["keysize"])
     assert result.exit_code == 1
     assert isinstance(result.exception, RuntimeError) and "resource cap" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["concentration", "--m", "10", "--p", "0.3", "--l", "", "--assert"],
+         "--l must list at least one value, each finite, got ''"),
+        (["concentration", "--m", "10", "--p", "0.3", "--l", "nan,0.5", "--assert"],
+         "--l must list at least one value, each finite, got 'nan,0.5'"),
+        (["keysize", "--alpha", "nan"], "--alpha must list at least one value, each finite, got 'nan'"),
+        (["simulate", "--mode", "broken-hash", "--m", "8", "--p", "0.3", "--rho", "nan", "--output", "json"],
+         "rho must be >= 0"),
+    ],
+    ids=["empty-l", "nan-l", "nan-alpha", "nan-rho"],
+)
+def test_empty_or_non_finite_numbers_exit_2(runner, args, message):
+    # each once exited 0: ASSERT OK over no points, bound=nan, a row of
+    # NaN, and JSON holding NaN
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == f"Error: {message}"
+
+
+def test_library_checks_reject_nan():
+    from guesswork_lab import attack, experiments, infotheory
+    from guesswork_lab.rates import ScenarioParams
+
+    nan = float("nan")
+    scenario = ScenarioParams(s=0.9, p=0.3, m=8, n=20)
+    with pytest.raises(ValueError, match="rho must be >= 0"):
+        experiments.ExperimentConfig(scenario=scenario, trials=100, seed=1, mode="broken-hash", rho=nan)
+    for call in (lambda: infotheory.check_rho(nan), lambda: attack.broken_hash_moment([0.5, 0.5], nan)):
+        with pytest.raises(ValueError, match="rho must be >= 0, got nan"):
+            call()
+    with pytest.raises(ValueError, match="alpha must be >= 1, got nan"):
+        infotheory.solve_bias_for_alpha(nan)
+    cfg = experiments.ExperimentConfig(scenario=scenario, trials=100, seed=1, mode="allocated-online")
+    with pytest.raises(ValueError, match="l values must stay below n/m"):
+        experiments.concentration_report(cfg, [0.5, nan])

@@ -629,7 +629,7 @@ class TestFirstHitGuesses:
         target = 1  # 3 of 16 entries: just dense enough for 48 draws a row
         samples, seed = 3000, 31
         draws = rng.key_draws(_oracle_keys(seed, samples), 0, 48, 4)
-        got = ex._first_hit_guesses(draws, table.table[draws] == target)
+        got = attack.first_hit_guesses(draws, table.table[draws] == target)
         expect = []
         for row in draws.tolist():
             seen, guesses = [], 0
@@ -674,7 +674,7 @@ class TestFirstOccurrenceMask:
                         guesses = len(seen)
                         break
             expect.append(guesses)
-        got = ex._first_hit_guesses(draws, hits)
+        got = attack.first_hit_guesses(draws, hits)
         assert got.tolist() == expect
         if size > 1:
             assert (got == 0).any() and (got < hits.argmax(axis=1) + 1).any()
@@ -712,7 +712,7 @@ class TestPermutationContinuation:
         size, preimages, samples = 1024, 180, 1 << 16
         table = np.zeros(size, dtype=np.uint32)
         table[np.arange(preimages) * 5] = 1
-        widened, original = [], ex._first_hit_guesses
+        widened, original = [], attack.first_hit_guesses
 
         def counted(draws, hits):
             guesses = original(draws, hits)
@@ -720,7 +720,7 @@ class TestPermutationContinuation:
                 widened.append(guesses[guesses > 0])
             return guesses
 
-        monkeypatch.setattr(ex, "_first_hit_guesses", counted)
+        monkeypatch.setattr(attack, "first_hit_guesses", counted)
         est = ex.permutation_mean_guesswork(hm.TableHash(m=1, n=10, table=table), 1, samples, seed=3)
         rows = np.concatenate(widened)
         assert rows.size > samples // 40 and (rows > 1).all()

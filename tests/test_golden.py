@@ -53,6 +53,11 @@ CASES = {
                            "--trials", "300", "--assert", "slope≈3±0.1"], 3),
     "concentration-assert-ok": (["concentration", "--m", "8", "--p", "0.3", "--trials", "2000",
                                  "--assert"], 0),
+    **{
+        f"rates-{fmt}": (["rates", "--p", "0.3", "--s", "0.9", "--output", fmt], 0)
+        for fmt in ("text", "json", "csv")
+    },
+    "rates-theta-json": (["rates", "--p", "0.3", "--s", "0.9", "--theta", "0.3", "--output", "json"], 0),
     # n is capped at 62, below the 1.25 margin's 83
     "simulate-capped-width": (["simulate", "--mode", "allocated-online", "--m", "30", "--p", "0.3",
                                "--s", "0.9", "--trials", "100"], 0),
