@@ -95,12 +95,12 @@ class AttackResult:
 
 
 def _ascending_chunks(budget: int) -> Iterator[np.ndarray]:
-    """[0, budget) in chunks of _CHUNK0 * 4^k indices, at most _CHUNK_CAP."""
+    """[0, budget) in chunks of _CHUNK0 * 2^k indices, at most _CHUNK_CAP."""
     chunk, start = _CHUNK0, 0
     while start < budget:
         stop = min(start + chunk, budget)
         yield np.arange(start, stop, dtype=np.uint64)
-        start, chunk = stop, min(chunk * 4, _CHUNK_CAP)
+        start, chunk = stop, min(chunk * 2, _CHUNK_CAP)
 
 
 def run_heads(ranked: np.ndarray) -> np.ndarray:
@@ -140,7 +140,7 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
     count to stop = min(budget, 9/10 of the candidates rounded down).
     Fewer than stop draws hold fewer than stop distinct ones, so the
     first stop draws are served uncounted, chunk at a time, chunk growing
-    from _CHUNK0 by 4x to _CHUNK_CAP.  Past them the distinct draws are
+    from _CHUNK0 by 2x to _CHUNK_CAP.  Past them the distinct draws are
     kept sorted, and each batch of min(chunk, 4x the candidates not yet
     drawn) draws serves up to the stop.  Rejection stalls near
     exhaustion, so past the stop the rest come as one chunk, in the
@@ -161,7 +161,7 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
         uncounted.append(rng.key_draws(key, drawn, min(chunk, stop - drawn), n))
         drawn += uncounted[-1].size
         yield uncounted[-1].view(np.uint64)
-        chunk = min(chunk * 4, _CHUNK_CAP)
+        chunk = min(chunk * 2, _CHUNK_CAP)
     values = np.sort(np.concatenate(uncounted))
     values = values[run_heads(values[None])[0]]  # the distinct draws, ascending
     while values.size < stop:
@@ -173,7 +173,7 @@ def _permutation_chunks(n_candidates: int, budget: int, seed: int) -> Iterator[n
         fresh = np.sort(heads[~known])[: stop - values.size]
         values = np.sort(np.concatenate([values, raw[fresh]]), kind="stable")
         yield (raw if values.size < stop else raw[: fresh[-1] + 1]).view(np.uint64)
-        chunk = min(chunk * 4, _CHUNK_CAP)
+        chunk = min(chunk * 2, _CHUNK_CAP)
     if stop < budget:
         rest = np.delete(np.arange(n_candidates), values)
         if rest.size > 1:
@@ -273,18 +273,19 @@ def lockstep_scan(
     indices.  specials = (index, row, hit) arrays: at a special index of
     its row only `hit` decides (a planted override, or a password that
     ends the scan).  Each round hashes one window of the order for every
-    active row.  strategy_chunks serves the order in chunks: _CHUNK0 * 4^k
+    active row.  strategy_chunks serves the order in chunks: _CHUNK0 * 2^k
     indices, at most _CHUNK_CAP, in ascending order; batches of at most
     that many raw draws in permutation order (a lazy permutation's
     near-exhaustion tail comes as one chunk); and _CHUNK0 indices each in
     descending order.  A window is the rest of the current chunk, cut to
-    _ROUND_PAIRS // active indices while more than one row scans.  One
-    row thus keeps the chunk schedule, and many rows take narrow windows
-    that overshoot their first hits by little.  A repeated draw hits as
-    its first copy did, so a permutation row's guess count is the number
-    of distinct draws up to its first hit (first_hit_guesses).  Returns
-    each row's 1-based guess count (0 when no hit came within the budget)
-    and the index of its first hit.
+    _ROUND_PAIRS // active indices (at least one), so many rows take
+    narrow windows that overshoot their first hits by little, and the
+    last row windows of _ROUND_PAIRS.  A single scan runs through
+    _row_scan instead, which keeps no per-row state.  A repeated draw
+    hits as its first copy did, so a permutation row's guess count is the
+    number of distinct draws up to its first hit (first_hit_guesses).
+    Returns each row's 1-based guess count (0 when no hit came within the
+    budget) and the index of its first hit.
     """
     guesses = np.zeros(rows, dtype=np.int64)
     first = np.zeros(rows, dtype=np.uint64)
@@ -309,32 +310,25 @@ def lockstep_scan(
             served.append(chunk)
         at = 0
         while at < chunk.size:
-            width = chunk.size if active.size == 1 else max(1, _ROUND_PAIRS // active.size)
-            window = chunk[at : at + width]
+            window = chunk[at : at + max(1, _ROUND_PAIRS // active.size)]
             hits = natural(active, window)
             if specials is not None and keys.size:
                 entries, cols = _window_specials(keys, window, ascending_window)
                 where = slot[key_rows[entries]]
                 scanning = where >= 0
                 hits[where[scanning], cols[scanning]] = key_hits[entries[scanning]]
-            if active.size == 1:  # the last row: its first hit ends the scan
-                col = int(hits[0].argmax())
-                if hits[0, col]:
-                    guesses[active], first[active] = guess_counts(np.array([consumed + col + 1])), window[col]
+            cols = hits.argmax(axis=1)  # a row's first hit, or 0 when it has none
+            done = hits[np.arange(active.size), cols]
+            if done.any():
+                finished, cols = active[done], cols[done]
+                guesses[finished] = guess_counts(consumed + cols + 1)
+                first[finished] = window[cols]
+                active = active[~done]
+                if not active.size:
                     return guesses, first
-            else:
-                cols = hits.argmax(axis=1)  # a row's first hit, or 0 when it has none
-                done = hits[np.arange(active.size), cols]
-                if done.any():
-                    finished, cols = active[done], cols[done]
-                    guesses[finished] = guess_counts(consumed + cols + 1)
-                    first[finished] = window[cols]
-                    active = active[~done]
-                    if not active.size:
-                        return guesses, first
-                    if specials is not None:
-                        slot[finished] = -1
-                        slot[active] = np.arange(active.size)
+                if specials is not None:
+                    slot[finished] = -1
+                    slot[active] = np.arange(active.size)
             consumed += window.size
             at += window.size
     return guesses, first
@@ -359,11 +353,30 @@ def keyed_scan(
     keys holds each row's key seed (uint64).  targets holds each row's
     bin, shaped (rows,), or each row's set of bins, shaped (rows, k) with
     repeats allowed.  A row with one bin hits where its word falls in the
-    bin's interval (rng.biased_bits); a row with a set looks each value up
-    in its set's mask.  Rows with sets go in groups whose stacked masks,
-    one per distinct set, fit in _STACK_BYTES.  specials are
-    lockstep_scan's.
+    bin's interval: where that test decides (rng.interval_decides), each
+    round hashes in one scratch held for the whole scan, against key, lo
+    and size columns gathered again only when rows finish; otherwise
+    through rng.biased_bits.  A row with a set looks each value up in its
+    set's mask.  Rows with sets go in groups whose stacked masks, one per
+    distinct set, fit in _STACK_BYTES.  specials are lockstep_scan's.
     """
+    keys = keys.astype(np.uint64, copy=False)
+    if targets.ndim == 1 and rng.interval_decides(p, m):
+        lo, size = rng.target_interval(p, m, targets)
+        cols = [None]  # the active rows, then their key, lo and size columns
+        scratch = rng.take_scratch(max(keys.size, _ROUND_PAIRS))
+
+        def natural(active, window):
+            if cols[0] is not active:
+                cols[:] = active, keys[active, None], lo[active, None], size[active, None]
+            shape, pairs = (active.size, window.size), active.size * window.size
+            word, tmp = scratch[0, :pairs].reshape(shape), scratch[1, :pairs].reshape(shape)
+            return rng.interval_hits(window, *cols[1:], word, tmp)
+
+        try:
+            return lockstep_scan(strat, n, budget, natural, keys.size, specials)
+        finally:
+            rng.give_back(scratch)
     if targets.ndim == 1:
         def natural(active, window):
             return rng.biased_bits(keys[active, None], p, m, window, target=targets[active, None])
@@ -390,32 +403,85 @@ def keyed_scan(
     return guesses, first
 
 
+def _row_scan(
+    strat: GuessStrategy,
+    n: int,
+    budget: Optional[int],
+    natural,
+    specials: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> tuple[int, int]:
+    """One scan's first hit: (guesses, its index), or (0, 0) when no hit
+    came within the budget.
+
+    natural(window) gives the natural hits at the window's indices.
+    specials = (index, hit) arrays, index sorted ascending: at a special
+    index only hit decides.  Each window is one of strategy_chunks' chunks,
+    or a _CHUNK_CAP slice of a wider one (a lazy permutation's tail).  A
+    permutation row's guess count is the number of distinct draws up to
+    its first hit, counted on the sorted served draws.
+    """
+    ascending_window = strat.kind == "ascending-index"
+    served = [] if strat.kind == "seeded-permutation" else None
+    consumed = 0
+    for chunk in strategy_chunks(strat, n, budget):
+        for at in range(0, chunk.size, _CHUNK_CAP):
+            window = chunk[at : at + _CHUNK_CAP]
+            hits = natural(window)
+            if specials is not None:
+                entries, cols = _window_specials(specials[0], window, ascending_window)
+                hits[cols] = specials[1][entries]
+            col = int(hits.argmax())
+            if hits[col]:
+                if served is None:
+                    return consumed + col + 1, int(window[col])
+                drawn = np.sort(np.concatenate(served + [window[: col + 1]]))
+                return int(run_heads(drawn[None]).sum()), int(window[col])
+            consumed += window.size
+            if served is not None:
+                served.append(window)
+    return 0, 0
+
+
 def _scan(
     h: HashFunction,
     targets: np.ndarray,
     strat: GuessStrategy,
     budget: Optional[int],
 ) -> tuple[int, int]:
-    """One row of lockstep_scan: (guesses, index of the first hit).
+    """One scan of h: _row_scan's (guesses, index of the first hit).
 
-    targets is the row's bin, shaped (1,), or its set of bins, shaped
-    (1, k), as keyed_scan takes them.  A keyed model's overrides are the
-    row's specials.
+    targets is the scan's bin, shaped (1,), or its set of bins, shaped
+    (1, k).  A keyed model's overrides are the specials.  A keyed model
+    with one target whose interval decides (rng.interval_decides) hashes
+    each window in one scratch held for the whole scan, against an
+    interval computed once; otherwise windows go through rng.biased_bits,
+    or a table's eval_many.
     """
-    keyed = isinstance(h, KeyedHashModel)
+    if not isinstance(h, KeyedHashModel):
+        return _row_scan(strat, h.n, budget, lambda idx: np.isin(h.eval_many(idx), targets))
     specials = None
-    if keyed and h.overrides:
+    if h.overrides:
         planted, bins = (np.array(col) for col in zip(*h.overrides.items()))
-        specials = (planted.astype(np.uint64), np.zeros(planted.size, dtype=np.intp), np.isin(bins, targets))
-    if keyed:
-        keys = np.array([h.seed & rng.MASK64], dtype=np.uint64)
-        guesses, first = keyed_scan(strat, h.n, budget, keys, h.p, h.m, targets, specials)
-    else:
-        def natural(active, idx):
-            return np.isin(h.eval_many(idx), targets)[None, :]
+        order = np.argsort(planted)
+        specials = (planted[order].astype(np.uint64), np.isin(bins[order], targets))
+    key, p, m = np.uint64(h.seed & rng.MASK64), h.p, h.m
+    if targets.ndim == 1 and rng.interval_decides(p, m):
+        lo, size = rng.target_interval(p, m, targets[0])
+        scratch = rng.take_scratch(_CHUNK_CAP)
+        try:
+            def natural(idx):
+                return rng.interval_hits(idx, key, lo, size, scratch[0, : idx.size], scratch[1, : idx.size])
 
-        guesses, first = lockstep_scan(strat, h.n, budget, natural, 1, specials)
-    return int(guesses[0]), int(first[0])
+            return _row_scan(strat, h.n, budget, natural, specials)
+        finally:
+            rng.give_back(scratch)
+    if targets.ndim == 1:
+        natural = functools.partial(rng.biased_bits, key, p, m, target=targets[0])
+    else:
+        mask = np.zeros((1, 1 << m), dtype=bool)
+        mask[0, targets] = True
+        natural = functools.partial(rng.biased_bits, key, p, m, masks=mask, table=0)
+    return _row_scan(strat, h.n, budget, natural, specials)
 
 
 def online_attack(

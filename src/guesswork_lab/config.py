@@ -107,5 +107,7 @@ class ExperimentConfig:
             raise ValueError(f"n must be <= {MAX_INPUT_WIDTH}, got {self.scenario.n}")
         if not self.rho >= 0:  # NaN too
             raise ValueError("rho must be >= 0")
+        if self.rho == math.inf:
+            raise ValueError("rho must be finite")
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget must be >= 1 guess, got {self.budget}")

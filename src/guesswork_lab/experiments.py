@@ -709,9 +709,8 @@ def most_likely_panel(cfg: ExperimentConfig) -> MostLikelyPanel:
 # ---------------------------------------------------------------------------
 
 
-#: Samples whose guess counts the oracle finds together, and the draws
-#: every sample starts with.
-_ORACLE_PIECE, _ORACLE_PREFIX = 2048, 16
+#: Samples whose guess counts the oracle finds together.
+_ORACLE_PIECE = 2048
 
 #: Most (row, draw) pairs of one oracle step, unless one row is wider.
 _ORACLE_STEP = 1 << 14
@@ -753,15 +752,15 @@ def _oracle_guesses(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
     with at least one hit.
 
     Each row's first w draws are drawn again from counter 0, w starting
-    at _ORACLE_PREFIX and growing 4x for the rows with no hit among them,
-    in steps of at most _ORACLE_STEP draws, or one row once w is wider.
-    So time and memory grow with the draws up to a sample's first hit,
-    about (N/L) ln(samples) for the slowest of many samples on N
-    candidates with L hits, where a seen buffer would bound memory by N.
+    at _oracle_first_width(hit) and growing 4x for the rows with no hit
+    among them, in steps of at most _ORACLE_STEP draws, or one row once w
+    is wider.  So time and memory grow with the draws up to a sample's
+    first hit, about (N/L) ln(samples) for the slowest of many samples on
+    N candidates with L hits, where a seen buffer would bound memory by N.
     """
     n = hit.size.bit_length() - 1
     guesses = np.zeros(keys.size, dtype=np.int64)
-    rows, width = np.arange(keys.size), _ORACLE_PREFIX
+    rows, width = np.arange(keys.size), _oracle_first_width(hit)
     while rows.size:
         step = max(1, _ORACLE_STEP // width)
         for lo in range(0, rows.size, step):
@@ -770,6 +769,14 @@ def _oracle_guesses(keys: np.ndarray, hit: np.ndarray) -> np.ndarray:
             guesses[part] = attack.first_hit_guesses(draws, hit[draws])
         rows, width = rows[guesses[rows] == 0], width * 4
     return guesses
+
+
+def _oracle_first_width(hit: np.ndarray) -> int:
+    """The draws every oracle sample starts with: the power of two at or
+    above twice the mean guess count (N+1)/(L+1) of N candidates with L
+    hits, so that most samples hit among them."""
+    mean = (hit.size + 1) / (int(np.count_nonzero(hit)) + 1)
+    return 1 << math.ceil(math.log2(2 * mean))
 
 
 # ---------------------------------------------------------------------------

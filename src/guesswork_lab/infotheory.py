@@ -27,6 +27,8 @@ def check_bias(p: float, name: str = "p") -> float:
 def check_rho(rho: float) -> float:
     if not rho >= 0.0:  # NaN too
         raise ValueError(f"rho must be >= 0, got {rho}")
+    if rho == math.inf:
+        raise ValueError(f"rho must be finite, got {rho}")
     return float(rho)
 
 
@@ -93,6 +95,8 @@ def is_realizable_type(m: int, q: float) -> bool:
     """True when q*m rounds to an integer reproducing q within 1e-9."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
+    if not math.isfinite(q):
+        return False
     k = round(q * m)
     return 0 <= k <= m and abs(k / m - q) <= REALIZABLE_TOL
 

@@ -131,16 +131,13 @@ def key_draws(key, start: int, count: int, n: int) -> np.ndarray:
     shape = keys.shape + (count,)
     size = math.prod(shape)
     out = np.empty(shape, dtype=np.int64)
-    s = _take_scratch(size)
+    s = take_scratch(size)
     try:
         base, tmp = s[0, :size].reshape(shape), s[1, :size].reshape(shape)
-        steps = np.arange(start, start + count, dtype=np.uint64)
-        steps *= _U_GOLDEN
-        np.add(keys[..., None], steps, out=base)
-        _mix_into(base, tmp)
+        _hash_words(np.arange(start, start + count, dtype=np.uint64), keys[..., None], base, tmp)
         np.right_shift(base, np.uint64(64 - n), out=out.view(np.uint64))
     finally:
-        _give_back(s)
+        give_back(s)
     return out
 
 
@@ -317,9 +314,10 @@ def biased_bits(
     array broadcast against the shape's leading axes and 1 (an (R, 1)
     column over R rows gives one per row), and a hit is a value equal to
     its target: chunk 0's word w hits when (w - lo) mod 2^64 < size, one
-    subtraction and one compare, and later chunks are drawn for the
-    survivors alone.  masks is a (K, 2^m) stack of boolean masks and table
-    (broadcast like seed) names each value's mask: a hit is a value in it.
+    subtraction and one compare (interval_hits), and later chunks are
+    drawn for the survivors alone.  masks is a (K, 2^m) stack of boolean
+    masks and table (broadcast like seed) names each value's mask: a hit
+    is a value in it.
     """
     idx64 = idx.astype(np.uint64, copy=False)
     if isinstance(seed, np.ndarray):
@@ -328,45 +326,76 @@ def biased_bits(
         seed = np.uint64(int(seed) & MASK64)
     shape = np.broadcast(idx64, seed).shape
     if target is not None:
-        if np.any(np.asarray(target) >> m):
-            raise ValueError(f"target out of range for m={m}")
+        lo, size = target_interval(p, m, target)
         target = np.asarray(target, dtype=np.uint64)
     pairs = math.prod(shape)
-    s = _take_scratch(pairs)
+    s = take_scratch(pairs)
     try:
         word, tmp = s[0, :pairs].reshape(shape), s[1, :pairs].reshape(shape)
-        np.multiply(idx64, _U_GOLDEN, out=word)
-        word += seed
-        _mix_into(word, tmp)
-        # Below p = 2^-63 value 0 can own all 2^64 words of a chunk, a size
-        # no uint64 holds: there the values decide.
-        if target is None or p < 2.0**-63:
-            values = _values(word, tmp, p, m)
-            if masks is not None:  # row k's mask follows k in the flattened stack
-                return masks.reshape(-1).take((np.asarray(table, dtype=np.intp) << m) + values.view(np.int64))
-            return values if target is None else values == target
-        lo, size = _intervals(p, min(m, 14))[:2]
-        t = target >> np.uint64(max(m - 14, 0))  # chunk 0
-        np.subtract(word, lo.take(t), out=tmp)
-        hits = np.less(tmp, size.take(np.bitwise_count(t)))
-        if m > 14:  # the survivors' whole values decide
-            flat = hits.reshape(-1)
-            (pos,) = flat.nonzero()
-            w = word.reshape(-1).take(pos)
-            rows = np.broadcast_to(target, shape[:-1] + (1,)).reshape(-1)
-            flat[pos] = _values(w, np.empty_like(w), p, m) == rows.take(pos // shape[-1])
-        return hits
+        if target is not None and interval_decides(p, min(m, 14)):
+            hits = interval_hits(idx64, seed, lo, size, word, tmp)
+            if m > 14:  # the survivors' whole values decide
+                flat = hits.reshape(-1)
+                (pos,) = flat.nonzero()
+                w = word.reshape(-1).take(pos)
+                rows = np.broadcast_to(target, shape[:-1] + (1,)).reshape(-1)
+                flat[pos] = _values(w, np.empty_like(w), p, m) == rows.take(pos // shape[-1])
+            return hits
+        _hash_words(idx64, seed, word, tmp)
+        values = _values(word, tmp, p, m)
+        if masks is not None:  # row k's mask follows k in the flattened stack
+            return masks.reshape(-1).take((np.asarray(table, dtype=np.intp) << m) + values.view(np.int64))
+        return values if target is None else values == target
     finally:
-        _give_back(s)
+        give_back(s)
+
+
+def interval_decides(p: float, m: int) -> bool:
+    """Does interval_hits alone decide whether an m-bit value is a target?
+    Past 14 bits later chunks decide too, and below p = 2^-63 value 0 can
+    own all 2^64 words of a chunk, a size no uint64 holds."""
+    return m <= 14 and p >= 2.0**-63
+
+
+def target_interval(p: float, m: int, target) -> tuple:
+    """(lo, size): the words of chunk 0 that hit target, an int in [0, 2^m)
+    or an array of them, are those with (word - lo) mod 2^64 < size, lo
+    and size uint64 and shaped like target.  Exact for p >= 2^-63; past 14
+    bits they hold chunk 0's value alone, and later chunks decide."""
+    t = np.asarray(target)
+    if (t >> m).any():  # negative ones too
+        raise ValueError(f"target out of range for m={m}")
+    lo, size = _intervals(p, min(m, 14))[:2]
+    t = t.astype(np.uint64) >> np.uint64(max(m - 14, 0))
+    return lo[t], size[np.bitwise_count(t)]
+
+
+def interval_hits(idx: np.ndarray, key, lo, size, word: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The hit test of chunk 0: does each index's word under key fall in
+    its target_interval (lo, size)?  key, lo and size are scalars, or
+    (R, 1) columns over a (W,) window; word and tmp are scratch of the
+    broadcast shape, and word is left holding the words."""
+    _hash_words(idx, key, word, tmp)
+    np.subtract(word, lo, out=tmp)
+    return np.less(tmp, size)
+
+
+def _hash_words(idx: np.ndarray, key, word: np.ndarray, tmp: np.ndarray) -> None:
+    """Chunk 0's words mix64(idx * GOLDEN + key) into word, idx * GOLDEN
+    taken once in tmp and broadcast against the keys."""
+    step = tmp.reshape(-1)[: idx.size].reshape(idx.shape)
+    np.multiply(idx, _U_GOLDEN, out=step)
+    np.add(key, step, out=word)
+    _mix_into(word, tmp)
 
 
 #: Lane j of a value's chunks, (j + 1) * GOLDEN2 mod 2^64 for every j < 64.
 _LANES = np.array([((j + 1) * GOLDEN2) & MASK64 for j in range(64)], dtype=np.uint64)
 
-#: Pairs of kept hash scratch: the widest call of a lockstep scan,
-#: whose rounds hash at most 2^16 pairs and whose one-row chunks hold at
-#: most 2^16 indices.  Pages fault in only where calls write, so a small
-#: call costs no more for it.
+#: Pairs of kept hash scratch: the widest window of a scan, whose
+#: lockstep rounds hash at most 2^16 pairs and whose one-row windows
+#: hold at most 2^16 indices.  Pages fault in only where calls write, so
+#: a small call costs no more for it.
 _SCRATCH_CAP = 1 << 16
 
 #: Scratch of finished hash calls: a call takes one and hands it back, even
@@ -374,7 +403,7 @@ _SCRATCH_CAP = 1 << 16
 _SCRATCH_FREE: list[np.ndarray] = []
 
 
-def _take_scratch(size: int) -> np.ndarray:
+def take_scratch(size: int) -> np.ndarray:
     """A hash call's working arrays, rows of at least size pairs (uint64):
     the words, and mix64's shifts and the tables' gathers.  Past
     _SCRATCH_CAP, a call's own."""
@@ -386,7 +415,7 @@ def _take_scratch(size: int) -> np.ndarray:
         return np.empty((2, _SCRATCH_CAP), dtype=np.uint64)
 
 
-def _give_back(s: np.ndarray) -> None:
+def give_back(s: np.ndarray) -> None:
     """Hand scratch back to the free list, unless it was a call's own."""
     if s.shape[1] == _SCRATCH_CAP:
         _SCRATCH_FREE.append(s)

@@ -662,23 +662,62 @@ class TestKeyedScan:
             col = int(hits.argmax())
             assert (guesses[r], first[r]) == ((col + 1, col) if hits[col] else (0, 0))
 
-    def test_permutation_rows_match_single_scans(self):
-        # rows that share one permutation's raw draws, repeats included,
-        # count the guesses each row counts alone
-        m, n, p, rows = 3, 9, 0.3, 12
-        keys = rng.words(6, np.arange(rows, dtype=np.uint64), rng.LANE_KEY)
-        targets = np.arange(rows) % (1 << m)
-        specials = (np.array([5, 5, 17, 300], dtype=np.uint64), np.array([0, 3, 3, 7]),
-                    np.array([True, False, True, True]))
-        for budget in (40, 470, None):
-            strat = attack.permutation(8)
-            guesses, first = attack.keyed_scan(strat, n, budget, keys, p, m, targets, specials)
+    def test_permutation_rows_match_single_scans(self, monkeypatch):
+        # Rows hashed in lockstep (keyed_scan, or lockstep_scan over a
+        # table) and each row scanned alone by the one-row loop behind the
+        # library attacks (attack._scan) agree on guesses and first hits:
+        # every strategy, one bin or a set, with and without overrides,
+        # m = 15 past the interval test, budgets that cut the scan, and
+        # hits planted in a permutation's tail.  A _CHUNK_CAP of 16 makes
+        # the one-row loop cut chunks into several windows, as it cuts a
+        # tail wider than 2^16, and _ROUND_PAIRS of 64 makes the lockstep
+        # rows finish over many rounds.
+        p, rows = 0.3, 8
+        strategies = (attack.ascending(), attack.permutation(8), attack.descending_probability(0.2))
+        scans = tail_hits = 0
+        caps = (attack._CHUNK_CAP, attack._ROUND_PAIRS)
+        for m, n, (cap, pairs) in ((3, 9, caps), (3, 9, (16, 64)), (15, 16, caps)):
+            monkeypatch.setattr(attack, "_CHUNK_CAP", cap)
+            monkeypatch.setattr(attack, "_ROUND_PAIRS", pairs)
+            size = 1 << n
+            gen = np.random.default_rng(m)
+            keys = rng.words(6 + m, np.arange(rows, dtype=np.uint64), rng.LANE_KEY)
+            rare = (1 << m) - 1  # weight m: no natural preimage at m = 15
+            bins = np.concatenate([gen.integers(0, 8, size=(rows - 2, 3)), np.full((2, 3), rare)])
+            head = served_order(attack.strategy_chunks(attack.permutation(8), n, None))[: size * 9 // 10]
+            tail = np.setdiff1d(np.arange(size), head)
+            planted = [{int(i): int(b) for i, b in zip(gen.integers(0, size, 3), gen.integers(0, 1 << m, 3))}
+                       for _ in range(rows)]
             for r in range(rows):
-                sel = specials[1] == r
-                own = (specials[0][sel], np.zeros(sel.sum(), dtype=np.intp), specials[2][sel])
-                alone = attack.keyed_scan(strat, n, budget, keys[r : r + 1], p, m, targets[r : r + 1], own)
-                assert (guesses[r], first[r]) == (alone[0][0], alone[1][0])
-            assert (guesses > 0).sum() > rows // 2
+                planted[r][int(tail[r % tail.size])] = int(bins[r, 0])
+            table = hm.sample_table_hash(3, n, p, seed=m) if m == 3 else None
+            for offline, overrides, strat, budget in itertools.product(
+                    (False, True), (False, True), strategies, (50, size * 9 // 10 + 3, None)):
+                targets = bins if offline else bins[:, 0]
+                own = [planted[r] if overrides else {} for r in range(rows)]
+                decided = [(i, r, bool(np.isin(b, targets[r]))) for r, o in enumerate(own) for i, b in o.items()]
+                specials = None
+                if decided:
+                    at, row, hit = (np.array(col) for col in zip(*decided))
+                    specials = (at.astype(np.uint64), row, hit)
+                guesses, first = attack.keyed_scan(strat, n, budget, keys, p, m, targets, specials)
+                for r in range(rows):
+                    model = hm.KeyedHashModel(m=m, n=n, p=p, seed=int(keys[r]), overrides=own[r])
+                    alone = attack._scan(model, targets[r : r + 1], strat, budget)
+                    assert alone == (guesses[r], first[r]), (cap, m, offline, overrides, strat, budget, r)
+                    scans += 1
+                    tail_hits += strat.kind == "seeded-permutation" and alone[0] > size * 9 // 10
+                if table is None:
+                    continue
+
+                def natural(active, window):
+                    values = table.table[window.astype(np.intp)]
+                    return (values[None, :, None] == targets[active].reshape(active.size, 1, -1)).any(axis=2)
+
+                guesses, first = attack.lockstep_scan(strat, n, budget, natural, rows)
+                for r in range(rows):
+                    assert attack._scan(table, targets[r : r + 1], strat, budget) == (guesses[r], first[r])
+        assert scans == 3 * 2 * 2 * 3 * 3 * rows and tail_hits > 0
 
 
 class TestWindowSpecials:

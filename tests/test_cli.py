@@ -414,12 +414,18 @@ def test_errors_map_to_exit_codes_at_the_group(runner, monkeypatch):
         (["keysize", "--alpha", "nan"], "--alpha must list at least one value, each finite, got 'nan'"),
         (["simulate", "--mode", "broken-hash", "--m", "8", "--p", "0.3", "--rho", "nan", "--output", "json"],
          "rho must be >= 0"),
+        (["simulate", "--mode", "broken-hash", "--m", "8", "--p", "0.3", "--rho", "inf", "--output", "json"],
+         "rho must be finite"),
+        (["rates", "--p", "0.3", "--s", "0.9", "--theta", "0.3", "--q-type", "inf"],
+         "q=inf is not a realizable type for m=20"),
+        (["rates", "--p", "0.3", "--s", "0.9", "--theta", "0.3", "--q-type", "nan"],
+         "q=nan is not a realizable type for m=20"),
     ],
-    ids=["empty-l", "nan-l", "nan-alpha", "nan-rho"],
+    ids=["empty-l", "nan-l", "nan-alpha", "nan-rho", "inf-rho", "inf-q-type", "nan-q-type"],
 )
 def test_empty_or_non_finite_numbers_exit_2(runner, args, message):
-    # each once exited 0: ASSERT OK over no points, bound=nan, a row of
-    # NaN, and JSON holding NaN
+    # each once exited 0 or 1: ASSERT OK over no points, bound=nan, a row
+    # of NaN, JSON holding NaN or Infinity, and an OverflowError traceback
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
     assert result.stdout == "" and "Traceback" not in result.stderr
@@ -442,3 +448,13 @@ def test_library_checks_reject_nan():
     cfg = experiments.ExperimentConfig(scenario=scenario, trials=100, seed=1, mode="allocated-online")
     with pytest.raises(ValueError, match="l values must stay below n/m"):
         experiments.concentration_report(cfg, [0.5, nan])
+
+
+def test_library_checks_reject_infinity():
+    from guesswork_lab import infotheory
+
+    inf = float("inf")
+    with pytest.raises(ValueError, match="rho must be finite, got inf"):
+        infotheory.check_rho(inf)
+    for q in (inf, -inf, float("nan")):
+        assert not infotheory.is_realizable_type(8, q)

@@ -712,11 +712,12 @@ class TestPermutationContinuation:
         size, preimages, samples = 1024, 180, 1 << 16
         table = np.zeros(size, dtype=np.uint32)
         table[np.arange(preimages) * 5] = 1
+        assert ex._oracle_first_width(table == 1) == 16  # twice the mean 1025/181, rounded up
         widened, original = [], attack.first_hit_guesses
 
         def counted(draws, hits):
             guesses = original(draws, hits)
-            if draws.shape[1] > ex._ORACLE_PREFIX:
+            if draws.shape[1] > 16:
                 widened.append(guesses[guesses > 0])
             return guesses
 
@@ -780,8 +781,8 @@ class TestOraclePieces:
     def test_estimate_ignores_piece_and_step_sizes(self, monkeypatch):
         cases = [(hm.sample_table_hash(4, 10, 0.25, seed=17), 0), (_sparse_table(10), 1), (_sparse_table(1), 1)]
         before = [ex.permutation_mean_guesswork(table, target, 300, seed=8) for table, target in cases]
-        for name, value in (("_ORACLE_PIECE", 7), ("_ORACLE_PREFIX", 2), ("_ORACLE_STEP", 1)):  # one-row steps
-            monkeypatch.setattr(ex, name, value)
+        for name, value in (("_ORACLE_PIECE", 7), ("_oracle_first_width", lambda hit: 2), ("_ORACLE_STEP", 1)):
+            monkeypatch.setattr(ex, name, value)  # one-row steps
         assert [ex.permutation_mean_guesswork(table, target, 300, seed=8) for table, target in cases] == before
 
     def test_traced_memory_is_bounded(self):
